@@ -1,7 +1,8 @@
 """The four classical classifiers: KNN, logistic regression, Naive Bayes, SVM.
 
-All models consume dense float vectors and integer class indices
-(0..5, matching the canonical label order) and predict label codes.
+Trainers take a design matrix, dense or CSR (see ``features.CsrMatrix``),
+and integer class indices (0..5, matching the canonical label order);
+predictors take one dense float vector and return label codes.
 Training is deterministic: full-batch methods are order-independent,
 stochastic ones take an explicit seed.
 """
@@ -14,6 +15,7 @@ import numpy as np
 
 from .corpus import LABELS
 from .errors import DimensionMismatch, NegativeCount
+from .features import CsrMatrix, design_array, to_dense
 
 N_CLASSES = len(LABELS)
 
@@ -50,7 +52,7 @@ class KnnModel:
 
 
 def train_knn(train_x: np.ndarray, train_y: np.ndarray, k: int = 3) -> KnnModel:
-    train_x = np.asarray(train_x, dtype=np.float64)
+    train_x = to_dense(train_x)
     train_y = np.asarray(train_y, dtype=np.int64)
     if k < 1 or k > len(train_y):
         raise ValueError(f"k must lie in 1..{len(train_y)}, got {k}")
@@ -90,7 +92,17 @@ class LogRegModel:
     epochs: int
 
 
-def _augment(x: np.ndarray) -> np.ndarray:
+def _augment(x: np.ndarray | CsrMatrix) -> np.ndarray | CsrMatrix:
+    """Append the bias column of ones; a CSR row gains one non-zero."""
+    if isinstance(x, CsrMatrix):
+        n, d = x.shape
+        ends = x.indptr[1:]
+        return CsrMatrix(
+            (n, d + 1),
+            x.indptr + np.arange(n + 1),
+            np.insert(x.indices, ends, d),
+            np.insert(x.data, ends, 1.0),
+        )
     ones = np.ones((*x.shape[:-1], 1))
     return np.concatenate([x, ones], axis=-1)
 
@@ -114,7 +126,7 @@ def train_logreg(
     epochs: int = 500,
 ) -> LogRegModel:
     """Full-batch gradient descent on cross-entropy, zero-initialized weights."""
-    x_aug = _augment(np.asarray(train_x, dtype=np.float64))
+    x_aug = _augment(design_array(train_x))
     y = np.asarray(train_y, dtype=np.int64)
     theta = np.zeros((N_CLASSES, x_aug.shape[1]))
     for _ in range(epochs):
@@ -153,18 +165,15 @@ def train_nb(
     priors come from class frequencies. alpha = 0 is allowed: unseen
     features then score -inf at prediction time.
     """
-    x = np.asarray(train_x, dtype=np.float64)
+    x = design_array(train_x)
     y = np.asarray(train_y, dtype=np.int64)
-    if (x < 0).any():
+    if ((x.data if isinstance(x, CsrMatrix) else x) < 0).any():
         raise NegativeCount("feature counts must be non-negative")
     vocab_size = x.shape[1]
-    feature_totals = np.zeros((N_CLASSES, vocab_size))
-    class_sizes = np.zeros(N_CLASSES)
-    for k in range(N_CLASSES):
-        mask = y == k
-        class_sizes[k] = mask.sum()
-        if mask.any():
-            feature_totals[k] = x[mask].sum(axis=0)
+    # Sums of integer counts are exact in any order, so dense and CSR
+    # inputs give bit-identical models.
+    feature_totals = _one_hot(y).T @ x
+    class_sizes = np.bincount(y, minlength=N_CLASSES).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_priors = np.log(class_sizes / len(y))
         smoothed = feature_totals + alpha
@@ -237,7 +246,7 @@ def train_svm(
     """
     if lam <= 0:
         raise ValueError(f"regularization must be positive, got {lam}")
-    x = np.asarray(train_x, dtype=np.float64)
+    x = design_array(train_x)  # x[i] is a dense row either way
     y = np.asarray(train_y, dtype=np.int64)
     n, dim = x.shape
     y_signs = np.where(_one_hot(y) > 0, 1.0, -1.0)  # n x 6

@@ -22,6 +22,7 @@ from .corpus import (
     DEFAULT_ABBREVIATIONS,
     LABELS,
     Dataset,
+    decode_utf8,
     ingest_raw_dir,
     ingest_tatoeba,
     load_abbreviations,
@@ -50,11 +51,13 @@ from .errors import (
     TooFewPoints,
 )
 from .features import (
+    CsrMatrix,
     build_ngram_vocab,
     build_word_vocab,
     char_frequency_profile,
     count_matrix,
     label_indices,
+    to_dense,
 )
 from .modelio import (
     PipelineModel,
@@ -168,7 +171,7 @@ def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeat
     return VectorFeature(args.features, False, embedding=QueryEmbedding.from_matrix(matrix))
 
 
-def _design_matrix(feature: VectorFeature, dataset: Dataset) -> np.ndarray:
+def _design_matrix(feature: VectorFeature, dataset: Dataset) -> np.ndarray | CsrMatrix:
     if feature.ngram_vocab is not None:
         return count_matrix(dataset, feature.ngram_vocab, feature.normalize)
     if feature.word_vocab is not None:
@@ -246,9 +249,12 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     pipeline = load_model(args.model_file)
     if args.input == "-":
-        lines = sys.stdin.read().splitlines()
+        # A replaced sys.stdin may be a text stream with no bytes under it.
+        buffer = getattr(sys.stdin, "buffer", None)
+        text = sys.stdin.read() if buffer is None else decode_utf8(buffer.read(), "<stdin>")
     else:
-        lines = Path(args.input).read_text(encoding="utf-8").splitlines()
+        text = decode_utf8(Path(args.input).read_bytes(), args.input)
+    lines = text.splitlines()
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="\n")
     try:
         for line in lines:
@@ -307,7 +313,7 @@ def cmd_reduce(args) -> int:
         sentences = rng.sample(sentences, args.max_points)
     subset = Dataset(tuple(sentences), seed=args.seed)
     feature = _build_vector_feature(args, subset, "reduce")
-    x = _design_matrix(feature, subset)
+    x = to_dense(_design_matrix(feature, subset))
     if args.method == "pca":
         coords = reduce.pca_project(x, m=2)
     else:

@@ -202,12 +202,16 @@ def _sentences_from_raw(
     return out
 
 
-def _read_utf8(path: Path) -> str:
-    data = path.read_bytes()
+def decode_utf8(data: bytes, source: str) -> str:
+    """Strict UTF-8 decoding; ``source`` names the input in the error."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise InvalidUtf8(str(path), exc.start) from exc
+        raise InvalidUtf8(source, exc.start) from exc
+
+
+def _read_utf8(path: Path) -> str:
+    return decode_utf8(path.read_bytes(), str(path))
 
 
 def ingest_raw_dir(

@@ -55,10 +55,6 @@ class EmptyVocabulary(NordlidError):
     pass
 
 
-class LengthMismatch(NordlidError):
-    pass
-
-
 class SequenceTooShort(NordlidError):
     pass
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import classifiers, embeddings, neural
-from .corpus import LABELS, clean_sentence
+from .corpus import LABELS, clean_sentence, decode_utf8
 from .errors import IncompatibleSpec, ModelFormatError
 from .features import NgramVocabulary, WordVocabulary, vectorize, vectorize_bow
 
@@ -48,8 +49,13 @@ def _enc(array: np.ndarray) -> dict:
 
 
 def _dec(obj: dict) -> np.ndarray:
+    if obj["dtype"] not in ("<i8", "<f8"):
+        raise ModelFormatError(f"unsupported array dtype {obj['dtype']!r}")
     data = base64.b64decode(obj["data"])
-    return np.frombuffer(data, dtype=obj["dtype"]).reshape(obj["shape"]).copy()
+    shape = [int(side) for side in obj["shape"]]
+    if min(shape, default=0) < 0 or len(data) != 8 * math.prod(shape):
+        raise ModelFormatError(f"array of shape {shape} does not match its {len(data)} data bytes")
+    return np.frombuffer(data, dtype=obj["dtype"]).reshape(shape).copy()
 
 
 @dataclass
@@ -283,7 +289,7 @@ def save_model(pipeline: PipelineModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> PipelineModel:
-    raw = Path(path).read_text(encoding="utf-8")
+    raw = decode_utf8(Path(path).read_bytes(), str(path))
     first, _, rest = raw.partition("\n")
     if first != MAGIC:
         raise ModelFormatError(f"{path}: not a {MAGIC} model file")
@@ -291,8 +297,17 @@ def load_model(path: str | Path) -> PipelineModel:
         payload = json.loads(rest)
     except json.JSONDecodeError as exc:
         raise ModelFormatError(f"{path}: corrupt model payload") from exc
+    if not isinstance(payload, dict):
+        raise ModelFormatError(f"{path}: model payload is not a JSON object")
     if payload.get("labels") != list(LABELS):
         raise ModelFormatError(f"{path}: label set does not match this build")
-    feature = _feature_from_payload(payload["feature"])
-    model = _model_from_params(payload["kind"], payload["params"])
-    return PipelineModel(payload["kind"], payload["seed"], model, feature)
+    try:
+        feature = _feature_from_payload(payload["feature"])
+        model = _model_from_params(payload["kind"], payload["params"])
+        return PipelineModel(payload["kind"], payload["seed"], model, feature)
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: model payload lacks key {exc}") from exc
+    except ModelFormatError as exc:
+        raise ModelFormatError(f"{path}: {exc}") from exc
+    except (TypeError, ValueError) as exc:  # wrong JSON types, bad base64
+        raise ModelFormatError(f"{path}: malformed model payload ({exc})") from exc

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import LABEL_INDEX, LABELS, Sentence
-from .errors import DimensionMismatch, LengthMismatch, SequenceTooShort
-from .features import build_ngram_vocab, extract_char_ngrams
+from .errors import DimensionMismatch, SequenceTooShort
+from .features import build_ngram_vocab, design_array, extract_char_ngrams
 
 N_CLASSES = len(LABELS)
 
@@ -39,14 +39,6 @@ def cce_loss(pred: np.ndarray, y: int | np.ndarray) -> float:
         return float(-np.log(max(pred[y], 1e-12)))
     picked = np.clip(pred[np.arange(pred.shape[0]), y], 1e-12, None)
     return float(-np.log(picked).mean())
-
-
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise LengthMismatch(f"shapes {pred.shape} and {target.shape} differ")
-    return float(((pred - target) ** 2).mean())
 
 
 @dataclass(frozen=True)
@@ -153,7 +145,7 @@ def mlp_train(
     hidden: Sequence[int] = (128,),
     cfg: TrainConfig = TrainConfig(),
 ) -> MlpModel:
-    train_x = np.asarray(train_x, dtype=np.float64)
+    train_x = design_array(train_x)  # train_x[batch] is dense either way
     train_y = np.asarray(train_y, dtype=np.int64)
     layer_sizes = [train_x.shape[1], *hidden, N_CLASSES]
     model = init_mlp(layer_sizes, cfg.seed)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: commands, artifacts, exit codes, determinism."""
 
 import io
+import json
 import sys
 
 import pytest
@@ -173,6 +174,8 @@ class TestTrainEvalPredict:
             ("mlp", "char1", ["--epochs", "2", "--hidden", "8"]),
             ("fasttext", "bow", ["--dim", "8", "--epochs", "2"]),
             ("fasttext", "char1_5", ["--dim", "8", "--epochs", "1"]),
+            ("logreg", "char3", ["--epochs", "5"]),
+            ("knn", "bow", ["--k", "3"]),
         ],
     )
     def test_other_model_feature_combos(self, data_dir, tmp_path, model, features, extra):
@@ -201,6 +204,66 @@ class TestTrainEvalPredict:
             "--out", str(tmp_path / "p.tsv"),
         ])
         assert code == 4
+
+
+class TestInputErrors:
+    """Malformed model files and input bytes: exit 2, one error line."""
+
+    @pytest.fixture(scope="class")
+    def svm_payload(self, data_dir, tmp_path_factory):
+        model_file = tmp_path_factory.mktemp("svm") / "svm.ndsl"
+        assert main([
+            "train", "--model", "svm", "--features", "char3",
+            "--train", str(data_dir / "train.tsv"), "--out", str(model_file),
+            "--epochs", "1",
+        ]) == 0
+        magic, body = model_file.read_text(encoding="utf-8").split("\n", 1)
+        return model_file, magic, json.loads(body)
+
+    @staticmethod
+    def assert_input_error(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def predict_with(self, payload, tmp_path, capsys, magic="NDSL1"):
+        broken = tmp_path / "broken.ndsl"
+        broken.write_text(f"{magic}\n{json.dumps(payload)}\n", encoding="utf-8")
+        (tmp_path / "in.txt").write_text("hej med dig\n", encoding="utf-8")
+        capsys.readouterr()
+        return main(["predict", "--model-file", str(broken), "--input", str(tmp_path / "in.txt")])
+
+    def test_model_without_feature_key(self, svm_payload, tmp_path, capsys):
+        _, magic, payload = svm_payload
+        payload = {k: v for k, v in payload.items() if k != "feature"}
+        self.assert_input_error(self.predict_with(payload, tmp_path, capsys, magic), capsys)
+
+    def test_model_array_shape_mismatch(self, svm_payload, tmp_path, capsys):
+        _, magic, payload = svm_payload
+        payload = json.loads(json.dumps(payload))
+        payload["params"]["biases"]["shape"] = [7]
+        self.assert_input_error(self.predict_with(payload, tmp_path, capsys, magic), capsys)
+
+    def test_non_utf8_model_file(self, tmp_path, capsys):
+        broken = tmp_path / "broken.ndsl"
+        broken.write_bytes(b"NDSL1\n{\"kind\": \"\xff\xfe\"}\n")
+        code = main(["predict", "--model-file", str(broken), "--input", str(broken)])
+        self.assert_input_error(code, capsys)
+
+    def test_non_utf8_input_file(self, svm_payload, tmp_path, capsys):
+        model_file = svm_payload[0]
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"hej med dig\n\xff\xfe\n")
+        code = main(["predict", "--model-file", str(model_file), "--input", str(bad)])
+        self.assert_input_error(code, capsys)
+
+    def test_non_utf8_stdin(self, svm_payload, capsys, monkeypatch):
+        model_file = svm_payload[0]
+        stdin = io.TextIOWrapper(io.BytesIO(b"hej med dig\n\xff\xfe\n"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code = main(["predict", "--model-file", str(model_file)])
+        self.assert_input_error(code, capsys)
 
 
 class TestReduceSweepProfile:

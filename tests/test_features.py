@@ -13,8 +13,6 @@ from nordlid.features import (
     char_frequency_profile,
     count_matrix,
     extract_char_ngrams,
-    load_vocab_tokens,
-    save_vocab_tsv,
     vectorize,
     vectorize_bow,
     word_tokenize,
@@ -222,15 +220,6 @@ class TestCharProfile:
         seen = profile.raw.sum(axis=0) > 0
         assert np.allclose(sums[seen], 1.0)
         assert np.all(sums[~seen] == 0.0)
-
-
-class TestVocabTsv:
-    def test_round_trip(self, tmp_path):
-        vocab = build_ngram_vocab(_sentences(["hej med dig"]), 2)
-        ordered = sorted(vocab.entries, key=vocab.entries.get)
-        path = tmp_path / "vocab.tsv"
-        save_vocab_tsv(ordered, path)
-        assert load_vocab_tokens(path) == ordered
 
 
 def test_count_matrix_matches_vectorize():

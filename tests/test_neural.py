@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nordlid.corpus import Sentence
-from nordlid.errors import DimensionMismatch, LengthMismatch, SequenceTooShort
+from nordlid.errors import DimensionMismatch, SequenceTooShort
 from nordlid.neural import (
     MlpModel,
     TrainConfig,
@@ -27,7 +27,6 @@ from nordlid.neural import (
     mlp_grads,
     mlp_loss,
     mlp_train,
-    mse_loss,
     relu,
     softmax,
 )
@@ -85,23 +84,6 @@ class TestLosses:
         for _ in range(20):
             p = softmax(rng.normal(size=6))
             assert cce_loss(p, int(rng.integers(6))) >= 0.0
-
-    def test_mse_identical(self):
-        assert mse_loss(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
-
-    def test_mse_analytic(self):
-        assert mse_loss(np.array([1.0, 0.0]), np.array([0.0, 0.0])) == pytest.approx(0.5)
-
-    def test_mse_hand_computation(self):
-        rng = np.random.default_rng(1)
-        for _ in range(3):
-            a, b = rng.normal(size=4), rng.normal(size=4)
-            expected = sum((x - y) ** 2 for x, y in zip(a, b)) / 4
-            assert mse_loss(a, b) == pytest.approx(expected, abs=1e-12)
-
-    def test_mse_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            mse_loss(np.zeros(3), np.zeros(4))
 
 
 def relative_error(a: float, b: float) -> float:

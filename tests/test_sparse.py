@@ -1,0 +1,188 @@
+"""CSR design matrices: products, rows, trainers and the density choice."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nordlid import classifiers, neural
+from nordlid.corpus import LABELS
+from nordlid.errors import NegativeCount
+from nordlid.features import (
+    SPARSE_DENSITY,
+    CsrMatrix,
+    build_ngram_vocab,
+    build_word_vocab,
+    count_matrix,
+    label_indices,
+    to_dense,
+    vectorize,
+    vectorize_bow,
+)
+from nordlid.synth import generate_pools
+
+
+def csr_from_dense(dense: np.ndarray) -> CsrMatrix:
+    rows, cols = np.nonzero(dense)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dense.shape[0]))])
+    return CsrMatrix(dense.shape, indptr.astype(np.int64), cols.astype(np.int64),
+                     dense[rows, cols].astype(np.float64))
+
+
+@st.composite
+def count_matrices(draw, max_rows=12, max_cols=15):
+    """Small non-negative integer matrices, mostly zeros, empty rows allowed."""
+    n = draw(st.integers(1, max_rows))
+    d = draw(st.integers(1, max_cols))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    dense = rng.integers(1, 6, size=(n, d)).astype(np.float64)
+    dense[rng.random((n, d)) < draw(st.floats(0.0, 1.0))] = 0.0
+    return dense
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    pools = generate_pools(30, "wiki", seed=3)
+    return [s for code in LABELS for s in pools[code]]
+
+
+class TestCsrMatrix:
+    @given(count_matrices(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_products_match_dense(self, dense, seed):
+        rng = np.random.default_rng(seed)
+        x = csr_from_dense(dense)
+        n, d = dense.shape
+        w = rng.normal(size=(d, 6))
+        g = rng.normal(size=(n, 6))
+        assert np.allclose(x @ w, dense @ w, rtol=0, atol=1e-12)
+        assert np.allclose(g.T @ x, g.T @ dense, rtol=0, atol=1e-12)
+        assert np.allclose(x @ w[:, 0], dense @ w[:, 0], rtol=0, atol=1e-12)
+        assert np.allclose(g[:, 0] @ x, g[:, 0] @ dense, rtol=0, atol=1e-12)
+
+    @given(count_matrices(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_materialise_exactly(self, dense, seed):
+        x = csr_from_dense(dense)
+        assert np.array_equal(x.toarray(), dense)
+        batch = np.random.default_rng(seed).integers(0, dense.shape[0], size=4)
+        assert np.array_equal(x[batch], dense[batch])
+        for i in range(dense.shape[0]):
+            assert np.array_equal(x[i], dense[i])
+        assert np.count_nonzero(x) == np.count_nonzero(dense)
+        assert x.size == dense.size
+
+    @given(count_matrices())
+    @settings(max_examples=40, deadline=None)
+    def test_bias_column_is_one_nonzero_per_row(self, dense):
+        augmented = classifiers._augment(csr_from_dense(dense))
+        assert isinstance(augmented, CsrMatrix)
+        assert augmented.nnz == np.count_nonzero(dense) + dense.shape[0]
+        assert np.array_equal(augmented.toarray(), classifiers._augment(dense))
+
+    def test_shape_mismatch_rejected(self):
+        x = csr_from_dense(np.eye(3))
+        with pytest.raises(ValueError):
+            x @ np.ones((4, 2))
+        with pytest.raises(ValueError):
+            np.ones((2, 4)) @ x
+
+    def test_other_numpy_functions_refuse_it(self):
+        with pytest.raises(TypeError):
+            np.sum(csr_from_dense(np.eye(3)))
+
+
+class TestCountMatrix:
+    def test_char3_is_csr_within_its_byte_bound(self, corpus):
+        vocab = build_ngram_vocab(corpus, 3)
+        x = count_matrix(corpus, vocab, normalize=True)
+        assert isinstance(x, CsrMatrix)
+        assert x.nnz / x.size < SPARSE_DENSITY
+        assert x.nbytes <= 16 * x.nnz + 8 * (len(corpus) + 1) + 1024
+
+    def test_char2_stays_dense(self, corpus):
+        x = count_matrix(corpus, build_ngram_vocab(corpus, 2))
+        assert isinstance(x, np.ndarray)
+        assert np.count_nonzero(x) / x.size >= SPARSE_DENSITY
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_csr_rows_equal_vectorize(self, corpus, normalize):
+        ngrams = build_ngram_vocab(corpus, 3)
+        words = build_word_vocab(corpus)
+        x3 = count_matrix(corpus, ngrams, normalize)
+        xw = count_matrix(corpus, words, normalize)
+        assert isinstance(xw, CsrMatrix)
+        for i, sentence in enumerate(corpus):
+            assert np.array_equal(x3[i], vectorize(sentence.text, ngrams, normalize).to_dense())
+            assert np.array_equal(xw[i], vectorize_bow(sentence.text, words, normalize).to_dense())
+
+
+class TestTrainersOnCsr:
+    @pytest.fixture(scope="class")
+    def design(self, corpus):
+        vocab = build_ngram_vocab(corpus, 3)
+        raw = count_matrix(corpus, vocab)
+        normalized = count_matrix(corpus, vocab, normalize=True)
+        assert isinstance(raw, CsrMatrix) and isinstance(normalized, CsrMatrix)
+        return raw, normalized, label_indices(corpus)
+
+    def test_nb_bit_identical(self, design):
+        raw, _, y = design
+        sparse = classifiers.train_nb(raw, y)
+        dense = classifiers.train_nb(to_dense(raw), y)
+        assert sparse.log_priors.tobytes() == dense.log_priors.tobytes()
+        assert sparse.log_likelihoods.tobytes() == dense.log_likelihoods.tobytes()
+
+    def test_svm_bit_identical(self, design):
+        _, x, y = design
+        sparse = classifiers.train_svm(x, y, epochs=2, seed=5)
+        dense = classifiers.train_svm(to_dense(x), y, epochs=2, seed=5)
+        assert sparse.weights.tobytes() == dense.weights.tobytes()
+        assert sparse.biases.tobytes() == dense.biases.tobytes()
+        assert np.allclose(sparse.objective_history, dense.objective_history, rtol=1e-12)
+
+    def test_mlp_bit_identical(self, design):
+        _, x, y = design
+        cfg = neural.TrainConfig(epochs=1, seed=4)
+        sparse = neural.mlp_train(x, y, hidden=(8,), cfg=cfg)
+        dense = neural.mlp_train(to_dense(x), y, hidden=(8,), cfg=cfg)
+        for a, b in zip(sparse.weights + sparse.biases, dense.weights + dense.biases):
+            assert a.tobytes() == b.tobytes()
+
+    def test_logreg_close_to_dense(self, design):
+        _, x, y = design
+        sparse = classifiers.train_logreg(x, y, epochs=20)
+        dense = classifiers.train_logreg(to_dense(x), y, epochs=20)
+        assert np.allclose(sparse.theta, dense.theta, rtol=0, atol=1e-12)
+
+    def test_knn_stores_dense_vectors(self, design):
+        _, x, y = design
+        model = classifiers.train_knn(x, y, k=3)
+        assert np.array_equal(model.vectors, to_dense(x))
+
+    def test_nb_rejects_negative_csr_counts(self):
+        x = csr_from_dense(np.array([[1.0, -2.0], [0.0, 3.0]]))
+        with pytest.raises(NegativeCount):
+            classifiers.train_nb(x, np.array([0, 1]))
+
+
+def test_logreg_gradient_on_csr_matches_finite_differences():
+    """The finite-difference check of acceptance criterion 3, on CSR input."""
+    rng = np.random.default_rng(31)
+    step = 1e-6
+    for _ in range(20):
+        dense = rng.integers(0, 3, size=(4, 3)) * rng.normal(size=(4, 3))
+        x_aug = classifiers._augment(csr_from_dense(dense))
+        y = rng.integers(0, 6, size=4)
+        theta = rng.normal(size=(6, 4))
+        analytic = classifiers.logreg_gradient(theta, x_aug, y)
+        for index in np.ndindex(theta.shape):
+            theta[index] += step
+            up = classifiers.logreg_loss(theta, x_aug, y)
+            theta[index] -= 2 * step
+            down = classifiers.logreg_loss(theta, x_aug, y)
+            theta[index] += step
+            numeric = (up - down) / (2 * step)
+            denom = max(1e-8, abs(numeric), abs(analytic[index]))
+            assert abs(analytic[index] - numeric) / denom < 1e-4
