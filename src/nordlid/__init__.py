@@ -18,14 +18,12 @@ from .corpus import (
     train_test_split,
 )
 from .features import (
-    FeatureVector,
     NgramVocabulary,
     WordVocabulary,
     build_ngram_vocab,
     build_word_vocab,
     char_frequency_profile,
     extract_char_ngrams,
-    vectorize,
     word_tokenize,
 )
 

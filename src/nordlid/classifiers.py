@@ -1,8 +1,11 @@
 """The four classical classifiers: KNN, logistic regression, Naive Bayes, SVM.
 
 Trainers take a design matrix, dense or CSR (see ``features.CsrMatrix``),
-and integer class indices (0..5, matching the canonical label order);
-predictors take one dense float vector and return label codes.
+and integer class indices (0..5, matching the canonical label order).
+Each model's ``scores`` takes one dense vector, giving six scores, or a
+design matrix, giving one row of six per sample; a sample's label is the
+argmax of its scores. Predictors take one dense vector and return label
+codes.
 Training is deterministic: full-batch methods are order-independent,
 stochastic ones take an explicit seed.
 """
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import LABELS
+from .corpus import LABEL_INDEX, LABELS
 from .errors import DimensionMismatch, NegativeCount
 from .features import CsrMatrix, design_array, to_dense
 
@@ -23,6 +26,14 @@ N_CLASSES = len(LABELS)
 def _check_dim(x: np.ndarray, expected: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != expected:
+        raise DimensionMismatch(expected, x.shape[-1] if x.ndim else 0)
+    return x
+
+
+def _features(x, expected: int) -> np.ndarray | CsrMatrix:
+    """One vector or a design matrix of ``expected`` features, checked."""
+    x = design_array(x)
+    if x.ndim not in (1, 2) or x.shape[-1] != expected:
         raise DimensionMismatch(expected, x.shape[-1] if x.ndim else 0)
     return x
 
@@ -49,6 +60,14 @@ class KnnModel:
     k: int
     vectors: np.ndarray  # n x d
     labels: np.ndarray  # n, class indices
+
+    def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
+        """One-hot rows of :func:`knn_predict`'s label, one exact search per query."""
+        x = _features(x, self.vectors.shape[1])
+        queries = [x] if x.ndim == 1 else (x[i] for i in range(x.shape[0]))
+        labels = [LABEL_INDEX[knn_predict(self, query)] for query in queries]
+        scores = _one_hot(np.array(labels, dtype=np.int64))
+        return scores[0] if x.ndim == 1 else scores
 
 
 def train_knn(train_x: np.ndarray, train_y: np.ndarray, k: int = 3) -> KnnModel:
@@ -90,6 +109,9 @@ class LogRegModel:
     theta: np.ndarray  # 6 x (d+1), bias folded into the last column
     learning_rate: float
     epochs: int
+
+    def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
+        return logreg_posterior(self, x)
 
 
 def _augment(x: np.ndarray | CsrMatrix) -> np.ndarray | CsrMatrix:
@@ -134,9 +156,11 @@ def train_logreg(
     return LogRegModel(theta, learning_rate, epochs)
 
 
-def logreg_posterior(model: LogRegModel, x: np.ndarray) -> np.ndarray:
-    x = _check_dim(x, model.theta.shape[1] - 1)
-    return _softmax_rows(model.theta @ np.append(x, 1.0))
+def logreg_posterior(model: LogRegModel, x: np.ndarray | CsrMatrix) -> np.ndarray:
+    x = _features(x, model.theta.shape[1] - 1)
+    if x.ndim == 1:
+        return _softmax_rows(model.theta @ np.append(x, 1.0))
+    return _softmax_rows(x @ model.theta[:, :-1].T + model.theta[:, -1])
 
 
 def logreg_predict(model: LogRegModel, x: np.ndarray) -> tuple[str, np.ndarray]:
@@ -154,6 +178,9 @@ class NbModel:
     log_priors: np.ndarray  # 6
     log_likelihoods: np.ndarray  # 6 x V
     alpha: float
+
+    def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
+        return nb_scores(self, x)
 
 
 def train_nb(
@@ -185,14 +212,24 @@ def train_nb(
     return NbModel(log_priors, log_likelihoods, alpha)
 
 
-def nb_scores(model: NbModel, x: np.ndarray) -> np.ndarray:
-    x = _check_dim(x, model.log_likelihoods.shape[1])
-    if (x < 0).any():
+def nb_scores(model: NbModel, x: np.ndarray | CsrMatrix) -> np.ndarray:
+    x = _features(x, model.log_likelihoods.shape[1])
+    if ((x.data if isinstance(x, CsrMatrix) else x) < 0).any():
         raise NegativeCount("feature counts must be non-negative")
-    # 0 * log(0) is taken as 0: absent features contribute nothing.
-    with np.errstate(invalid="ignore"):
-        contributions = np.where(x > 0, x * model.log_likelihoods, 0.0)
-    return model.log_priors + contributions.sum(axis=1)
+    if x.ndim == 1:
+        # 0 * log(0) is taken as 0: absent features contribute nothing.
+        with np.errstate(invalid="ignore"):
+            contributions = np.where(x > 0, x * model.log_likelihoods, 0.0)
+        return model.log_priors + contributions.sum(axis=1)
+    finite = np.isfinite(model.log_likelihoods)
+    scores = x @ np.where(finite, model.log_likelihoods, 0.0).T + model.log_priors
+    # A product would turn 0 * log(0) into nan, so the rows that hold a
+    # feature with a non-finite log-likelihood (alpha = 0, or a class
+    # absent from training) are scored one at a time.
+    touched = x @ (~finite).any(axis=0).astype(np.float64) > 0
+    for i in np.flatnonzero(touched):
+        scores[i] = nb_scores(model, x[i])
+    return scores
 
 
 def nb_predict(model: NbModel, x: np.ndarray) -> tuple[str, np.ndarray]:
@@ -213,6 +250,9 @@ class SvmModel:
     epochs: int
     seed: int
     objective_history: list[float] = field(default_factory=list)
+
+    def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
+        return svm_scores(self, x)
 
 
 def svm_objective(
@@ -282,9 +322,11 @@ def train_svm(
     return SvmModel(weights, biases, lam, epochs, seed, history)
 
 
-def svm_scores(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    x = _check_dim(x, model.weights.shape[1])
-    return model.weights @ x + model.biases
+def svm_scores(model: SvmModel, x: np.ndarray | CsrMatrix) -> np.ndarray:
+    x = _features(x, model.weights.shape[1])
+    if x.ndim == 1:
+        return model.weights @ x + model.biases
+    return x @ model.weights.T + model.biases
 
 
 def svm_predict(model: SvmModel, x: np.ndarray) -> str:

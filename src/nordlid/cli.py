@@ -14,8 +14,6 @@ import random
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import classifiers, embeddings, evaluation, neural, reduce
 from .corpus import (
     ALPHABET,
@@ -51,11 +49,9 @@ from .errors import (
     TooFewPoints,
 )
 from .features import (
-    CsrMatrix,
     build_ngram_vocab,
     build_word_vocab,
     char_frequency_profile,
-    count_matrix,
     label_indices,
     to_dense,
 )
@@ -171,14 +167,6 @@ def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeat
     return VectorFeature(args.features, False, embedding=QueryEmbedding.from_matrix(matrix))
 
 
-def _design_matrix(feature: VectorFeature, dataset: Dataset) -> np.ndarray | CsrMatrix:
-    if feature.ngram_vocab is not None:
-        return count_matrix(dataset, feature.ngram_vocab, feature.normalize)
-    if feature.word_vocab is not None:
-        return count_matrix(dataset, feature.word_vocab, feature.normalize)
-    return np.stack([feature.transform(s.text) for s in dataset])
-
-
 def cmd_train(args) -> int:
     check_compatibility(args.model, args.features)
     dataset = load_dataset_tsv(args.train)
@@ -212,7 +200,7 @@ def cmd_train(args) -> int:
         pipeline = PipelineModel("fasttext", args.seed, model)
     else:
         feature = _build_vector_feature(args, dataset, args.model)
-        x = _design_matrix(feature, dataset)
+        x = feature.matrix(dataset)
         y = label_indices(dataset)
         if args.model == "knn":
             model = classifiers.train_knn(x, y, k=args.k)
@@ -254,38 +242,36 @@ def cmd_predict(args) -> int:
         text = sys.stdin.read() if buffer is None else decode_utf8(buffer.read(), "<stdin>")
     else:
         text = decode_utf8(Path(args.input).read_bytes(), args.input)
-    lines = text.splitlines()
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="\n")
     try:
-        for line in lines:
-            out.write(pipeline.predict(line) + "\n")
+        out.writelines(f"{label}\n" for label in pipeline.labels(_input_lines(text)))
     finally:
         if out is not sys.stdout:
             out.close()
     return 0
 
 
-def _cached_predictions(pipeline: PipelineModel, dataset: Dataset) -> list[str]:
-    predictions = []
-    for index, sentence in enumerate(dataset):
-        try:
-            predictions.append(pipeline.predict(sentence.text))
-        except Exception as exc:
-            raise PredictionError(index) from exc
-    return predictions
+def _input_lines(text: str) -> list[str]:
+    """Lines of ``predict`` input: split on LF only, one trailing CR dropped.
+
+    Other characters that ``str.splitlines`` breaks on (form feed, U+2028,
+    ...) stay inside their line, so there is one label per LF-ended line.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def cmd_eval(args) -> int:
     pipeline = load_model(args.model_file)
     dataset = load_dataset_tsv(args.test)
-    predictions = _cached_predictions(pipeline, dataset)
-    replay = iter(predictions)
+    gold = [s.label for s in dataset]
+    predicted = pipeline.labels([s.text for s in dataset])
     report = evaluation.evaluate(
-        lambda _: next(replay), dataset,
-        dataset_id=str(args.test), model_id=str(args.model_file),
+        gold, predicted, dataset_id=str(args.test), model_id=str(args.model_file)
     )
-    replay = iter(predictions)
-    lengths = evaluation.length_failure_analysis(lambda _: next(replay), dataset)
+    lengths = evaluation.length_failure_analysis(gold, predicted, [s.length for s in dataset])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "confusion.csv").write_text(
@@ -313,7 +299,7 @@ def cmd_reduce(args) -> int:
         sentences = rng.sample(sentences, args.max_points)
     subset = Dataset(tuple(sentences), seed=args.seed)
     feature = _build_vector_feature(args, subset, "reduce")
-    x = to_dense(_design_matrix(feature, subset))
+    x = to_dense(feature.matrix(subset))
     if args.method == "pca":
         coords = reduce.pca_project(x, m=2)
     else:

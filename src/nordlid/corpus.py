@@ -53,7 +53,8 @@ DEFAULT_ABBREVIATIONS = (
 )
 
 _TERMINALS = ".!?"
-_SPACE_RUNS = re.compile(r" {2,}")
+#: A run of anything but the alphabet's letters (spaces included).
+_NON_LETTERS = re.compile("[^" + ALPHABET.replace(" ", "") + "]+")
 
 
 @dataclass(frozen=True)
@@ -149,8 +150,7 @@ def clean_sentence(s: str) -> str:
     collapses space runs, and strips leading spaces. A single trailing
     space produced by replacement is kept.
     """
-    replaced = "".join(c if c in _ACCEPTED else " " for c in s.lower())
-    return _SPACE_RUNS.sub(" ", replaced).lstrip(" ")
+    return _NON_LETTERS.sub(" ", s.lower()).lstrip(" ")
 
 
 def stratified_sample(
@@ -258,7 +258,11 @@ def save_dataset_tsv(dataset: Dataset | Iterable[Sentence], path: str | Path) ->
 
 
 def load_dataset_tsv(path: str | Path, seed: int = 0) -> Dataset:
-    """Read a dataset written by :func:`save_dataset_tsv`."""
+    """Read a dataset written by :func:`save_dataset_tsv`.
+
+    Its text must be cleaned: a row holding a character outside the
+    40-character alphabet raises MalformedRow.
+    """
     sentences = []
     raw = _read_utf8(Path(path))
     for line_number, line in enumerate(raw.splitlines(), start=1):
@@ -267,6 +271,11 @@ def load_dataset_tsv(path: str | Path, seed: int = 0) -> Dataset:
         code, text = line.split("\t")
         if code not in LABEL_INDEX:
             raise MalformedRow(line_number, f"unknown label code {code!r}")
+        if not _ACCEPTED.issuperset(text):
+            bad = next(ch for ch in text if ch not in _ACCEPTED)
+            raise MalformedRow(
+                line_number, f"character {bad!r} is outside the 40-character alphabet"
+            )
         sentences.append(Sentence(text, code))
     return Dataset(tuple(sentences), seed=seed)
 

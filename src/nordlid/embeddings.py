@@ -296,6 +296,11 @@ class FastTextClassifier:
     output_bias: np.ndarray  # 6
     epoch_losses: list[float] = field(default_factory=list)
 
+    def scores(self, texts: list[str]) -> np.ndarray:
+        """Posterior of every cleaned text, n x 6, each from :func:`predict_fasttext`."""
+        posteriors = [predict_fasttext(self, text)[1] for text in texts]
+        return np.array(posteriors).reshape(len(texts), N_CLASSES)
+
 
 def _sentence_features(
     text: str, mode: str, nmin: int, nmax: int

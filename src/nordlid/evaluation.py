@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ISO_CODES, LABEL_INDEX, LABELS, Dataset
+from .corpus import ISO_CODES, LABEL_INDEX, LABELS
 from .errors import PredictionError
-
-PredictFn = Callable[[str], str]
 
 
 @dataclass(frozen=True)
@@ -45,27 +43,35 @@ class LengthStats:
     misclassified: GroupStats | None
 
 
-def _group_stats(lengths: list[int]) -> GroupStats | None:
-    if not lengths:
+def _group_stats(lengths: np.ndarray) -> GroupStats | None:
+    if not len(lengths):
         return None
-    arr = np.array(lengths, dtype=np.float64)
+    arr = lengths.astype(np.float64)
     return GroupStats(float(arr.mean()), float(arr.std()), len(lengths))
 
 
+def _label_indices(gold: Sequence[str], predicted: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Class indices of gold and predicted labels; an unknown prediction
+    raises PredictionError with its index."""
+    if len(gold) != len(predicted):
+        raise ValueError(f"{len(gold)} gold labels but {len(predicted)} predictions")
+    for index, label in enumerate(predicted):
+        if label not in LABEL_INDEX:
+            raise PredictionError(index)
+    return (np.array([LABEL_INDEX[g] for g in gold], dtype=np.int64),
+            np.array([LABEL_INDEX[p] for p in predicted], dtype=np.int64))
+
+
 def evaluate(
-    predict_fn: PredictFn,
-    test: Dataset,
+    gold: Sequence[str],
+    predicted: Sequence[str],
     dataset_id: str = "",
     model_id: str = "",
 ) -> EvalReport:
-    """Predict every sentence once and tabulate the confusion matrix."""
-    confusion = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
-    for index, sentence in enumerate(test):
-        try:
-            predicted = predict_fn(sentence.text)
-        except Exception as exc:
-            raise PredictionError(index) from exc
-        confusion[LABEL_INDEX[sentence.label], LABEL_INDEX[predicted]] += 1
+    """Tabulate the confusion matrix of predicted against gold labels."""
+    truth, guess = _label_indices(gold, predicted)
+    n = len(LABELS)
+    confusion = np.bincount(truth * n + guess, minlength=n * n).reshape(n, n)
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion)) / total if total else 0.0
     row_sums = confusion.sum(axis=1)
@@ -82,28 +88,26 @@ def evaluate(
     return EvalReport(accuracy, confusion, precision, recall, dataset_id, model_id)
 
 
-def length_failure_analysis(predict_fn: PredictFn, test: Dataset) -> LengthStats:
+def length_failure_analysis(
+    gold: Sequence[str], predicted: Sequence[str], lengths: Sequence[int]
+) -> LengthStats:
     """Mean/std of cleaned-character length for correct vs wrong predictions."""
-    correct: list[int] = []
-    wrong: list[int] = []
-    for index, sentence in enumerate(test):
-        try:
-            predicted = predict_fn(sentence.text)
-        except Exception as exc:
-            raise PredictionError(index) from exc
-        (correct if predicted == sentence.label else wrong).append(sentence.length)
-    return LengthStats(_group_stats(correct), _group_stats(wrong))
+    truth, guess = _label_indices(gold, predicted)
+    lengths = np.asarray(lengths, dtype=np.int64).reshape(len(truth))
+    correct = truth == guess
+    return LengthStats(_group_stats(lengths[correct]), _group_stats(lengths[~correct]))
 
 
 def cross_domain_eval(
-    predict_fn: PredictFn,
-    in_domain_test: Dataset,
-    out_domain_test: Dataset,
+    in_gold: Sequence[str],
+    in_predicted: Sequence[str],
+    out_gold: Sequence[str],
+    out_predicted: Sequence[str],
     model_id: str = "",
 ) -> tuple[EvalReport, EvalReport, float]:
     """Evaluate on both domains; the delta is in-domain minus out-of-domain."""
-    in_report = evaluate(predict_fn, in_domain_test, "in-domain", model_id)
-    out_report = evaluate(predict_fn, out_domain_test, "out-of-domain", model_id)
+    in_report = evaluate(in_gold, in_predicted, "in-domain", model_id)
+    out_report = evaluate(out_gold, out_predicted, "out-of-domain", model_id)
     return in_report, out_report, in_report.accuracy - out_report.accuracy
 
 

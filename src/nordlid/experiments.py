@@ -10,15 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .classifiers import (
-    train_logreg,
-    train_nb,
-    train_svm,
-    logreg_predict,
-    nb_predict,
-    svm_predict,
-)
-from .corpus import stratified_sample, train_test_split
+from .classifiers import train_logreg, train_nb, train_svm
+from .corpus import LABELS, Dataset, stratified_sample, train_test_split
 from .evaluation import (
     EvalReport,
     LengthStats,
@@ -26,7 +19,7 @@ from .evaluation import (
     evaluate,
     length_failure_analysis,
 )
-from .features import build_ngram_vocab, count_matrix, label_indices, vectorize
+from .features import build_ngram_vocab, count_matrix, label_indices
 from .synth import generate_pools
 
 
@@ -38,15 +31,6 @@ class MiniExperimentResult:
     cross_domain_delta: float = 0.0
     length_stats: LengthStats | None = None
     best_model_id: str = ""
-
-
-def _vector_predictor(model, vocab, normalize, predict_fn):
-    def predict(text: str) -> str:
-        x = vectorize(text, vocab, normalize).to_dense()
-        result = predict_fn(model, x)
-        return result[0] if isinstance(result, tuple) else result
-
-    return predict
 
 
 def run_mini_experiment(
@@ -75,31 +59,39 @@ def run_mini_experiment(
     bi_vocab = build_ngram_vocab(train, 2)
     y_train = label_indices(train)
 
-    predictors = {}
+    # model id -> (model, vocabulary, normalize)
+    models = {}
     for tag, vocab in (("char1", uni_vocab), ("char2", bi_vocab)):
         x_raw = count_matrix(train, vocab, normalize=False)
         logreg = train_logreg(x_raw, y_train, learning_rate=logreg_lr, epochs=logreg_epochs)
-        predictors[f"logreg+{tag}"] = _vector_predictor(
-            logreg, vocab, False, logreg_predict
-        )
+        models[f"logreg+{tag}"] = (logreg, vocab, False)
     x_bi_norm = count_matrix(train, bi_vocab, normalize=True)
     x_bi_raw = count_matrix(train, bi_vocab, normalize=False)
     svm = train_svm(
         x_bi_norm, y_train, lam=svm_lam, epochs=svm_epochs, seed=seed, average=True
     )
-    predictors["svm+char2"] = _vector_predictor(svm, bi_vocab, True, svm_predict)
+    models["svm+char2"] = (svm, bi_vocab, True)
     nb = train_nb(x_bi_raw, y_train)
-    predictors["nb+char2"] = _vector_predictor(nb, bi_vocab, False, nb_predict)
+    models["nb+char2"] = (nb, bi_vocab, False)
 
-    for model_id, predictor in predictors.items():
-        result.accuracies[model_id] = evaluate(predictor, test, model_id=model_id).accuracy
+    def predict(model_id: str, sentences: Dataset) -> list[str]:
+        model, vocab, normalize = models[model_id]
+        x = count_matrix(sentences, vocab, normalize)
+        return [LABELS[k] for k in model.scores(x).argmax(axis=1)]
 
-    result.best_model_id = max(result.accuracies, key=result.accuracies.get)
-    best = predictors[result.best_model_id]
+    gold = [s.label for s in test]
+    predictions = {model_id: predict(model_id, test) for model_id in models}
+    for model_id, predicted in predictions.items():
+        result.accuracies[model_id] = evaluate(gold, predicted, model_id=model_id).accuracy
+
+    best = result.best_model_id = max(result.accuracies, key=result.accuracies.get)
     result.in_domain, result.out_domain, result.cross_domain_delta = cross_domain_eval(
-        best, test, out_test, model_id=result.best_model_id
+        gold, predictions[best], [s.label for s in out_test], predict(best, out_test),
+        model_id=best,
     )
-    result.length_stats = length_failure_analysis(best, test)
+    result.length_stats = length_failure_analysis(
+        gold, predictions[best], [s.length for s in test]
+    )
     return result
 
 

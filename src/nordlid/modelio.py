@@ -12,15 +12,16 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import classifiers, embeddings, neural
-from .corpus import LABELS, clean_sentence, decode_utf8
+from .corpus import LABELS, Sentence, clean_sentence, decode_utf8
 from .errors import IncompatibleSpec, ModelFormatError
-from .features import NgramVocabulary, WordVocabulary, vectorize, vectorize_bow
+from .features import CsrMatrix, NgramVocabulary, WordVocabulary, count_matrix, texts_of
 
 MAGIC = "NDSL1"
 
@@ -76,7 +77,7 @@ class QueryEmbedding:
 
 @dataclass
 class VectorFeature:
-    """Text -> dense vector transform bundled with vector classifiers."""
+    """Text -> feature vector transform bundled with vector classifiers."""
 
     type: str
     normalize: bool = True
@@ -92,42 +93,60 @@ class VectorFeature:
             return self.word_vocab.size
         return self.embedding.dim
 
-    def transform(self, text: str) -> np.ndarray:
-        if self.ngram_vocab is not None:
-            return vectorize(text, self.ngram_vocab, self.normalize).to_dense()
-        if self.word_vocab is not None:
-            return vectorize_bow(text, self.word_vocab, self.normalize).to_dense()
-        return embeddings.sentence_embedding(text, self.embedding)
+    def matrix(self, texts: Iterable[Sentence | str]) -> np.ndarray | CsrMatrix:
+        """Design matrix of sentences or cleaned strings, one row each.
+
+        Counts come from :func:`count_matrix`; embedding features stack
+        one sentence vector per text.
+        """
+        vocab = self.ngram_vocab if self.ngram_vocab is not None else self.word_vocab
+        if vocab is not None:
+            return count_matrix(texts, vocab, self.normalize)
+        rows = [embeddings.sentence_embedding(t, self.embedding) for t in texts_of(texts)]
+        return np.array(rows).reshape(len(rows), self.dim)
+
+
+#: Lines scored per block, so that design matrices and CNN activations
+#: stay bounded whatever the input size. A char2 block takes 11 MB dense.
+BATCH_LINES = 1024
 
 
 @dataclass
 class PipelineModel:
-    """A trained classifier plus whatever it needs to map text to inputs."""
+    """A trained classifier plus whatever it needs to map text to inputs.
+
+    Every kind labels a batch of lines the same way: clean every line,
+    featurize the batch, score it as one n x 6 matrix, and take each row's
+    argmax. A line with no usable feature scores an empty input: the zero
+    vector, or an all-padding CNN sequence.
+    """
 
     kind: str
     seed: int
     model: object
     feature: VectorFeature | None = None
 
+    def scores(self, raw_lines: Sequence[str]) -> np.ndarray:
+        """n x 6 scores of raw text lines, ``BATCH_LINES`` lines at a time."""
+        texts = [clean_sentence(line) for line in raw_lines]
+        scores = np.empty((len(texts), len(LABELS)))
+        for start in range(0, len(texts), BATCH_LINES):
+            block = texts[start : start + BATCH_LINES]
+            scores[start : start + len(block)] = self._block_scores(block)
+        return scores
+
+    def _block_scores(self, texts: list[str]) -> np.ndarray:
+        if self.feature is None:  # cnn and fasttext featurize text themselves
+            return self.model.scores(texts)
+        return self.model.scores(self.feature.matrix(texts))
+
+    def labels(self, raw_lines: Sequence[str]) -> list[str]:
+        """One label per raw text line: the argmax of its scores."""
+        return [LABELS[k] for k in self.scores(raw_lines).argmax(axis=1)]
+
     def predict(self, raw_text: str) -> str:
-        text = clean_sentence(raw_text)
-        if self.kind == "cnn":
-            ids = neural.cnn_encode(self.model, text)
-            return LABELS[int(np.argmax(neural.cnn_forward(self.model, ids)))]
-        if self.kind == "fasttext":
-            return embeddings.predict_fasttext(self.model, text)[0]
-        x = self.feature.transform(text)
-        if self.kind == "knn":
-            return classifiers.knn_predict(self.model, x)
-        if self.kind == "logreg":
-            return classifiers.logreg_predict(self.model, x)[0]
-        if self.kind == "nb":
-            return classifiers.nb_predict(self.model, x)[0]
-        if self.kind == "svm":
-            return classifiers.svm_predict(self.model, x)
-        if self.kind == "mlp":
-            return LABELS[int(np.argmax(neural.mlp_forward(self.model, x)))]
-        raise ModelFormatError(f"unknown model kind {self.kind!r}")
+        """The label of one raw text line."""
+        return self.labels([raw_text])[0]
 
 
 def check_compatibility(kind: str, feature_type: str) -> None:
@@ -276,6 +295,36 @@ def _model_from_params(kind: str, params: dict) -> object:
     raise ModelFormatError(f"cannot load model kind {kind!r}")
 
 
+#: Width of the feature vectors each vector model kind takes.
+_INPUT_WIDTH = {
+    "knn": lambda m: m.vectors.shape[1],
+    "logreg": lambda m: m.theta.shape[1] - 1,
+    "nb": lambda m: m.log_likelihoods.shape[1],
+    "svm": lambda m: m.weights.shape[1],
+    "mlp": lambda m: m.weights[0].shape[1],
+}
+
+
+def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
+    """Raise ModelFormatError unless the model's parameters fit its features.
+
+    A vector model must take vectors as wide as its feature's; a CNN or
+    fastText model must hold one embedding row per vocabulary entry (plus
+    the CNN's padding row).
+    """
+    if kind == "cnn":
+        model.ngram_vocab  # checks the n-gram vocabulary
+        have, want = model.embeddings.shape[0], len(model.vocab) + 1
+    elif kind == "fasttext":
+        have, want = model.input_vectors.shape[0], len(model.features)
+    elif feature is None:
+        raise ModelFormatError(f"{kind} model lacks its feature transform")
+    else:
+        have, want = _INPUT_WIDTH[kind](model), feature.dim
+    if have != want:
+        raise ModelFormatError(f"{kind} parameters are sized for {have}, its features for {want}")
+
+
 def save_model(pipeline: PipelineModel, path: str | Path) -> None:
     payload = {
         "kind": pipeline.kind,
@@ -304,10 +353,11 @@ def load_model(path: str | Path) -> PipelineModel:
     try:
         feature = _feature_from_payload(payload["feature"])
         model = _model_from_params(payload["kind"], payload["params"])
+        _check_fit(payload["kind"], model, feature)
         return PipelineModel(payload["kind"], payload["seed"], model, feature)
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model payload lacks key {exc}") from exc
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError) as exc:  # wrong JSON types, bad base64
+    except (TypeError, ValueError, IndexError) as exc:  # wrong JSON types or array ranks, bad base64
         raise ModelFormatError(f"{path}: malformed model payload ({exc})") from exc

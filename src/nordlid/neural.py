@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .corpus import LABEL_INDEX, LABELS, Sentence
 from .errors import DimensionMismatch, SequenceTooShort
-from .features import build_ngram_vocab, design_array, extract_char_ngrams
+from .features import NgramVocabulary, build_ngram_vocab, design_array, ngram_hits
 
 N_CLASSES = len(LABELS)
 
@@ -81,6 +82,9 @@ class MlpModel:
     def layer_sizes(self) -> list[int]:
         return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
 
+    def scores(self, x) -> np.ndarray:
+        return mlp_forward(self, x)
+
 
 def init_mlp(layer_sizes: Sequence[int], seed: int) -> MlpModel:
     if len(layer_sizes) < 3:
@@ -93,10 +97,11 @@ def init_mlp(layer_sizes: Sequence[int], seed: int) -> MlpModel:
     return MlpModel(weights, biases)
 
 
-def mlp_forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
+def mlp_forward(model: MlpModel, x) -> np.ndarray:
+    """Posterior of one vector, or of every row of a design matrix (dense or CSR)."""
+    x = design_array(x)
     squeeze = x.ndim == 1
-    h = np.atleast_2d(x)
+    h = x[None] if squeeze else x
     if h.shape[1] != model.weights[0].shape[1]:
         raise DimensionMismatch(model.weights[0].shape[1], h.shape[1])
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
@@ -167,6 +172,9 @@ def mlp_train(
 # ---------------------------------------------------------------------------
 
 PAD_INDEX = 0
+#: Rows per CNN forward pass at prediction time. Its windows take
+#: about 50 KB per row at the default 128 tokens and 16-wide embeddings.
+PREDICT_BLOCK = 128
 
 
 @dataclass
@@ -184,6 +192,25 @@ class CnnModel:
     dense_w: np.ndarray  # F x 6
     dense_b: np.ndarray  # 6
     max_len: int
+
+    @cached_property
+    def ngram_vocab(self) -> NgramVocabulary:
+        """``vocab`` as an :class:`NgramVocabulary`, built on first use.
+
+        ``gram`` and ``vocab`` must not change after that.
+        """
+        return NgramVocabulary(self.gram, self.vocab)
+
+    def scores(self, texts: list[str]) -> np.ndarray:
+        """Posterior of every cleaned text, n x 6, forwarded ``PREDICT_BLOCK`` rows at a time.
+
+        A text with no in-vocabulary n-gram scores the all-padding sequence.
+        """
+        ids = cnn_token_ids(self, texts)
+        scores = np.empty((len(texts), N_CLASSES))
+        for start in range(0, len(texts), PREDICT_BLOCK):
+            scores[start : start + PREDICT_BLOCK] = cnn_forward(self, ids[start : start + PREDICT_BLOCK])
+        return scores
 
 
 def init_cnn(
@@ -213,19 +240,29 @@ def init_cnn(
     )
 
 
-def cnn_encode(model: CnnModel, text: str) -> np.ndarray:
-    """Map cleaned text to a padded/truncated sequence of token ids."""
-    ids = [
-        model.vocab[gram] + 1
-        for gram in extract_char_ngrams(text, model.gram)
-        if gram in model.vocab
-    ]
-    if not ids:
+def cnn_token_ids(model: CnnModel, texts: list[str]) -> np.ndarray:
+    """Token ids of cleaned texts, one row of ``max_len`` per text.
+
+    A row holds the text's in-vocabulary n-grams in order (1-based ids),
+    truncated to ``max_len`` and padded with ``PAD_INDEX``; a text with
+    none in the vocabulary gets an all-padding row.
+    """
+    rows, columns = ngram_hits(texts, model.ngram_vocab)
+    # rows ascend, so each hit's rank within its text is its distance
+    # from the first hit of that text
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    kept = rank < model.max_len
+    ids = np.full((len(texts), model.max_len), PAD_INDEX, dtype=np.int64)
+    ids[rows[kept], rank[kept]] = columns[kept] + 1
+    return ids
+
+
+def _training_ids(model: CnnModel, texts: list[str]) -> np.ndarray:
+    """Token ids as :func:`cnn_token_ids`; a text without any is an error."""
+    ids = cnn_token_ids(model, texts)
+    if not ids[:, 0].all():
         raise SequenceTooShort(f"no in-vocabulary tokens of order {model.gram}")
-    ids = ids[: model.max_len]
-    padded = np.full(model.max_len, PAD_INDEX, dtype=np.int64)
-    padded[: len(ids)] = ids
-    return padded
+    return ids
 
 
 def _cnn_batch_forward(model: CnnModel, ids: np.ndarray) -> dict:
@@ -326,7 +363,7 @@ def cnn_train(
     model = init_cnn(
         gram, vocab, kernel, filters, embed_dim, cfg.max_len, cfg.seed
     )
-    ids = np.stack([cnn_encode(model, s.text) for s in train])
+    ids = _training_ids(model, [s.text for s in train])
     labels = np.array([LABEL_INDEX[s.label] for s in train], dtype=np.int64)
     rng = np.random.default_rng(cfg.seed + 1)
     n = len(train)
@@ -345,9 +382,8 @@ def cnn_train(
 
 def cnn_accuracy(model: CnnModel, test: Iterable[Sentence]) -> float:
     test = list(test)
-    ids = np.stack([cnn_encode(model, s.text) for s in test])
     labels = np.array([LABEL_INDEX[s.label] for s in test], dtype=np.int64)
-    predicted = cnn_forward(model, ids).argmax(axis=1)
+    predicted = model.scores([s.text for s in test]).argmax(axis=1)
     return float((predicted == labels).mean())
 
 

@@ -245,6 +245,44 @@ class TestInputErrors:
         payload["params"]["biases"]["shape"] = [7]
         self.assert_input_error(self.predict_with(payload, tmp_path, capsys, magic), capsys)
 
+    @pytest.fixture(scope="class")
+    def cnn_payload(self, data_dir, tmp_path_factory):
+        model_file = tmp_path_factory.mktemp("cnn") / "cnn.ndsl"
+        assert main([
+            "train", "--model", "cnn", "--features", "char2",
+            "--train", str(data_dir / "train.tsv"), "--out", str(model_file),
+            "--epochs", "1", "--filters", "4", "--embed-dim", "4",
+        ]) == 0
+        magic, body = model_file.read_text(encoding="utf-8").split("\n", 1)
+        return model_file, magic, json.loads(body)
+
+    @pytest.mark.parametrize("entry", ["abcd", "a!", 5, "duplicate"])
+    @pytest.mark.parametrize("kind", ["svm", "cnn"])
+    def test_malformed_vocabulary_entry(self, kind, entry, request, tmp_path, capsys):
+        _, magic, payload = request.getfixturevalue(f"{kind}_payload")
+        payload = json.loads(json.dumps(payload))
+        vocab = payload["feature"]["vocab"] if kind == "svm" else payload["params"]["vocab"]
+        vocab[-1] = vocab[0] if entry == "duplicate" else entry
+        self.assert_input_error(self.predict_with(payload, tmp_path, capsys, magic), capsys)
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_parameters_sized_for_another_vocabulary(
+        self, svm_payload, data_dir, command, tmp_path, capsys
+    ):
+        _, magic, payload = svm_payload
+        payload = json.loads(json.dumps(payload))
+        payload["feature"]["vocab"].pop()
+        if command == "predict":
+            code = self.predict_with(payload, tmp_path, capsys, magic)
+        else:
+            broken = tmp_path / "broken.ndsl"
+            broken.write_text(f"{magic}\n{json.dumps(payload)}\n", encoding="utf-8")
+            code = main([
+                "eval", "--model-file", str(broken), "--test", str(data_dir / "test.tsv"),
+                "--out-dir", str(tmp_path / "eval"),
+            ])
+        self.assert_input_error(code, capsys)
+
     def test_non_utf8_model_file(self, tmp_path, capsys):
         broken = tmp_path / "broken.ndsl"
         broken.write_bytes(b"NDSL1\n{\"kind\": \"\xff\xfe\"}\n")
@@ -264,6 +302,90 @@ class TestInputErrors:
         monkeypatch.setattr(sys, "stdin", stdin)
         code = main(["predict", "--model-file", str(model_file)])
         self.assert_input_error(code, capsys)
+
+
+#: One model per kind, trained on the small synthetic split.
+SEVEN_KINDS = {
+    "knn": ("char2", []),
+    "logreg": ("char2", ["--epochs", "5"]),
+    "nb": ("char2", []),
+    "svm": ("char3", ["--epochs", "1"]),
+    "mlp": ("char2", ["--epochs", "1", "--hidden", "8"]),
+    "cnn": ("char2", ["--epochs", "1", "--filters", "4", "--embed-dim", "4"]),
+    "fasttext": ("bow", ["--epochs", "1", "--dim", "8"]),
+}
+
+
+class TestPredictLines:
+    @pytest.fixture(scope="class")
+    def model_files(self, data_dir, tmp_path_factory):
+        base = tmp_path_factory.mktemp("kinds")
+        files = {}
+        for kind, (features, extra) in SEVEN_KINDS.items():
+            files[kind] = base / f"{kind}.ndsl"
+            assert main([
+                "train", "--model", kind, "--features", features,
+                "--train", str(data_dir / "train.tsv"), "--out", str(files[kind]), *extra,
+            ]) == 0
+        return files
+
+    @staticmethod
+    def predict(model_file, text, tmp_path, capsys):
+        (tmp_path / "in.txt").write_bytes(text.encode("utf-8"))
+        capsys.readouterr()
+        code = main(["predict", "--model-file", str(model_file), "--input", str(tmp_path / "in.txt")])
+        return code, capsys.readouterr()
+
+    @pytest.mark.parametrize("kind", sorted(SEVEN_KINDS))
+    def test_empty_and_unusable_lines_get_labels(self, model_files, kind, tmp_path, capsys):
+        text = "hej med dig\n\n!!! 42\nqqq\nog så videre\n"
+        code, captured = self.predict(model_files[kind], text, tmp_path, capsys)
+        assert code == 0 and captured.err == ""
+        labels = captured.out.splitlines()
+        assert len(labels) == 5 and all(label in LABELS for label in labels)
+        # lines with nothing left after cleaning are labelled alike, alone or not
+        assert labels[1] == labels[2]
+        _, blank = self.predict(model_files[kind], "\n", tmp_path, capsys)
+        assert blank.out == labels[1] + "\n"
+
+    def test_one_label_per_newline(self, model_files, tmp_path, capsys):
+        breakers = "\x0c\x1c\x1d\x1e\x85\u2028\u2029\x0b"
+        text = "".join(f"hej{ch}med dig\n" for ch in breakers) + "og så\r\n"
+        code, captured = self.predict(model_files["logreg"], text, tmp_path, capsys)
+        assert code == 0
+        assert len(captured.out.splitlines()) == text.count("\n") == len(breakers) + 1
+        _, unterminated = self.predict(model_files["logreg"], "hej\ndu", tmp_path, capsys)
+        assert len(unterminated.out.splitlines()) == 2
+
+    def test_crlf_line_equals_lf_line(self, model_files, tmp_path, capsys):
+        _, lf = self.predict(model_files["nb"], "hej med dig\nog så\n", tmp_path, capsys)
+        _, crlf = self.predict(model_files["nb"], "hej med dig\r\nog så\r\n", tmp_path, capsys)
+        assert crlf.out == lf.out
+
+
+class TestUncleanedTsv:
+    """A dataset TSV whose text leaves the alphabet: exit 2, one error line."""
+
+    @pytest.fixture()
+    def bad_tsv(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("dk\thej med dig\nsv\tHej du\n", encoding="utf-8")
+        return path
+
+    @staticmethod
+    def assert_row_error(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == ["error: line 2: character 'H' is outside the 40-character alphabet"]
+
+    def test_profile(self, bad_tsv, tmp_path, capsys):
+        code = main(["profile", "--input", str(bad_tsv), "--out", str(tmp_path / "p.csv")])
+        self.assert_row_error(code, capsys)
+
+    def test_train(self, bad_tsv, tmp_path, capsys):
+        code = main(["train", "--model", "nb", "--features", "char2",
+                     "--train", str(bad_tsv), "--out", str(tmp_path / "m.ndsl")])
+        self.assert_row_error(code, capsys)
 
 
 class TestReduceSweepProfile:

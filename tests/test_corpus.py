@@ -64,6 +64,25 @@ class TestCleanSentence:
         assert not out.startswith(" ")
         assert "  " not in out
 
+    @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from("İßẞKΣ\t Åa")),
+                   max_size=60))
+    @settings(max_examples=500)
+    def test_equals_character_by_character_reference(self, s):
+        assert clean_sentence(s) == reference_clean(s)
+
+    @pytest.mark.parametrize("raw", ["İstanbul", "Straße ẞ", "tab\there", "\t\tx\t", "ǅemal"])
+    def test_reference_edge_cases(self, raw):
+        assert clean_sentence(raw) == reference_clean(raw)
+
+
+def reference_clean(s: str) -> str:
+    """Cleaning one character at a time: lowercase, map every character
+    off the alphabet to a space, collapse space runs, strip leading spaces."""
+    replaced = "".join(c if c in ALPHABET else " " for c in s.lower())
+    while "  " in replaced:
+        replaced = replaced.replace("  ", " ")
+    return replaced.lstrip(" ")
+
 
 class TestExtractSentences:
     def test_empty(self):
@@ -219,7 +238,9 @@ class TestIngestTatoeba:
 
 class TestDatasetTsv:
     def test_round_trip(self, tmp_path):
-        ds = stratified_sample(_pools({c: 3 for c in LABELS}), 3, 0)
+        # dataset text is cleaned text, so the sentence number is a letter
+        pools = {c: [Sentence(f"{c} sentence {'abc'[i]}", c) for i in range(3)] for c in LABELS}
+        ds = stratified_sample(pools, 3, 0)
         path = tmp_path / "d.tsv"
         save_dataset_tsv(ds, path)
         loaded = load_dataset_tsv(path)
@@ -230,6 +251,14 @@ class TestDatasetTsv:
         path.write_text("zz\thej\n", encoding="utf-8")
         with pytest.raises(MalformedRow):
             load_dataset_tsv(path)
+
+    @pytest.mark.parametrize("text", ["Hej", "hej 2", "hej\u00a0du", "snö!"])
+    def test_uncleaned_text_rejected(self, tmp_path, text):
+        path = tmp_path / "d.tsv"
+        path.write_text(f"dk\thej med dig\nsv\t{text}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as err:
+            load_dataset_tsv(path)
+        assert err.value.line_number == 2
 
 
 def test_label_order_is_fixed():

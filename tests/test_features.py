@@ -1,20 +1,28 @@
-"""N-gram extraction, vocabularies, vectorization, and char profiles."""
+"""N-gram extraction, vocabularies, count rows, and char profiles."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nordlid.corpus import ALPHABET, LABELS, Sentence, clean_sentence
 from nordlid.features import (
     CHARSET_INDEX,
+    CODE_ORDER,
+    CsrMatrix,
+    NgramVocabulary,
+    WordVocabulary,
     build_ngram_vocab,
     build_word_vocab,
+    char_codes,
     char_frequency_profile,
     count_matrix,
+    decode_grams,
     extract_char_ngrams,
-    vectorize,
-    vectorize_bow,
+    gram_codes,
+    to_dense,
     word_tokenize,
 )
 
@@ -126,59 +134,62 @@ class TestWordVocabulary:
         assert vocab.index("zz") is None
 
 
+def vectorize(text, vocab, normalize=False) -> np.ndarray:
+    """The count_matrix row of one text."""
+    x = count_matrix([text], vocab, normalize)
+    assert x.shape == (1, vocab.size)
+    return to_dense(x)[0]
+
+
 class TestVectorize:
     def test_empty_text_zero_vector(self):
         vocab = build_ngram_vocab(_sentences(["ab"]), 2)
-        assert vectorize("", vocab).entries == {}
+        assert not vectorize("", vocab).any()
 
     def test_counts(self):
         vocab = build_ngram_vocab(_sentences(["ab", "ba"]), 2)
-        fv = vectorize("aba", vocab)
-        dense = fv.to_dense()
+        dense = vectorize("aba", vocab)
         assert dense[vocab.entries["ab"]] == 1
         assert dense[vocab.entries["ba"]] == 1
 
     def test_normalized(self):
         vocab = build_ngram_vocab(_sentences(["ab", "ba"]), 2)
-        fv = vectorize("aba", vocab, normalize=True)
-        assert fv.entries[vocab.entries["ab"]] == pytest.approx(0.5)
-        assert fv.entries[vocab.entries["ba"]] == pytest.approx(0.5)
+        dense = vectorize("aba", vocab, normalize=True)
+        assert dense[vocab.entries["ab"]] == pytest.approx(0.5)
+        assert dense[vocab.entries["ba"]] == pytest.approx(0.5)
 
     def test_oov_ignored(self):
         vocab = build_ngram_vocab(_sentences(["ab"]), 2)
-        fv = vectorize("xyz ab", vocab)
-        assert sum(fv.entries.values()) == 1
+        assert vectorize("xyz ab", vocab).sum() == 1
 
     @given(clean_text)
     def test_counts_match_brute_force(self, text):
         corpus = _sentences([text or "ab", "hej med dig"])
         vocab = build_ngram_vocab(corpus, 2)
-        fv = vectorize(text, vocab)
+        dense = vectorize(text, vocab)
         for gram, index in vocab.entries.items():
             expected = sum(
                 1 for i in range(len(text) - 1) if text[i : i + 2] == gram
             )
-            assert fv.entries.get(index, 0) == expected
+            assert dense[index] == expected
 
     @given(clean_text)
     def test_normalized_sums_to_one(self, text):
         corpus = _sentences([text or "ab", "hej"])
         vocab = build_ngram_vocab(corpus, 2)
-        fv = vectorize(text, vocab, normalize=True)
-        if fv.entries:
-            assert sum(fv.entries.values()) == pytest.approx(1.0, abs=1e-9)
+        dense = vectorize(text, vocab, normalize=True)
+        if dense.any():
+            assert dense.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_all_indices_below_dim(self):
         vocab = build_ngram_vocab(_sentences(["hej med dig"]), 2)
-        fv = vectorize("hej", vocab)
-        assert all(i < fv.dim for i in fv.entries)
+        assert vectorize("hej", vocab).shape == (vocab.size,)
 
 
 class TestVectorizeBow:
     def test_counts_words(self):
         vocab = build_word_vocab(_sentences(["a b a"]))
-        fv = vectorize_bow("a a b", vocab)
-        assert fv.to_dense().tolist() == [2.0, 1.0]
+        assert vectorize("a a b", vocab).tolist() == [2.0, 1.0]
 
 
 class TestCharProfile:
@@ -222,12 +233,116 @@ class TestCharProfile:
         assert np.all(sums[~seen] == 0.0)
 
 
+def reference_vocab(texts, n, cap=None) -> dict[str, int]:
+    """N-gram vocabulary by Counter: descending count, ties in string order."""
+    counts = Counter(g for t in texts for g in extract_char_ngrams(t, n))
+    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:cap]
+    return {gram: i for i, (gram, _) in enumerate(ranked)}
+
+
+def reference_csr(texts, entries, n, normalize):
+    """CSR arrays of per-text Counter rows, columns ascending."""
+    indptr, indices, data = [0], [], []
+    for text in texts:
+        hits = [entries[g] for g in extract_char_ngrams(text, n) if g in entries]
+        row = Counter(hits)
+        for column in sorted(row):
+            indices.append(column)
+            data.append(row[column] / len(hits) if normalize else float(row[column]))
+        indptr.append(len(indices))
+    return (np.array(indptr, dtype=np.int64), np.array(indices, dtype=np.int64),
+            np.array(data, dtype=np.float64))
+
+
+def csr_arrays(x):
+    """(indptr, indices, data) of a CSR or dense count matrix."""
+    if isinstance(x, CsrMatrix):
+        return x.indptr, x.indices, x.data
+    rows, columns = np.nonzero(x)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=x.shape[0]))])
+    return indptr.astype(np.int64), columns.astype(np.int64), x[rows, columns]
+
+
 def test_count_matrix_matches_vectorize():
     corpus = _sentences(["hej med", "dig der", "hej hej"])
     vocab = build_ngram_vocab(corpus, 2)
     matrix = count_matrix(corpus, vocab, normalize=False)
-    for row, sentence in zip(matrix, corpus):
-        assert np.array_equal(row, vectorize(sentence.text, vocab).to_dense())
+    expected = reference_csr([s.text for s in corpus], vocab.entries, 2, False)
+    for got, want in zip(csr_arrays(matrix), expected):
+        assert np.array_equal(got, want)
+
+
+# Few distinct characters, the space among them, so that frequency ties
+# and n-grams holding spaces are common.
+tie_text = st.text(alphabet="ab þ", max_size=12)
+
+
+class TestArrayFeaturizer:
+    """The integer-coded featurizer against the Counter reference above."""
+
+    @given(st.lists(st.one_of(tie_text, clean_text), max_size=10), st.integers(1, 3),
+           st.sampled_from([None, 0, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_vocab_order(self, texts, n, cap):
+        vocab = build_ngram_vocab(_sentences(texts), n, cap=cap)
+        assert list(vocab.entries.items()) == list(reference_vocab(texts, n, cap).items())
+
+    @given(st.lists(st.one_of(tie_text, clean_text), max_size=10),
+           st.lists(st.one_of(tie_text, clean_text), max_size=6),
+           st.integers(1, 3), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_csr_arrays_bit_for_bit(self, train, queries, n, normalize):
+        vocab = build_ngram_vocab(_sentences(train), n)
+        x = count_matrix(queries, vocab, normalize)
+        assert x.shape == (len(queries), vocab.size)
+        expected = reference_csr(queries, vocab.entries, n, normalize)
+        for got, want in zip(csr_arrays(x), expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(clean_text, max_size=6), st.integers(1, 5))
+    def test_codes_sort_as_strings(self, texts, n):
+        rows, grams = gram_codes(texts, n)
+        expected = [(r, g) for r, t in enumerate(texts) for g in extract_char_ngrams(t, n)]
+        assert list(zip(rows.tolist(), decode_grams(grams, n))) == expected
+        order = sorted(range(len(grams)), key=lambda i: grams[i])
+        assert [expected[i][1] for i in order] == sorted(g for _, g in expected)
+
+    def test_space_sorts_first(self):
+        assert CODE_ORDER[0] == " " and CODE_ORDER == "".join(sorted(ALPHABET))
+        assert char_codes(" a").tolist() == [0, 1]
+
+    @pytest.mark.parametrize("text", ["Hej", "hej!", "snö\t", "ǅ"])
+    def test_out_of_alphabet_character_raises(self, text):
+        with pytest.raises(ValueError):
+            char_codes(text)
+        with pytest.raises(ValueError):
+            count_matrix([text], build_ngram_vocab(_sentences(["hej"]), 1))
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_high_orders_search_the_vocabulary(self, n):
+        texts = ["hej med dig og så videre", "", "abc", "med dig"]
+        vocab = build_ngram_vocab(_sentences(texts[:1]), n)
+        assert list(vocab.entries.items()) == list(reference_vocab(texts[:1], n).items())
+        expected = reference_csr(texts, vocab.entries, n, False)
+        for got, want in zip(csr_arrays(count_matrix(texts, vocab)), expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "entries, error",
+        [({"ab": 0, "abc": 1}, ValueError), ({"ab": 0, "a": 1, "abc": 2}, ValueError),
+         ({"ab": 0, "a!": 1}, ValueError), ({"ab": 0, 5: 1}, TypeError),
+         ({"ab": 0, "ba": 2}, ValueError)],
+        ids=["wrong-width", "widths-adding-up", "off-alphabet", "not-a-string", "column-gap"],
+    )
+    def test_malformed_vocabulary_rejected_on_construction(self, entries, error):
+        with pytest.raises(error):
+            NgramVocabulary(2, entries)
+
+    @pytest.mark.parametrize("entries", [{"ab": 1, 5: 2}, {"ab": 1, "ba": 3}])
+    def test_malformed_word_vocabulary_rejected_on_construction(self, entries):
+        with pytest.raises(ValueError):
+            WordVocabulary(entries)
 
 
 def test_charset_index_covers_alphabet_in_order():

@@ -1,11 +1,21 @@
 """Model container round trips: every kind must reload bit-exactly."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from nordlid import classifiers, embeddings, neural
+from nordlid import classifiers, embeddings, modelio, neural
+from nordlid.corpus import LABELS, clean_sentence
 from nordlid.errors import IncompatibleSpec, ModelFormatError
-from nordlid.features import build_ngram_vocab, build_word_vocab, count_matrix, label_indices
+from nordlid.features import (
+    build_ngram_vocab,
+    build_word_vocab,
+    count_matrix,
+    extract_char_ngrams,
+    label_indices,
+    word_tokenize,
+)
 from nordlid.modelio import (
     MAGIC,
     PipelineModel,
@@ -104,7 +114,7 @@ def test_embedding_feature_roundtrip(tmp_path, corpus):
     emb_cfg = embeddings.EmbeddingConfig(mode="cbow", dim=8, epochs=1, seed=6)
     matrix = embeddings.train_cbow(corpus, emb_cfg)
     feature = VectorFeature("cbow", False, embedding=QueryEmbedding.from_matrix(matrix))
-    x = np.stack([feature.transform(s.text) for s in corpus])
+    x = feature.matrix(corpus)
     model = classifiers.train_logreg(x, label_indices(corpus), epochs=10)
     pipeline = PipelineModel("logreg", 6, model, feature)
     loaded = roundtrip(pipeline, tmp_path, corpus)
@@ -167,3 +177,129 @@ class TestCompatibility:
     def test_unknown_kind(self):
         with pytest.raises(IncompatibleSpec):
             check_compatibility("transformer", "char2")
+
+
+# ---------------------------------------------------------------------------
+# Batch labels against per-line scoring
+# ---------------------------------------------------------------------------
+
+#: Raw lines with the awkward cases: empty, nothing left after cleaning,
+#: no in-vocabulary n-gram, capitals, and longer than a CNN's max_len.
+EDGE_LINES = ["", "!!! 123", "xq", "Hej med dig, Þór!", "qz" * 3, "abc " * 20]
+
+
+def reference_vector(text: str, feature: VectorFeature) -> np.ndarray:
+    """The feature vector of one cleaned text, counted with a Counter."""
+    if feature.embedding is not None:
+        return embeddings.sentence_embedding(text, feature.embedding)
+    if feature.ngram_vocab is not None:
+        entries = feature.ngram_vocab.entries
+        hits = [entries[g] for g in extract_char_ngrams(text, feature.ngram_vocab.n)
+                if g in entries]
+    else:
+        hits = [feature.word_vocab.index(w) for w in word_tokenize(text)
+                if w in feature.word_vocab.entries]
+    row = np.zeros(feature.dim)
+    for column, count in Counter(hits).items():
+        row[column] = count / len(hits) if feature.normalize else count
+    return row
+
+
+def reference_cnn_ids(model: neural.CnnModel, text: str) -> np.ndarray:
+    ids = [model.vocab[g] + 1 for g in extract_char_ngrams(text, model.gram) if g in model.vocab]
+    padded = np.zeros(model.max_len, dtype=np.int64)
+    padded[: min(len(ids), model.max_len)] = ids[: model.max_len]
+    return padded
+
+
+def reference_label(pipeline: PipelineModel, raw: str) -> str:
+    """The label of one line, scored on its own by the single-vector predictors."""
+    text = clean_sentence(raw)
+    model = pipeline.model
+    if pipeline.kind == "cnn":
+        return LABELS[int(np.argmax(neural.cnn_forward(model, reference_cnn_ids(model, text))))]
+    if pipeline.kind == "fasttext":
+        return embeddings.predict_fasttext(model, text)[0]
+    x = reference_vector(text, pipeline.feature)
+    if pipeline.kind == "knn":
+        return classifiers.knn_predict(model, x)
+    if pipeline.kind == "logreg":
+        return classifiers.logreg_predict(model, x)[0]
+    if pipeline.kind == "nb":
+        return classifiers.nb_predict(model, x)[0]
+    if pipeline.kind == "svm":
+        return classifiers.svm_predict(model, x)
+    return LABELS[int(np.argmax(neural.mlp_forward(model, x)))]
+
+
+def vector_pipeline(kind, corpus, feature, **train_args):
+    x = feature.matrix(corpus)
+    y = label_indices(corpus)
+    trainers = {
+        "knn": classifiers.train_knn,
+        "logreg": classifiers.train_logreg,
+        "nb": classifiers.train_nb,
+        "svm": classifiers.train_svm,
+        "mlp": neural.mlp_train,
+    }
+    return PipelineModel(kind, 0, trainers[kind](x, y, **train_args), feature)
+
+
+def batch_cases(corpus):
+    char2 = VectorFeature("char2", True, ngram_vocab=build_ngram_vocab(corpus, 2))
+    char3 = VectorFeature("char3", True, ngram_vocab=build_ngram_vocab(corpus, 3))
+    raw2 = VectorFeature("char2", False, ngram_vocab=char2.ngram_vocab)
+    raw3 = VectorFeature("char3", False, ngram_vocab=char3.ngram_vocab)
+    bow = VectorFeature("bow", True, word_vocab=build_word_vocab(corpus))
+    cbow = VectorFeature("cbow", False, embedding=QueryEmbedding.from_matrix(
+        embeddings.train_cbow(corpus, embeddings.EmbeddingConfig(mode="cbow", dim=8, epochs=1))))
+    cnn_cfg = neural.TrainConfig(learning_rate=0.05, epochs=2, seed=4, max_len=16)
+    return {
+        "knn-char2": vector_pipeline("knn", corpus, char2, k=3),
+        "knn-bow": vector_pipeline("knn", corpus, bow, k=3),
+        "logreg-char2": vector_pipeline("logreg", corpus, char2, epochs=20),
+        "logreg-char3": vector_pipeline("logreg", corpus, char3, epochs=20),
+        "logreg-cbow": vector_pipeline("logreg", corpus, cbow, epochs=20),
+        "nb-char2": vector_pipeline("nb", corpus, raw2),
+        "nb-char3": vector_pipeline("nb", corpus, raw3),
+        "nb-char2-alpha0": vector_pipeline("nb", corpus, raw2, alpha=0.0),
+        "nb-char3-alpha0": vector_pipeline("nb", corpus, raw3, alpha=0.0),
+        "svm-char3": vector_pipeline("svm", corpus, char3, epochs=3, seed=2),
+        "mlp-char2": vector_pipeline("mlp", corpus, char2, hidden=(16,),
+                                     cfg=neural.TrainConfig(epochs=2, seed=3)),
+        "cnn-char2": PipelineModel("cnn", 4, neural.cnn_train(
+            corpus, cnn_cfg, gram=2, kernel=2, filters=4, embed_dim=4)),
+        "fasttext-char1_5": PipelineModel("fasttext", 5, embeddings.train_fasttext_supervised(
+            corpus, embeddings.SupervisedConfig(dim=8, epochs=2, seed=5), "char_ngrams")),
+    }
+
+
+@pytest.fixture(scope="module")
+def batch_pipelines(corpus):
+    return batch_cases(corpus)
+
+
+@pytest.mark.parametrize("case", [
+    "knn-char2", "knn-bow", "logreg-char2", "logreg-char3", "logreg-cbow", "nb-char2",
+    "nb-char3", "nb-char2-alpha0", "nb-char3-alpha0", "svm-char3", "mlp-char2",
+    "cnn-char2", "fasttext-char1_5",
+])
+def test_batch_labels_equal_per_line_reference(batch_pipelines, corpus, case):
+    pipeline = batch_pipelines[case]
+    lines = [s.text.upper() for s in corpus[::3]] + EDGE_LINES
+    scores = pipeline.scores(lines)
+    assert scores.shape == (len(lines), len(LABELS))
+    labels = pipeline.labels(lines)
+    assert labels == [reference_label(pipeline, line) for line in lines]
+    assert labels == [pipeline.predict(line) for line in lines]
+    assert pipeline.labels([]) == []
+
+
+def test_batch_is_cut_into_blocks(batch_pipelines, corpus, monkeypatch):
+    lines = [s.text for s in corpus] + EDGE_LINES
+    for case in ("logreg-char3", "cnn-char2"):
+        pipeline = batch_pipelines[case]
+        whole = pipeline.labels(lines)
+        monkeypatch.setattr(modelio, "BATCH_LINES", 7)
+        assert pipeline.labels(lines) == whole
+        monkeypatch.undo()

@@ -12,13 +12,14 @@ from nordlid.errors import DimensionMismatch, SequenceTooShort
 from nordlid.neural import (
     MlpModel,
     TrainConfig,
+    _training_ids,
     cce_loss,
     cnn_accuracy,
     cnn_conv_activations,
-    cnn_encode,
     cnn_forward,
     cnn_grads,
     cnn_loss,
+    cnn_token_ids,
     cnn_train,
     init_cnn,
     init_mlp,
@@ -186,9 +187,9 @@ class TestCnn:
         model = tiny_cnn()
         model.vocab = {"a": 0, "b": 1}
         model.gram = 1
-        ids = cnn_encode(model, "ab")
+        ids = cnn_token_ids(model, ["ab"])[0]
         assert ids.tolist() == [1, 2, 0, 0, 0, 0]
-        long_ids = cnn_encode(model, "ab" * 20)
+        long_ids = cnn_token_ids(model, ["ab" * 20])[0]
         assert len(long_ids) == model.max_len
 
     def test_encode_empty_raises(self):
@@ -196,7 +197,7 @@ class TestCnn:
         model.vocab = {"a": 0}
         model.gram = 1
         with pytest.raises(SequenceTooShort):
-            cnn_encode(model, "zzz")
+            _training_ids(model, ["zzz"])
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)

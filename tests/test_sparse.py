@@ -1,5 +1,7 @@
 """CSR design matrices: products, rows, trainers and the density choice."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,9 +17,9 @@ from nordlid.features import (
     build_word_vocab,
     count_matrix,
     label_indices,
+    extract_char_ngrams,
     to_dense,
-    vectorize,
-    vectorize_bow,
+    word_tokenize,
 )
 from nordlid.synth import generate_pools
 
@@ -39,6 +41,14 @@ def count_matrices(draw, max_rows=12, max_cols=15):
     dense = rng.integers(1, 6, size=(n, d)).astype(np.float64)
     dense[rng.random((n, d)) < draw(st.floats(0.0, 1.0))] = 0.0
     return dense
+
+
+def counter_row(hits: list[int], dim: int, normalize: bool) -> np.ndarray:
+    """Dense row of per-column hit counts, divided by the hit total if asked."""
+    row = np.zeros(dim)
+    for column, count in Counter(hits).items():
+        row[column] = count / len(hits) if normalize else count
+    return row
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +124,11 @@ class TestCountMatrix:
         xw = count_matrix(corpus, words, normalize)
         assert isinstance(xw, CsrMatrix)
         for i, sentence in enumerate(corpus):
-            assert np.array_equal(x3[i], vectorize(sentence.text, ngrams, normalize).to_dense())
-            assert np.array_equal(xw[i], vectorize_bow(sentence.text, words, normalize).to_dense())
+            grams = [ngrams.entries[g] for g in extract_char_ngrams(sentence.text, 3)
+                     if g in ngrams.entries]
+            hits = [words.index(w) for w in word_tokenize(sentence.text) if w in words.entries]
+            assert np.array_equal(x3[i], counter_row(grams, ngrams.size, normalize))
+            assert np.array_equal(xw[i], counter_row(hits, words.size, normalize))
 
 
 class TestTrainersOnCsr:
