@@ -27,6 +27,7 @@ from .corpus import (
     load_dataset_tsv,
     pools_from_dataset,
     save_dataset_tsv,
+    split_lines,
     stratified_sample,
     train_test_split,
 )
@@ -244,23 +245,11 @@ def cmd_predict(args) -> int:
         text = decode_utf8(Path(args.input).read_bytes(), args.input)
     out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="\n")
     try:
-        out.writelines(f"{label}\n" for label in pipeline.labels(_input_lines(text)))
+        out.writelines(f"{label}\n" for label in pipeline.labels(split_lines(text)))
     finally:
         if out is not sys.stdout:
             out.close()
     return 0
-
-
-def _input_lines(text: str) -> list[str]:
-    """Lines of ``predict`` input: split on LF only, one trailing CR dropped.
-
-    Other characters that ``str.splitlines`` breaks on (form feed, U+2028,
-    ...) stay inside their line, so there is one label per LF-ended line.
-    """
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    return [line[:-1] if line.endswith("\r") else line for line in lines]
 
 
 def cmd_eval(args) -> int:

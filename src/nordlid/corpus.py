@@ -210,6 +210,18 @@ def decode_utf8(data: bytes, source: str) -> str:
         raise InvalidUtf8(source, exc.start) from exc
 
 
+def split_lines(text: str) -> list[str]:
+    """Lines of ``text``: split on LF only, one trailing CR dropped.
+
+    Other characters that ``str.splitlines`` breaks on (form feed, U+2028,
+    ...) stay inside their line, so there is one line per LF-ended line.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return [line[:-1] if line.endswith("\r") else line for line in lines]
+
+
 def _read_utf8(path: Path) -> str:
     return decode_utf8(path.read_bytes(), str(path))
 
@@ -237,7 +249,7 @@ def ingest_tatoeba(path: str | Path) -> tuple[dict[str, list[Sentence]], int]:
     pools: dict[str, list[Sentence]] = {code: [] for code in LABELS}
     skipped = 0
     raw = _read_utf8(Path(path))
-    for line_number, line in enumerate(raw.splitlines(), start=1):
+    for line_number, line in enumerate(split_lines(raw), start=1):
         if line.count("\t") != 1:
             raise MalformedRow(line_number)
         code, text = line.split("\t")
@@ -265,7 +277,7 @@ def load_dataset_tsv(path: str | Path, seed: int = 0) -> Dataset:
     """
     sentences = []
     raw = _read_utf8(Path(path))
-    for line_number, line in enumerate(raw.splitlines(), start=1):
+    for line_number, line in enumerate(split_lines(raw), start=1):
         if line.count("\t") != 1:
             raise MalformedRow(line_number)
         code, text = line.split("\t")

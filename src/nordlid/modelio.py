@@ -1,17 +1,29 @@
 """Versioned model container: save and load every trained model kind.
 
-File layout: a first line holding the magic "NDSL1", then one JSON
-document. Parameter arrays are embedded as base64 of little-endian
-raw bytes, so a save/load round trip reproduces predictions bit for
-bit. The feature pipeline (vocabulary or embedding) travels inside
-the same file.
+File layout (``NDSL2``), after numpy's ``.npy`` format:
+
+- line 1: the magic ``NDSL2``;
+- line 2: the header, one JSON object with sorted keys. It holds the
+  model kind and hyperparameters, the feature pipeline (vocabulary or
+  embedding), and one ``{"dtype", "shape", "offset"}`` descriptor per
+  parameter array. Spaces pad it before its LF so that the array
+  section starts at a multiple of 8 bytes;
+- the array section: each array's raw little-endian ``<f8`` or ``<i8``
+  bytes, back to back in the order they were encoded. A descriptor's
+  offset counts from the start of the section.
+
+Loading reads the file into one buffer and makes every array a view of
+it, writable and 8-byte aligned, so a save/load round trip reproduces
+predictions bit for bit. Files of the older ``NDSL1`` layout, which held
+the arrays as base64 inside the JSON, are refused; retrain to get an
+``NDSL2`` file.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import math
+import os
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,11 +31,15 @@ from pathlib import Path
 import numpy as np
 
 from . import classifiers, embeddings, neural
-from .corpus import LABELS, Sentence, clean_sentence, decode_utf8
+from .corpus import LABELS, Sentence, clean_sentence
 from .errors import IncompatibleSpec, ModelFormatError
 from .features import CsrMatrix, NgramVocabulary, WordVocabulary, count_matrix, texts_of
 
-MAGIC = "NDSL1"
+MAGIC = "NDSL2"
+#: Array element types; both are 8 bytes wide.
+DTYPES = ("<f8", "<i8")
+#: Alignment of the array section and of every array in it, in bytes.
+ALIGN = 8
 
 VECTOR_FEATURES = ("char1", "char2", "char3", "bow", "cbow", "skipgram")
 #: CNN consumes token sequences of these orders; others consume vectors.
@@ -38,25 +54,53 @@ MODEL_FEATURES = {
 }
 
 
-def _enc(array: np.ndarray) -> dict:
-    arr = np.ascontiguousarray(array)
-    code = "<i8" if arr.dtype.kind in "iu" else "<f8"
-    arr = arr.astype(code)
-    return {
-        "shape": list(arr.shape),
-        "dtype": code,
-        "data": base64.b64encode(arr.tobytes()).decode("ascii"),
-    }
+def _enc(arrays: list[np.ndarray], array: np.ndarray) -> dict:
+    """Descriptor of ``array``, which is appended to the array section."""
+    code = "<i8" if array.dtype.kind in "iu" else "<f8"
+    arr = np.ascontiguousarray(array, dtype=code)
+    offset = sum(a.nbytes for a in arrays)
+    arrays.append(arr)
+    return {"dtype": code, "shape": list(arr.shape), "offset": offset}
 
 
-def _dec(obj: dict) -> np.ndarray:
-    if obj["dtype"] not in ("<i8", "<f8"):
-        raise ModelFormatError(f"unsupported array dtype {obj['dtype']!r}")
-    data = base64.b64decode(obj["data"])
-    shape = [int(side) for side in obj["shape"]]
-    if min(shape, default=0) < 0 or len(data) != 8 * math.prod(shape):
-        raise ModelFormatError(f"array of shape {shape} does not match its {len(data)} data bytes")
-    return np.frombuffer(data, dtype=obj["dtype"]).reshape(shape).copy()
+class _Section:
+    """The array section of a model file being loaded.
+
+    Hands out one view per descriptor and counts the bytes they cover.
+    """
+
+    def __init__(self, data: memoryview):
+        self.data = data
+        self.used = 0
+
+    def check_used(self) -> None:
+        """Raise ModelFormatError unless the arrays cover the whole section."""
+        if self.used != len(self.data):
+            raise ModelFormatError(
+                f"array section holds {len(self.data)} bytes, its arrays {self.used}"
+            )
+
+
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _dec(section: _Section, obj: dict) -> np.ndarray:
+    dtype, shape, offset = obj["dtype"], obj["shape"], obj["offset"]
+    if dtype not in DTYPES:
+        raise ModelFormatError(f"unsupported array dtype {dtype!r}")
+    if not isinstance(shape, list) or not all(map(_is_count, shape)):
+        raise ModelFormatError(f"array shape {shape!r} is not a list of sizes")
+    if not _is_count(offset) or offset % ALIGN:
+        raise ModelFormatError(f"array offset {offset!r} is not a non-negative multiple of {ALIGN}")
+    count = math.prod(shape)
+    if offset + 8 * count > len(section.data):
+        raise ModelFormatError(
+            f"array of shape {shape} at offset {offset} runs past the end of "
+            f"the {len(section.data)}-byte array section"
+        )
+    section.used += 8 * count
+    return np.frombuffer(section.data, dtype, count, offset).reshape(shape)
 
 
 @dataclass
@@ -160,7 +204,7 @@ def check_compatibility(kind: str, feature_type: str) -> None:
         )
 
 
-def _feature_payload(feature: VectorFeature | None) -> dict | None:
+def _feature_payload(arrays: list[np.ndarray], feature: VectorFeature | None) -> dict | None:
     if feature is None:
         return None
     payload = {"type": feature.type, "normalize": feature.normalize}
@@ -176,12 +220,12 @@ def _feature_payload(feature: VectorFeature | None) -> dict | None:
             "mode": feature.embedding.mode,
             "dim": feature.embedding.dim,
             "words": feature.embedding.words,
-            "composed": _enc(feature.embedding.composed),
+            "composed": _enc(arrays, feature.embedding.composed),
         }
     return payload
 
 
-def _feature_from_payload(payload: dict | None) -> VectorFeature | None:
+def _feature_from_payload(section: _Section, payload: dict | None) -> VectorFeature | None:
     if payload is None:
         return None
     kind = payload["type"]
@@ -198,49 +242,53 @@ def _feature_from_payload(payload: dict | None) -> VectorFeature | None:
     emb = payload["embedding"]
     query = QueryEmbedding(
         emb["mode"], emb["dim"], list(emb["words"]),
-        {w: i for i, w in enumerate(emb["words"])}, _dec(emb["composed"]),
+        {w: i for i, w in enumerate(emb["words"])}, _dec(section, emb["composed"]),
     )
     return VectorFeature(kind, payload["normalize"], embedding=query)
 
 
-def _params_payload(kind: str, model: object) -> dict:
+def _params_payload(arrays: list[np.ndarray], kind: str, model: object) -> dict:
     if kind == "knn":
-        return {"k": model.k, "vectors": _enc(model.vectors), "labels": _enc(model.labels)}
+        return {
+            "k": model.k,
+            "vectors": _enc(arrays, model.vectors),
+            "labels": _enc(arrays, model.labels),
+        }
     if kind == "logreg":
         return {
-            "theta": _enc(model.theta),
+            "theta": _enc(arrays, model.theta),
             "learning_rate": model.learning_rate,
             "epochs": model.epochs,
         }
     if kind == "nb":
         return {
-            "log_priors": _enc(model.log_priors),
-            "log_likelihoods": _enc(model.log_likelihoods),
+            "log_priors": _enc(arrays, model.log_priors),
+            "log_likelihoods": _enc(arrays, model.log_likelihoods),
             "alpha": model.alpha,
         }
     if kind == "svm":
         return {
-            "weights": _enc(model.weights),
-            "biases": _enc(model.biases),
+            "weights": _enc(arrays, model.weights),
+            "biases": _enc(arrays, model.biases),
             "lam": model.lam,
             "epochs": model.epochs,
             "seed": model.seed,
         }
     if kind == "mlp":
         return {
-            "weights": [_enc(w) for w in model.weights],
-            "biases": [_enc(b) for b in model.biases],
+            "weights": [_enc(arrays, w) for w in model.weights],
+            "biases": [_enc(arrays, b) for b in model.biases],
         }
     if kind == "cnn":
         ordered = sorted(model.vocab, key=model.vocab.get)
         return {
             "gram": model.gram,
             "vocab": ordered,
-            "embeddings": _enc(model.embeddings),
-            "filters": _enc(model.filters),
-            "conv_bias": _enc(model.conv_bias),
-            "dense_w": _enc(model.dense_w),
-            "dense_b": _enc(model.dense_b),
+            "embeddings": _enc(arrays, model.embeddings),
+            "filters": _enc(arrays, model.filters),
+            "conv_bias": _enc(arrays, model.conv_bias),
+            "dense_w": _enc(arrays, model.dense_w),
+            "dense_b": _enc(arrays, model.dense_b),
             "max_len": model.max_len,
         }
     if kind == "fasttext":
@@ -249,48 +297,51 @@ def _params_payload(kind: str, model: object) -> dict:
             "ngram_min": model.ngram_min,
             "ngram_max": model.ngram_max,
             "features": model.features,
-            "input_vectors": _enc(model.input_vectors),
-            "output_weights": _enc(model.output_weights),
-            "output_bias": _enc(model.output_bias),
+            "input_vectors": _enc(arrays, model.input_vectors),
+            "output_weights": _enc(arrays, model.output_weights),
+            "output_bias": _enc(arrays, model.output_bias),
         }
     raise ModelFormatError(f"cannot serialize model kind {kind!r}")
 
 
-def _model_from_params(kind: str, params: dict) -> object:
+def _model_from_params(section: _Section, kind: str, params: dict) -> object:
     if kind == "knn":
-        return classifiers.KnnModel(params["k"], _dec(params["vectors"]), _dec(params["labels"]))
+        return classifiers.KnnModel(
+            params["k"], _dec(section, params["vectors"]), _dec(section, params["labels"])
+        )
     if kind == "logreg":
         return classifiers.LogRegModel(
-            _dec(params["theta"]), params["learning_rate"], params["epochs"]
+            _dec(section, params["theta"]), params["learning_rate"], params["epochs"]
         )
     if kind == "nb":
         return classifiers.NbModel(
-            _dec(params["log_priors"]), _dec(params["log_likelihoods"]), params["alpha"]
+            _dec(section, params["log_priors"]), _dec(section, params["log_likelihoods"]),
+            params["alpha"],
         )
     if kind == "svm":
         return classifiers.SvmModel(
-            _dec(params["weights"]), _dec(params["biases"]),
+            _dec(section, params["weights"]), _dec(section, params["biases"]),
             params["lam"], params["epochs"], params["seed"],
         )
     if kind == "mlp":
         return neural.MlpModel(
-            [_dec(w) for w in params["weights"]],
-            [_dec(b) for b in params["biases"]],
+            [_dec(section, w) for w in params["weights"]],
+            [_dec(section, b) for b in params["biases"]],
         )
     if kind == "cnn":
         vocab = {g: i for i, g in enumerate(params["vocab"])}
         return neural.CnnModel(
-            params["gram"], vocab, _dec(params["embeddings"]),
-            _dec(params["filters"]), _dec(params["conv_bias"]),
-            _dec(params["dense_w"]), _dec(params["dense_b"]), params["max_len"],
+            params["gram"], vocab, _dec(section, params["embeddings"]),
+            _dec(section, params["filters"]), _dec(section, params["conv_bias"]),
+            _dec(section, params["dense_w"]), _dec(section, params["dense_b"]), params["max_len"],
         )
     if kind == "fasttext":
         features = list(params["features"])
         return embeddings.FastTextClassifier(
             params["feature_mode"], params["ngram_min"], params["ngram_max"],
             features, {f: i for i, f in enumerate(features)},
-            _dec(params["input_vectors"]), _dec(params["output_weights"]),
-            _dec(params["output_bias"]),
+            _dec(section, params["input_vectors"]), _dec(section, params["output_weights"]),
+            _dec(section, params["output_bias"]),
         )
     raise ModelFormatError(f"cannot load model kind {kind!r}")
 
@@ -310,10 +361,22 @@ def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
 
     A vector model must take vectors as wide as its feature's; a CNN or
     fastText model must hold one embedding row per vocabulary entry (plus
-    the CNN's padding row).
+    the CNN's padding row), a CNN's sequences must be as long as its
+    filters at least, and a KNN model must hold one label index per
+    training vector.
     """
+    if kind == "knn":
+        labels = model.labels
+        if labels.dtype.kind != "i" or labels.shape != model.vectors.shape[:1]:
+            raise ModelFormatError("knn labels are not one integer per training vector")
+        if not _is_count(model.k) or not 1 <= model.k <= labels.size:
+            raise ModelFormatError(f"knn k {model.k!r} is not in 1..{labels.size}")
+        if not 0 <= labels.min() <= labels.max() < len(LABELS):
+            raise ModelFormatError(f"knn labels are not label indices 0..{len(LABELS) - 1}")
     if kind == "cnn":
         model.ngram_vocab  # checks the n-gram vocabulary
+        if not _is_count(model.max_len) or model.max_len < model.filters.shape[1]:
+            raise ModelFormatError(f"cnn max_len {model.max_len!r} is shorter than its filters")
         have, want = model.embeddings.shape[0], len(model.vocab) + 1
     elif kind == "fasttext":
         have, want = model.input_vectors.shape[0], len(model.features)
@@ -326,38 +389,66 @@ def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
 
 
 def save_model(pipeline: PipelineModel, path: str | Path) -> None:
+    arrays: list[np.ndarray] = []
     payload = {
         "kind": pipeline.kind,
         "seed": pipeline.seed,
         "labels": list(LABELS),
-        "feature": _feature_payload(pipeline.feature),
-        "params": _params_payload(pipeline.kind, pipeline.model),
+        "feature": _feature_payload(arrays, pipeline.feature),
+        "params": _params_payload(arrays, pipeline.kind, pipeline.model),
     }
-    body = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
-    Path(path).write_text(f"{MAGIC}\n{body}\n", encoding="utf-8", newline="\n")
+    header = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    head = f"{MAGIC}\n{header}".encode("utf-8")
+    head += b" " * (-(len(head) + 1) % ALIGN) + b"\n"
+    with open(path, "wb") as fh:
+        fh.write(head)
+        for arr in arrays:
+            fh.write(memoryview(arr))
+
+
+def _read_container(data: bytearray) -> tuple[dict, _Section]:
+    """The JSON header and the array section of a model file's bytes."""
+    magic = f"{MAGIC}\n".encode("ascii")
+    if not data.startswith(magic):
+        if data.startswith(b"NDSL1\n"):
+            raise ModelFormatError(
+                "NDSL1 model files are no longer read; retrain with this version"
+            )
+        raise ModelFormatError(f"not an {MAGIC} model file")
+    end = data.find(b"\n", len(magic))
+    if end < 0:
+        raise ModelFormatError("model header has no line end")
+    if (end + 1) % ALIGN:
+        raise ModelFormatError(f"array section does not start at a multiple of {ALIGN} bytes")
+    try:
+        payload = json.loads(data[len(magic) : end].decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(
+            f"model header is not valid UTF-8 (byte offset {len(magic) + exc.start})"
+        ) from exc
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"corrupt model header ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ModelFormatError("model header is not a JSON object")
+    return payload, _Section(memoryview(data)[end + 1 :])
 
 
 def load_model(path: str | Path) -> PipelineModel:
-    raw = decode_utf8(Path(path).read_bytes(), str(path))
-    first, _, rest = raw.partition("\n")
-    if first != MAGIC:
-        raise ModelFormatError(f"{path}: not a {MAGIC} model file")
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data) :]  # the file may have shrunk since fstat
     try:
-        payload = json.loads(rest)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: corrupt model payload") from exc
-    if not isinstance(payload, dict):
-        raise ModelFormatError(f"{path}: model payload is not a JSON object")
-    if payload.get("labels") != list(LABELS):
-        raise ModelFormatError(f"{path}: label set does not match this build")
-    try:
-        feature = _feature_from_payload(payload["feature"])
-        model = _model_from_params(payload["kind"], payload["params"])
+        payload, section = _read_container(data)
+        if payload.get("labels") != list(LABELS):
+            raise ModelFormatError("label set does not match this build")
+        feature = _feature_from_payload(section, payload["feature"])
+        model = _model_from_params(section, payload["kind"], payload["params"])
+        section.check_used()
         _check_fit(payload["kind"], model, feature)
         return PipelineModel(payload["kind"], payload["seed"], model, feature)
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model payload lacks key {exc}") from exc
     except ModelFormatError as exc:
         raise ModelFormatError(f"{path}: {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:  # wrong JSON types or array ranks, bad base64
+    except (TypeError, ValueError, IndexError) as exc:  # wrong JSON types or array ranks
         raise ModelFormatError(f"{path}: malformed model payload ({exc})") from exc

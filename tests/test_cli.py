@@ -3,8 +3,11 @@
 import io
 import json
 import sys
+from contextlib import contextmanager, redirect_stderr
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nordlid.cli import main
 from nordlid.corpus import LABELS, Sentence, save_dataset_tsv
@@ -91,6 +94,14 @@ class TestCorpusCommands:
         assert main(["corpus", "tatoeba", "--input", str(f), "--out", str(out)]) == 0
         assert "skipped\t1" in capsys.readouterr().out
         assert out.read_text(encoding="utf-8") == "dk\tjeg kan ikke lide æg \n"
+
+    def test_tatoeba_rows_split_on_lf_only(self, tmp_path, capsys):
+        f = tmp_path / "t.tsv"
+        f.write_text("dk\tJeg kan\u2028ikke lide æg.\nsv\tHej du!\r\n", encoding="utf-8")
+        out = tmp_path / "o.tsv"
+        assert main(["corpus", "tatoeba", "--input", str(f), "--out", str(out)]) == 0
+        assert "skipped\t0" in capsys.readouterr().out
+        assert out.read_text(encoding="utf-8") == "dk\tjeg kan ikke lide æg \nsv\thej du \n"
 
 
 class TestTrainEvalPredict:
@@ -206,102 +217,207 @@ class TestTrainEvalPredict:
         assert code == 4
 
 
+@contextmanager
+def edited_model(source, target):
+    """Copy model file ``source`` to ``target`` with the edits made in the block.
+
+    The block gets a dict of the file's parts: "magic" (bytes), "header"
+    (the parsed JSON) and "section" (the array section, bytes). The header
+    is written back padded as ``save_model`` pads it, so the section stays
+    8-byte aligned; a string holding surrogate escapes becomes raw bytes.
+    """
+    magic, header, section = source.read_bytes().split(b"\n", 2)
+    parts = {"magic": magic, "header": json.loads(header), "section": section}
+    yield parts
+    head = parts["magic"] + b"\n" + json.dumps(parts["header"], ensure_ascii=False).encode(
+        "utf-8", "surrogateescape"
+    )
+    head += b" " * (-(len(head) + 1) % 8) + b"\n"
+    target.write_bytes(head + parts["section"])
+
+
+def train_small(kind, data_dir, model_file):
+    """Train the SVM (char3) or CNN (char2) model the malformed-file tests break."""
+    extra = {
+        "svm": ["--features", "char3", "--epochs", "1"],
+        "cnn": ["--features", "char2", "--epochs", "1", "--filters", "4", "--embed-dim", "4"],
+    }[kind]
+    assert main([
+        "train", "--model", kind, "--train", str(data_dir / "train.tsv"),
+        "--out", str(model_file), *extra,
+    ]) == 0
+    return model_file
+
+
 class TestInputErrors:
     """Malformed model files and input bytes: exit 2, one error line."""
 
     @pytest.fixture(scope="class")
-    def svm_payload(self, data_dir, tmp_path_factory):
-        model_file = tmp_path_factory.mktemp("svm") / "svm.ndsl"
-        assert main([
-            "train", "--model", "svm", "--features", "char3",
-            "--train", str(data_dir / "train.tsv"), "--out", str(model_file),
-            "--epochs", "1",
-        ]) == 0
-        magic, body = model_file.read_text(encoding="utf-8").split("\n", 1)
-        return model_file, magic, json.loads(body)
+    def svm_file(self, data_dir, tmp_path_factory):
+        return train_small("svm", data_dir, tmp_path_factory.mktemp("svm") / "svm.ndsl")
+
+    @pytest.fixture(scope="class")
+    def cnn_file(self, data_dir, tmp_path_factory):
+        return train_small("cnn", data_dir, tmp_path_factory.mktemp("cnn") / "cnn.ndsl")
 
     @staticmethod
-    def assert_input_error(code, capsys):
+    def assert_input_error(code, capsys, expect=""):
         err = capsys.readouterr().err
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert "Traceback" not in err
+        assert expect in err
 
-    def predict_with(self, payload, tmp_path, capsys, magic="NDSL1"):
-        broken = tmp_path / "broken.ndsl"
-        broken.write_text(f"{magic}\n{json.dumps(payload)}\n", encoding="utf-8")
+    @staticmethod
+    def predict_with(model_file, tmp_path, capsys):
         (tmp_path / "in.txt").write_text("hej med dig\n", encoding="utf-8")
         capsys.readouterr()
-        return main(["predict", "--model-file", str(broken), "--input", str(tmp_path / "in.txt")])
+        return main(["predict", "--model-file", str(model_file), "--input", str(tmp_path / "in.txt")])
 
-    def test_model_without_feature_key(self, svm_payload, tmp_path, capsys):
-        _, magic, payload = svm_payload
-        payload = {k: v for k, v in payload.items() if k != "feature"}
-        self.assert_input_error(self.predict_with(payload, tmp_path, capsys, magic), capsys)
+    def test_model_without_feature_key(self, svm_file, tmp_path, capsys):
+        with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
+            del parts["header"]["feature"]
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "lacks key 'feature'")
 
-    def test_model_array_shape_mismatch(self, svm_payload, tmp_path, capsys):
-        _, magic, payload = svm_payload
-        payload = json.loads(json.dumps(payload))
-        payload["params"]["biases"]["shape"] = [7]
-        self.assert_input_error(self.predict_with(payload, tmp_path, capsys, magic), capsys)
-
-    @pytest.fixture(scope="class")
-    def cnn_payload(self, data_dir, tmp_path_factory):
-        model_file = tmp_path_factory.mktemp("cnn") / "cnn.ndsl"
-        assert main([
-            "train", "--model", "cnn", "--features", "char2",
-            "--train", str(data_dir / "train.tsv"), "--out", str(model_file),
-            "--epochs", "1", "--filters", "4", "--embed-dim", "4",
-        ]) == 0
-        magic, body = model_file.read_text(encoding="utf-8").split("\n", 1)
-        return model_file, magic, json.loads(body)
+    def test_model_array_shape_mismatch(self, svm_file, tmp_path, capsys):
+        with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
+            parts["header"]["params"]["biases"]["shape"] = [7]
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "array of shape [7]")
 
     @pytest.mark.parametrize("entry", ["abcd", "a!", 5, "duplicate"])
     @pytest.mark.parametrize("kind", ["svm", "cnn"])
     def test_malformed_vocabulary_entry(self, kind, entry, request, tmp_path, capsys):
-        _, magic, payload = request.getfixturevalue(f"{kind}_payload")
-        payload = json.loads(json.dumps(payload))
-        vocab = payload["feature"]["vocab"] if kind == "svm" else payload["params"]["vocab"]
-        vocab[-1] = vocab[0] if entry == "duplicate" else entry
-        self.assert_input_error(self.predict_with(payload, tmp_path, capsys, magic), capsys)
+        with edited_model(request.getfixturevalue(f"{kind}_file"), tmp_path / "broken.ndsl") as parts:
+            header = parts["header"]
+            vocab = header["feature"]["vocab"] if kind == "svm" else header["params"]["vocab"]
+            vocab[-1] = vocab[0] if entry == "duplicate" else entry
+        self.assert_input_error(self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys), capsys)
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_parameters_sized_for_another_vocabulary(
-        self, svm_payload, data_dir, command, tmp_path, capsys
+        self, svm_file, data_dir, command, tmp_path, capsys
     ):
-        _, magic, payload = svm_payload
-        payload = json.loads(json.dumps(payload))
-        payload["feature"]["vocab"].pop()
+        broken = tmp_path / "broken.ndsl"
+        with edited_model(svm_file, broken) as parts:
+            parts["header"]["feature"]["vocab"].pop()
         if command == "predict":
-            code = self.predict_with(payload, tmp_path, capsys, magic)
+            code = self.predict_with(broken, tmp_path, capsys)
         else:
-            broken = tmp_path / "broken.ndsl"
-            broken.write_text(f"{magic}\n{json.dumps(payload)}\n", encoding="utf-8")
             code = main([
                 "eval", "--model-file", str(broken), "--test", str(data_dir / "test.tsv"),
                 "--out-dir", str(tmp_path / "eval"),
             ])
-        self.assert_input_error(code, capsys)
+        self.assert_input_error(code, capsys, "parameters are sized for")
 
-    def test_non_utf8_model_file(self, tmp_path, capsys):
-        broken = tmp_path / "broken.ndsl"
-        broken.write_bytes(b"NDSL1\n{\"kind\": \"\xff\xfe\"}\n")
-        code = main(["predict", "--model-file", str(broken), "--input", str(broken)])
-        self.assert_input_error(code, capsys)
+    def test_non_utf8_model_file(self, svm_file, tmp_path, capsys):
+        with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
+            parts["header"]["kind"] = "\udcff\udcfe"  # raw bytes ff fe
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "model header is not valid UTF-8")
 
-    def test_non_utf8_input_file(self, svm_payload, tmp_path, capsys):
-        model_file = svm_payload[0]
+    def test_ndsl1_model_file(self, tmp_path, capsys):
+        old = tmp_path / "old.ndsl"
+        old.write_bytes(b'NDSL1\n{"kind": "svm", "params": {}}\n')
+        code = self.predict_with(old, tmp_path, capsys)
+        self.assert_input_error(
+            code, capsys, f"error: {old}: NDSL1 model files are no longer read; retrain with this version\n"
+        )
+
+    def test_truncated_array_section(self, svm_file, tmp_path, capsys):
+        with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
+            parts["section"] = parts["section"][:-8]
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "runs past the end")
+
+    def test_trailing_bytes(self, svm_file, tmp_path, capsys):
+        with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
+            parts["section"] += bytes(8)
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "array section holds")
+
+    def test_offset_not_multiple_of_8(self, svm_file, tmp_path, capsys):
+        with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
+            parts["header"]["params"]["biases"]["offset"] += 4
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "is not a non-negative multiple of 8")
+
+    def test_offset_past_section(self, svm_file, tmp_path, capsys):
+        with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
+            parts["header"]["params"]["biases"]["offset"] = len(parts["section"]) + 8
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "runs past the end")
+
+    def test_header_not_json_object(self, svm_file, tmp_path, capsys):
+        with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
+            parts["header"] = [parts["header"]]
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "model header is not a JSON object")
+
+    def test_knn_label_out_of_range(self, data_dir, tmp_path, capsys):
+        model_file = tmp_path / "knn.ndsl"
+        assert main([
+            "train", "--model", "knn", "--features", "char1",
+            "--train", str(data_dir / "train.tsv"), "--out", str(model_file),
+        ]) == 0
+        with edited_model(model_file, tmp_path / "broken.ndsl") as parts:
+            at, section = parts["header"]["params"]["labels"]["offset"], parts["section"]
+            parts["section"] = section[:at] + (99).to_bytes(8, "little") + section[at + 8 :]
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "knn labels are not label indices")
+
+    def test_non_utf8_input_file(self, svm_file, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"hej med dig\n\xff\xfe\n")
-        code = main(["predict", "--model-file", str(model_file), "--input", str(bad)])
+        code = main(["predict", "--model-file", str(svm_file), "--input", str(bad)])
         self.assert_input_error(code, capsys)
 
-    def test_non_utf8_stdin(self, svm_payload, capsys, monkeypatch):
-        model_file = svm_payload[0]
+    def test_non_utf8_stdin(self, svm_file, capsys, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b"hej med dig\n\xff\xfe\n"), encoding="utf-8")
         monkeypatch.setattr(sys, "stdin", stdin)
-        code = main(["predict", "--model-file", str(model_file)])
+        code = main(["predict", "--model-file", str(svm_file)])
         self.assert_input_error(code, capsys)
+
+
+class TestModelFileFuzz:
+    """A truncated or byte-flipped model file: exit 0, or exit 2 with one error line."""
+
+    @pytest.fixture(scope="class")
+    def model_bytes(self, data_dir, tmp_path_factory):
+        base = tmp_path_factory.mktemp("fuzz")
+        files = {kind: train_small(kind, data_dir, base / f"{kind}.ndsl") for kind in ("svm", "cnn")}
+        return {kind: path.read_bytes() for kind, path in files.items()}
+
+    @staticmethod
+    def damage(data, draw):
+        """``data`` truncated at any length, or with one byte of the header or section flipped."""
+        how = draw(st.sampled_from(["truncate", "header", "section"]))
+        if how == "truncate":
+            return data[: draw(st.integers(0, len(data) - 1))]
+        start = data.index(b"\n", data.index(b"\n") + 1) + 1  # the array section
+        at = draw(st.integers(0, start - 1) if how == "header" else st.integers(start, len(data) - 1))
+        return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
+
+    @pytest.mark.parametrize("kind", ["svm", "cnn"])
+    def test_damaged_model_file(self, model_bytes, kind, tmp_path):
+        (tmp_path / "in.txt").write_text("hej med dig\n\nog så videre\n", encoding="utf-8")
+        args = ["predict", "--model-file", str(tmp_path / "m.ndsl"),
+                "--input", str(tmp_path / "in.txt"), "--out", str(tmp_path / "out.txt")]
+
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(st.data())
+        def check(data):
+            (tmp_path / "m.ndsl").write_bytes(self.damage(model_bytes[kind], data.draw))
+            err = io.StringIO()
+            with redirect_stderr(err):
+                code = main(args)  # an escaping exception fails the test
+            assert code in (0, 2)
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+
+        check()
 
 
 #: One model per kind, trained on the small synthetic split.
@@ -386,6 +502,15 @@ class TestUncleanedTsv:
         code = main(["train", "--model", "nb", "--features", "char2",
                      "--train", str(bad_tsv), "--out", str(tmp_path / "m.ndsl")])
         self.assert_row_error(code, capsys)
+
+    def test_line_separator_is_a_character(self, tmp_path, capsys):
+        path = tmp_path / "sep.tsv"
+        path.write_text("dk\thej\u2028med dig\nsv\thej du\n", encoding="utf-8")
+        code = main(["profile", "--input", str(path), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 1: character '\\u2028' is outside the 40-character alphabet"
+        ]
 
 
 class TestReduceSweepProfile:

@@ -40,11 +40,27 @@ def ngram_feature(corpus):
     return VectorFeature("char2", True, ngram_vocab=vocab)
 
 
+def parameter_arrays(obj):
+    """Every numpy array held by a model object, at any depth."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from parameter_arrays(item)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from parameter_arrays(value)
+
+
 def roundtrip(pipeline, tmp_path, corpus):
     path = tmp_path / "model.ndsl"
     save_model(pipeline, path)
-    assert path.read_text(encoding="utf-8").startswith(MAGIC + "\n")
+    assert path.read_bytes().startswith(MAGIC.encode("ascii") + b"\n")
     loaded = load_model(path)
+    arrays = list(parameter_arrays(loaded.model)) + list(parameter_arrays(loaded.feature))
+    assert arrays
+    for arr in arrays:
+        assert arr.flags.writeable and arr.flags.aligned
     for sentence in corpus:
         assert loaded.predict(sentence.text) == pipeline.predict(sentence.text)
     return loaded
@@ -140,8 +156,8 @@ def test_bad_magic_rejected(tmp_path):
 
 def test_corrupt_payload_rejected(tmp_path):
     path = tmp_path / "bad.ndsl"
-    path.write_text("NDSL1\n{not json", encoding="utf-8")
-    with pytest.raises(ModelFormatError):
+    path.write_text(f"{MAGIC}\n{{not json\n", encoding="utf-8")  # 16 bytes: aligned
+    with pytest.raises(ModelFormatError, match="corrupt model header"):
         load_model(path)
 
 
