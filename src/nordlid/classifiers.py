@@ -18,9 +18,7 @@ import numpy as np
 
 from .corpus import LABEL_INDEX, LABELS
 from .errors import DimensionMismatch, NegativeCount
-from .features import CsrMatrix, design_array, to_dense
-
-N_CLASSES = len(LABELS)
+from .features import N_CLASSES, CsrMatrix, design_array, one_hot, softmax, to_dense
 
 
 def _check_dim(x: np.ndarray, expected: int) -> np.ndarray:
@@ -36,18 +34,6 @@ def _features(x, expected: int) -> np.ndarray | CsrMatrix:
     if x.ndim not in (1, 2) or x.shape[-1] != expected:
         raise DimensionMismatch(expected, x.shape[-1] if x.ndim else 0)
     return x
-
-
-def _softmax_rows(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def _one_hot(y: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(y), N_CLASSES))
-    out[np.arange(len(y)), y] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +52,7 @@ class KnnModel:
         x = _features(x, self.vectors.shape[1])
         queries = [x] if x.ndim == 1 else (x[i] for i in range(x.shape[0]))
         labels = [LABEL_INDEX[knn_predict(self, query)] for query in queries]
-        scores = _one_hot(np.array(labels, dtype=np.int64))
+        scores = one_hot(np.array(labels, dtype=np.int64))
         return scores[0] if x.ndim == 1 else scores
 
 
@@ -131,14 +117,14 @@ def _augment(x: np.ndarray | CsrMatrix) -> np.ndarray | CsrMatrix:
 
 def logreg_loss(theta: np.ndarray, x_aug: np.ndarray, y: np.ndarray) -> float:
     """Mean categorical cross-entropy of softmax(x theta^T) against y."""
-    posterior = _softmax_rows(x_aug @ theta.T)
+    posterior = softmax(x_aug @ theta.T)
     picked = np.clip(posterior[np.arange(len(y)), y], 1e-12, None)
     return float(-np.log(picked).mean())
 
 
 def logreg_gradient(theta: np.ndarray, x_aug: np.ndarray, y: np.ndarray) -> np.ndarray:
-    posterior = _softmax_rows(x_aug @ theta.T)
-    return (posterior - _one_hot(y)).T @ x_aug / len(y)
+    posterior = softmax(x_aug @ theta.T)
+    return (posterior - one_hot(y)).T @ x_aug / len(y)
 
 
 def train_logreg(
@@ -159,8 +145,8 @@ def train_logreg(
 def logreg_posterior(model: LogRegModel, x: np.ndarray | CsrMatrix) -> np.ndarray:
     x = _features(x, model.theta.shape[1] - 1)
     if x.ndim == 1:
-        return _softmax_rows(model.theta @ np.append(x, 1.0))
-    return _softmax_rows(x @ model.theta[:, :-1].T + model.theta[:, -1])
+        return softmax(model.theta @ np.append(x, 1.0))
+    return softmax(x @ model.theta[:, :-1].T + model.theta[:, -1])
 
 
 def logreg_predict(model: LogRegModel, x: np.ndarray) -> tuple[str, np.ndarray]:
@@ -199,7 +185,7 @@ def train_nb(
     vocab_size = x.shape[1]
     # Sums of integer counts are exact in any order, so dense and CSR
     # inputs give bit-identical models.
-    feature_totals = _one_hot(y).T @ x
+    feature_totals = one_hot(y).T @ x
     class_sizes = np.bincount(y, minlength=N_CLASSES).astype(np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_priors = np.log(class_sizes / len(y))
@@ -289,7 +275,7 @@ def train_svm(
     x = design_array(train_x)  # x[i] is a dense row either way
     y = np.asarray(train_y, dtype=np.int64)
     n, dim = x.shape
-    y_signs = np.where(_one_hot(y) > 0, 1.0, -1.0)  # n x 6
+    y_signs = np.where(one_hot(y) > 0, 1.0, -1.0)  # n x 6
     weights = np.zeros((N_CLASSES, dim))
     biases = np.zeros(N_CLASSES)
     rng = np.random.default_rng(seed)

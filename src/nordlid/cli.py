@@ -74,7 +74,7 @@ INPUT_ERRORS = (
     PredictionError,
     SequenceTooShort,
     TooFewPoints,
-    FileNotFoundError,
+    OSError,  # a path that is missing, a directory, or cannot be opened
 )
 CONFIG_ERRORS = (
     IncompatibleSpec,
@@ -168,20 +168,24 @@ def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeat
     return VectorFeature(args.features, False, embedding=QueryEmbedding.from_matrix(matrix))
 
 
+def _train_config(args, learning_rate: float, epochs: int) -> neural.TrainConfig:
+    """The flags' ``neural.TrainConfig``; unset ``--lr``/``--epochs`` take the given defaults."""
+    return neural.TrainConfig(
+        args.lr if args.lr is not None else learning_rate,
+        args.epochs if args.epochs is not None else epochs,
+        args.batch_size,
+        args.seed,
+        args.max_len,
+    )
+
+
 def cmd_train(args) -> int:
     check_compatibility(args.model, args.features)
     dataset = load_dataset_tsv(args.train)
     if args.model == "cnn":
-        cfg = neural.TrainConfig(
-            args.lr if args.lr is not None else 0.05,
-            args.epochs if args.epochs is not None else 5,
-            args.batch_size,
-            args.seed,
-            args.max_len,
-        )
         model = neural.cnn_train(
             dataset.sentences,
-            cfg,
+            _train_config(args, learning_rate=0.05, epochs=5),
             gram=_NGRAM_FEATURES[args.features],
             kernel=args.kernel,
             filters=args.filters,
@@ -221,13 +225,7 @@ def cmd_train(args) -> int:
                 seed=args.seed,
             )
         else:  # mlp
-            cfg = neural.TrainConfig(
-                args.lr if args.lr is not None else 0.1,
-                args.epochs if args.epochs is not None else 10,
-                args.batch_size,
-                args.seed,
-                args.max_len,
-            )
+            cfg = _train_config(args, learning_rate=0.1, epochs=10)
             model = neural.mlp_train(x, y, hidden=(args.hidden,), cfg=cfg)
         pipeline = PipelineModel(args.model, args.seed, model, feature)
     save_model(pipeline, args.out)
@@ -307,17 +305,11 @@ def cmd_reduce(args) -> int:
 def cmd_sweep(args) -> int:
     train = load_dataset_tsv(args.train)
     test = load_dataset_tsv(args.test)
-    cfg = neural.TrainConfig(
-        args.lr if args.lr is not None else 0.05,
-        args.epochs if args.epochs is not None else 5,
-        args.batch_size,
-        args.seed,
-        args.max_len,
-    )
     grams = [int(g) for g in args.grams.split(",")]
     kernels = [int(k) for k in args.kernels.split(",")]
     result = neural.kernel_size_sweep(
-        train.sentences, test.sentences, grams, kernels, cfg,
+        train.sentences, test.sentences, grams, kernels,
+        _train_config(args, learning_rate=0.05, epochs=5),
         filters=args.filters, embed_dim=args.embed_dim,
     )
     Path(args.out).write_text(result.to_csv(), encoding="utf-8", newline="\n")

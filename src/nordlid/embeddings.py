@@ -12,14 +12,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .corpus import LABEL_INDEX, LABELS, Sentence
 from .errors import EmptyVocabulary
-from .features import extract_char_ngrams, word_tokenize
-
-N_CLASSES = len(LABELS)
+from .features import N_CLASSES, extract_char_ngrams, softmax, word_tokenize
 
 
 @dataclass(frozen=True)
@@ -290,11 +289,18 @@ class FastTextClassifier:
     ngram_min: int
     ngram_max: int
     features: list[str]
-    feature_index: dict[str, int]
     input_vectors: np.ndarray  # V x d
     output_weights: np.ndarray  # d x 6
     output_bias: np.ndarray  # 6
     epoch_losses: list[float] = field(default_factory=list)
+
+    @cached_property
+    def feature_index(self) -> dict[str, int]:
+        """feature -> row of ``input_vectors``, built on first use.
+
+        ``features`` must not change after that.
+        """
+        return {f: i for i, f in enumerate(self.features)}
 
     def scores(self, texts: list[str]) -> np.ndarray:
         """Posterior of every cleaned text, n x 6, each from :func:`predict_fasttext`."""
@@ -343,20 +349,19 @@ def train_fasttext_supervised(
         raise EmptyVocabulary("training corpus contains no features")
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     features = [f for f, _ in ranked]
-    feature_index = {f: i for i, f in enumerate(features)}
-    doc_ids = [
-        np.array([feature_index[f] for f in feats], dtype=np.int64) for feats in docs
-    ]
-    label_arr = np.array(labels, dtype=np.int64)
-
     rng = np.random.default_rng(cfg.seed)
     input_vectors = rng.uniform(
         -1.0 / cfg.dim, 1.0 / cfg.dim, size=(len(features), cfg.dim)
     )
     model = FastTextClassifier(
-        feature_mode, ngram_min, ngram_max, features, feature_index,
+        feature_mode, ngram_min, ngram_max, features,
         input_vectors, np.zeros((cfg.dim, N_CLASSES)), np.zeros(N_CLASSES),
     )
+    feature_index = model.feature_index
+    doc_ids = [
+        np.array([feature_index[f] for f in feats], dtype=np.int64) for feats in docs
+    ]
+    label_arr = np.array(labels, dtype=np.int64)
     order_rng = np.random.default_rng(cfg.seed + 1)
     n = len(doc_ids)
     total = max(cfg.epochs * n, 1)
@@ -370,7 +375,7 @@ def train_fasttext_supervised(
             if len(ids) == 0:
                 continue
             mean = model.input_vectors[ids].mean(axis=0)
-            posterior = _softmax(mean @ model.output_weights + model.output_bias)
+            posterior = softmax(mean @ model.output_weights + model.output_bias)
             epoch_loss += -np.log(max(posterior[label_arr[i]], 1e-12))
             g = posterior.copy()
             g[label_arr[i]] -= 1.0
@@ -381,16 +386,10 @@ def train_fasttext_supervised(
     return model
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    e = np.exp(shifted)
-    return e / e.sum()
-
-
 def supervised_loss(model: FastTextClassifier, ids: np.ndarray, label: int) -> float:
     """Cross-entropy of one encoded document, for gradient verification."""
     mean = model.input_vectors[ids].mean(axis=0)
-    posterior = _softmax(mean @ model.output_weights + model.output_bias)
+    posterior = softmax(mean @ model.output_weights + model.output_bias)
     return float(-np.log(max(posterior[label], 1e-12)))
 
 
@@ -405,5 +404,5 @@ def predict_fasttext(
         mean = model.input_vectors[np.array(ids, dtype=np.int64)].mean(axis=0)
     else:
         mean = np.zeros(model.input_vectors.shape[1])
-    posterior = _softmax(mean @ model.output_weights + model.output_bias)
+    posterior = softmax(mean @ model.output_weights + model.output_bias)
     return LABELS[int(np.argmax(posterior))], posterior

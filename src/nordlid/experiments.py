@@ -19,7 +19,8 @@ from .evaluation import (
     evaluate,
     length_failure_analysis,
 )
-from .features import build_ngram_vocab, count_matrix, label_indices
+from .features import build_ngram_vocab, label_indices
+from .modelio import VectorFeature
 from .synth import generate_pools
 
 
@@ -55,29 +56,27 @@ def run_mini_experiment(
     out_test = stratified_sample(out_pools, n_out_domain, seed + 1)
 
     result = MiniExperimentResult()
-    uni_vocab = build_ngram_vocab(train, 1)
-    bi_vocab = build_ngram_vocab(train, 2)
+    char1 = VectorFeature("char1", False, ngram_vocab=build_ngram_vocab(train, 1))
+    char2 = VectorFeature("char2", False, ngram_vocab=build_ngram_vocab(train, 2))
+    char2_freq = VectorFeature("char2", True, ngram_vocab=char2.ngram_vocab)
     y_train = label_indices(train)
 
-    # model id -> (model, vocabulary, normalize)
-    models = {}
-    for tag, vocab in (("char1", uni_vocab), ("char2", bi_vocab)):
-        x_raw = count_matrix(train, vocab, normalize=False)
-        logreg = train_logreg(x_raw, y_train, learning_rate=logreg_lr, epochs=logreg_epochs)
-        models[f"logreg+{tag}"] = (logreg, vocab, False)
-    x_bi_norm = count_matrix(train, bi_vocab, normalize=True)
-    x_bi_raw = count_matrix(train, bi_vocab, normalize=False)
-    svm = train_svm(
-        x_bi_norm, y_train, lam=svm_lam, epochs=svm_epochs, seed=seed, average=True
-    )
-    models["svm+char2"] = (svm, bi_vocab, True)
-    nb = train_nb(x_bi_raw, y_train)
-    models["nb+char2"] = (nb, bi_vocab, False)
+    def fit(trainer, feature: VectorFeature, **kwargs) -> tuple:
+        return trainer(feature.matrix(train), y_train, **kwargs), feature
+
+    # model id -> (model, feature)
+    models = {
+        "logreg+char1": fit(train_logreg, char1, learning_rate=logreg_lr, epochs=logreg_epochs),
+        "logreg+char2": fit(train_logreg, char2, learning_rate=logreg_lr, epochs=logreg_epochs),
+        "svm+char2": fit(
+            train_svm, char2_freq, lam=svm_lam, epochs=svm_epochs, seed=seed, average=True
+        ),
+        "nb+char2": fit(train_nb, char2),
+    }
 
     def predict(model_id: str, sentences: Dataset) -> list[str]:
-        model, vocab, normalize = models[model_id]
-        x = count_matrix(sentences, vocab, normalize)
-        return [LABELS[k] for k in model.scores(x).argmax(axis=1)]
+        model, feature = models[model_id]
+        return [LABELS[k] for k in model.scores(feature.matrix(sentences)).argmax(axis=1)]
 
     gold = [s.label for s in test]
     predictions = {model_id: predict(model_id, test) for model_id in models}

@@ -6,6 +6,9 @@ of cleaned text maps to its rank in the alphabet sorted by code point
 a fixed n the numeric order of n-gram codes equals their string order.
 Vocabularies, design matrices and the CNN's token ids are built from
 these codes with numpy, with no Python step per n-gram.
+
+The label-space helpers every classifier family shares live here too:
+``N_CLASSES``, :func:`one_hot` and :func:`softmax`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from itertools import chain
 import numpy as np
 
 from .corpus import ALPHABET, LABEL_INDEX, LABELS, Sentence
+
+N_CLASSES = len(LABELS)
 
 #: char -> 0..39, in the canonical alphabet order.
 CHARSET_INDEX = {ch: i for i, ch in enumerate(ALPHABET)}
@@ -383,3 +388,17 @@ def _csr_counts(
 
 def label_indices(sentences: Iterable[Sentence]) -> np.ndarray:
     return np.array([LABEL_INDEX[s.label] for s in sentences], dtype=np.int64)
+
+
+def one_hot(y: np.ndarray) -> np.ndarray:
+    """n x 6 indicator rows of label indices."""
+    out = np.zeros((len(y), N_CLASSES))
+    out[np.arange(len(y)), y] = 1.0
+    return out
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, each row shifted by its maximum."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)

@@ -4,13 +4,17 @@ File layout (``NDSL2``), after numpy's ``.npy`` format:
 
 - line 1: the magic ``NDSL2``;
 - line 2: the header, one JSON object with sorted keys. It holds the
-  model kind and hyperparameters, the feature pipeline (vocabulary or
-  embedding), and one ``{"dtype", "shape", "offset"}`` descriptor per
-  parameter array. Spaces pad it before its LF so that the array
-  section starts at a multiple of 8 bytes;
+  model kind, the feature pipeline (vocabulary or embedding) and the
+  model's ``params``: the fields of its class (``MODEL_CLASSES``) that
+  have no default. An array field is saved as one ``{"dtype", "shape",
+  "offset"}`` descriptor, a list of arrays as a list of them, a
+  ``dict[str, int]`` vocabulary as its keys in column order, and a
+  scalar or string list as itself. Spaces pad the header before its LF
+  so that the array section starts at a multiple of 8 bytes;
 - the array section: each array's raw little-endian ``<f8`` or ``<i8``
-  bytes, back to back in the order they were encoded. A descriptor's
-  offset counts from the start of the section.
+  bytes, back to back: the feature pipeline's, then the model's in
+  field order. A descriptor's offset counts from the start of the
+  section.
 
 Loading reads the file into one buffer and makes every array a view of
 it, writable and 8-byte aligned, so a save/load round trip reproduces
@@ -25,7 +29,7 @@ import json
 import math
 import os
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -247,103 +251,75 @@ def _feature_from_payload(section: _Section, payload: dict | None) -> VectorFeat
     return VectorFeature(kind, payload["normalize"], embedding=query)
 
 
+#: The model class of each kind.
+MODEL_CLASSES = {
+    "knn": classifiers.KnnModel,
+    "logreg": classifiers.LogRegModel,
+    "nb": classifiers.NbModel,
+    "svm": classifiers.SvmModel,
+    "mlp": neural.MlpModel,
+    "cnn": neural.CnnModel,
+    "fasttext": embeddings.FastTextClassifier,
+}
+
+
+def _as_is(_, value):
+    return value
+
+
+def _enc_list(arrays: list[np.ndarray], values: list[np.ndarray]) -> list[dict]:
+    return [_enc(arrays, v) for v in values]
+
+
+def _dec_list(section: _Section, descriptors: list[dict]) -> list[np.ndarray]:
+    return [_dec(section, d) for d in descriptors]
+
+
+def _enc_vocab(_, vocab: dict[str, int]) -> list[str]:
+    return sorted(vocab, key=vocab.get)
+
+
+def _dec_vocab(_, entries: list[str]) -> dict[str, int]:
+    return {g: i for i, g in enumerate(entries)}
+
+
+#: (encode, decode) of a model field, by its annotation as written. An
+#: annotation missing here fails at import, not in a saved file.
+_FIELD_CODECS = {
+    "int": (_as_is, _as_is),
+    "float": (_as_is, _as_is),
+    "str": (_as_is, _as_is),
+    "list[str]": (_as_is, _as_is),
+    "np.ndarray": (_enc, _dec),
+    "list[np.ndarray]": (_enc_list, _dec_list),
+    "dict[str, int]": (_enc_vocab, _dec_vocab),
+}
+
+#: kind -> (name, encode, decode) of each saved field, in declaration
+#: order: the fields without a default. Built once, here, so that loading
+#: a model inspects no class.
+_PARAM_FIELDS = {
+    kind: [
+        (f.name, *_FIELD_CODECS[f.type])
+        for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING
+    ]
+    for kind, cls in MODEL_CLASSES.items()
+}
+
+
 def _params_payload(arrays: list[np.ndarray], kind: str, model: object) -> dict:
-    if kind == "knn":
-        return {
-            "k": model.k,
-            "vectors": _enc(arrays, model.vectors),
-            "labels": _enc(arrays, model.labels),
-        }
-    if kind == "logreg":
-        return {
-            "theta": _enc(arrays, model.theta),
-            "learning_rate": model.learning_rate,
-            "epochs": model.epochs,
-        }
-    if kind == "nb":
-        return {
-            "log_priors": _enc(arrays, model.log_priors),
-            "log_likelihoods": _enc(arrays, model.log_likelihoods),
-            "alpha": model.alpha,
-        }
-    if kind == "svm":
-        return {
-            "weights": _enc(arrays, model.weights),
-            "biases": _enc(arrays, model.biases),
-            "lam": model.lam,
-            "epochs": model.epochs,
-            "seed": model.seed,
-        }
-    if kind == "mlp":
-        return {
-            "weights": [_enc(arrays, w) for w in model.weights],
-            "biases": [_enc(arrays, b) for b in model.biases],
-        }
-    if kind == "cnn":
-        ordered = sorted(model.vocab, key=model.vocab.get)
-        return {
-            "gram": model.gram,
-            "vocab": ordered,
-            "embeddings": _enc(arrays, model.embeddings),
-            "filters": _enc(arrays, model.filters),
-            "conv_bias": _enc(arrays, model.conv_bias),
-            "dense_w": _enc(arrays, model.dense_w),
-            "dense_b": _enc(arrays, model.dense_b),
-            "max_len": model.max_len,
-        }
-    if kind == "fasttext":
-        return {
-            "feature_mode": model.feature_mode,
-            "ngram_min": model.ngram_min,
-            "ngram_max": model.ngram_max,
-            "features": model.features,
-            "input_vectors": _enc(arrays, model.input_vectors),
-            "output_weights": _enc(arrays, model.output_weights),
-            "output_bias": _enc(arrays, model.output_bias),
-        }
-    raise ModelFormatError(f"cannot serialize model kind {kind!r}")
+    if kind not in _PARAM_FIELDS:
+        raise ModelFormatError(f"cannot serialize model kind {kind!r}")
+    return {name: encode(arrays, getattr(model, name)) for name, encode, _ in _PARAM_FIELDS[kind]}
 
 
 def _model_from_params(section: _Section, kind: str, params: dict) -> object:
-    if kind == "knn":
-        return classifiers.KnnModel(
-            params["k"], _dec(section, params["vectors"]), _dec(section, params["labels"])
-        )
-    if kind == "logreg":
-        return classifiers.LogRegModel(
-            _dec(section, params["theta"]), params["learning_rate"], params["epochs"]
-        )
-    if kind == "nb":
-        return classifiers.NbModel(
-            _dec(section, params["log_priors"]), _dec(section, params["log_likelihoods"]),
-            params["alpha"],
-        )
-    if kind == "svm":
-        return classifiers.SvmModel(
-            _dec(section, params["weights"]), _dec(section, params["biases"]),
-            params["lam"], params["epochs"], params["seed"],
-        )
-    if kind == "mlp":
-        return neural.MlpModel(
-            [_dec(section, w) for w in params["weights"]],
-            [_dec(section, b) for b in params["biases"]],
-        )
-    if kind == "cnn":
-        vocab = {g: i for i, g in enumerate(params["vocab"])}
-        return neural.CnnModel(
-            params["gram"], vocab, _dec(section, params["embeddings"]),
-            _dec(section, params["filters"]), _dec(section, params["conv_bias"]),
-            _dec(section, params["dense_w"]), _dec(section, params["dense_b"]), params["max_len"],
-        )
-    if kind == "fasttext":
-        features = list(params["features"])
-        return embeddings.FastTextClassifier(
-            params["feature_mode"], params["ngram_min"], params["ngram_max"],
-            features, {f: i for i, f in enumerate(features)},
-            _dec(section, params["input_vectors"]), _dec(section, params["output_weights"]),
-            _dec(section, params["output_bias"]),
-        )
-    raise ModelFormatError(f"cannot load model kind {kind!r}")
+    if kind not in _PARAM_FIELDS:
+        raise ModelFormatError(f"cannot load model kind {kind!r}")
+    return MODEL_CLASSES[kind](
+        **{name: decode(section, params[name]) for name, _, decode in _PARAM_FIELDS[kind]}
+    )
 
 
 #: Width of the feature vectors each vector model kind takes.
@@ -379,6 +355,7 @@ def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
             raise ModelFormatError(f"cnn max_len {model.max_len!r} is shorter than its filters")
         have, want = model.embeddings.shape[0], len(model.vocab) + 1
     elif kind == "fasttext":
+        model.feature_index  # checks that the features can key a dict
         have, want = model.input_vectors.shape[0], len(model.features)
     elif feature is None:
         raise ModelFormatError(f"{kind} model lacks its feature transform")

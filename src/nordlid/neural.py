@@ -15,22 +15,21 @@ from functools import cached_property
 
 import numpy as np
 
-from .corpus import LABEL_INDEX, LABELS, Sentence
+from .corpus import LABEL_INDEX, Sentence
 from .errors import DimensionMismatch, SequenceTooShort
-from .features import NgramVocabulary, build_ngram_vocab, design_array, ngram_hits
-
-N_CLASSES = len(LABELS)
+from .features import (
+    N_CLASSES,
+    NgramVocabulary,
+    build_ngram_vocab,
+    design_array,
+    ngram_hits,
+    one_hot,
+    softmax,
+)
 
 
 def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.asarray(z, dtype=np.float64))
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cce_loss(pred: np.ndarray, y: int | np.ndarray) -> float:
@@ -53,12 +52,6 @@ class TrainConfig:
     def __post_init__(self):
         if min(self.learning_rate, self.epochs, self.batch_size, self.max_len) <= 0:
             raise ValueError("all training config fields must be positive")
-
-
-def _one_hot(y: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(y), N_CLASSES))
-    out[np.arange(len(y)), y] = 1.0
-    return out
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -133,7 +126,7 @@ def mlp_grads(
     loss = cce_loss(posterior, y)
 
     n = x.shape[0]
-    delta = (posterior - _one_hot(y)) / n
+    delta = (posterior - one_hot(y)) / n
     w_grads = [np.zeros_like(w) for w in model.weights]
     b_grads = [np.zeros_like(b) for b in model.biases]
     for layer in reversed(range(len(model.weights))):
@@ -321,7 +314,7 @@ def cnn_grads(model: CnnModel, ids: np.ndarray, y: np.ndarray) -> tuple[float, d
     width = model.filters.shape[1]
     loss = cce_loss(cache["posterior"], y)
 
-    dlogits = (cache["posterior"] - _one_hot(y)) / n_batch
+    dlogits = (cache["posterior"] - one_hot(y)) / n_batch
     grads = {
         "dense_w": cache["pooled"].T @ dlogits,
         "dense_b": dlogits.sum(axis=0),

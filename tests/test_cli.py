@@ -236,15 +236,24 @@ def edited_model(source, target):
     target.write_bytes(head + parts["section"])
 
 
+#: One model per kind, trained on the small synthetic split.
+SEVEN_KINDS = {
+    "knn": ("char2", []),
+    "logreg": ("char2", ["--epochs", "5"]),
+    "nb": ("char2", []),
+    "svm": ("char3", ["--epochs", "1"]),
+    "mlp": ("char2", ["--epochs", "1", "--hidden", "8"]),
+    "cnn": ("char2", ["--epochs", "1", "--filters", "4", "--embed-dim", "4"]),
+    "fasttext": ("bow", ["--epochs", "1", "--dim", "8"]),
+}
+
+
 def train_small(kind, data_dir, model_file):
-    """Train the SVM (char3) or CNN (char2) model the malformed-file tests break."""
-    extra = {
-        "svm": ["--features", "char3", "--epochs", "1"],
-        "cnn": ["--features", "char2", "--epochs", "1", "--filters", "4", "--embed-dim", "4"],
-    }[kind]
+    """Train the ``SEVEN_KINDS`` model of ``kind`` into ``model_file``."""
+    features, extra = SEVEN_KINDS[kind]
     assert main([
-        "train", "--model", kind, "--train", str(data_dir / "train.tsv"),
-        "--out", str(model_file), *extra,
+        "train", "--model", kind, "--features", features,
+        "--train", str(data_dir / "train.tsv"), "--out", str(model_file), *extra,
     ]) == 0
     return model_file
 
@@ -367,6 +376,24 @@ class TestInputErrors:
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
         self.assert_input_error(code, capsys, "knn labels are not label indices")
 
+    @pytest.mark.parametrize("path", ["model", "input", "out"])
+    def test_predict_path_is_a_directory(self, svm_file, path, tmp_path, capsys):
+        (tmp_path / "in.txt").write_text("hej med dig\n", encoding="utf-8")
+        paths = {"model": svm_file, "input": tmp_path / "in.txt", "out": tmp_path / "out.txt"}
+        paths[path] = tmp_path
+        code = main([
+            "predict", "--model-file", str(paths["model"]),
+            "--input", str(paths["input"]), "--out", str(paths["out"]),
+        ])
+        self.assert_input_error(code, capsys, "Is a directory")
+
+    def test_eval_model_is_a_directory(self, data_dir, tmp_path, capsys):
+        code = main([
+            "eval", "--model-file", str(tmp_path), "--test", str(data_dir / "test.tsv"),
+            "--out-dir", str(tmp_path / "eval"),
+        ])
+        self.assert_input_error(code, capsys, "Is a directory")
+
     def test_non_utf8_input_file(self, svm_file, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"hej med dig\n\xff\xfe\n")
@@ -386,7 +413,7 @@ class TestModelFileFuzz:
     @pytest.fixture(scope="class")
     def model_bytes(self, data_dir, tmp_path_factory):
         base = tmp_path_factory.mktemp("fuzz")
-        files = {kind: train_small(kind, data_dir, base / f"{kind}.ndsl") for kind in ("svm", "cnn")}
+        files = {kind: train_small(kind, data_dir, base / f"{kind}.ndsl") for kind in SEVEN_KINDS}
         return {kind: path.read_bytes() for kind, path in files.items()}
 
     @staticmethod
@@ -399,7 +426,7 @@ class TestModelFileFuzz:
         at = draw(st.integers(0, start - 1) if how == "header" else st.integers(start, len(data) - 1))
         return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
 
-    @pytest.mark.parametrize("kind", ["svm", "cnn"])
+    @pytest.mark.parametrize("kind", sorted(SEVEN_KINDS))
     def test_damaged_model_file(self, model_bytes, kind, tmp_path):
         (tmp_path / "in.txt").write_text("hej med dig\n\nog så videre\n", encoding="utf-8")
         args = ["predict", "--model-file", str(tmp_path / "m.ndsl"),
@@ -420,30 +447,11 @@ class TestModelFileFuzz:
         check()
 
 
-#: One model per kind, trained on the small synthetic split.
-SEVEN_KINDS = {
-    "knn": ("char2", []),
-    "logreg": ("char2", ["--epochs", "5"]),
-    "nb": ("char2", []),
-    "svm": ("char3", ["--epochs", "1"]),
-    "mlp": ("char2", ["--epochs", "1", "--hidden", "8"]),
-    "cnn": ("char2", ["--epochs", "1", "--filters", "4", "--embed-dim", "4"]),
-    "fasttext": ("bow", ["--epochs", "1", "--dim", "8"]),
-}
-
-
 class TestPredictLines:
     @pytest.fixture(scope="class")
     def model_files(self, data_dir, tmp_path_factory):
         base = tmp_path_factory.mktemp("kinds")
-        files = {}
-        for kind, (features, extra) in SEVEN_KINDS.items():
-            files[kind] = base / f"{kind}.ndsl"
-            assert main([
-                "train", "--model", kind, "--features", features,
-                "--train", str(data_dir / "train.tsv"), "--out", str(files[kind]), *extra,
-            ]) == 0
-        return files
+        return {kind: train_small(kind, data_dir, base / f"{kind}.ndsl") for kind in SEVEN_KINDS}
 
     @staticmethod
     def predict(model_file, text, tmp_path, capsys):

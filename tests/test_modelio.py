@@ -1,5 +1,6 @@
 """Model container round trips: every kind must reload bit-exactly."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -63,6 +64,9 @@ def roundtrip(pipeline, tmp_path, corpus):
         assert arr.flags.writeable and arr.flags.aligned
     for sentence in corpus:
         assert loaded.predict(sentence.text) == pipeline.predict(sentence.text)
+    again = tmp_path / "again.ndsl"
+    save_model(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
     return loaded
 
 
@@ -319,3 +323,47 @@ def test_batch_is_cut_into_blocks(batch_pipelines, corpus, monkeypatch):
         monkeypatch.setattr(modelio, "BATCH_LINES", 7)
         assert pipeline.labels(lines) == whole
         monkeypatch.undo()
+
+
+# ---------------------------------------------------------------------------
+# The saved format of each kind
+# ---------------------------------------------------------------------------
+
+#: Per kind: the header's ``params`` keys, and its array descriptors in
+#: offset order. Pinned, so that a field added to a model class cannot
+#: change the file format unnoticed.
+PARAMS_FORMAT = {
+    "knn-char2": (["k", "labels", "vectors"], ["vectors", "labels"]),
+    "logreg-char2": (["epochs", "learning_rate", "theta"], ["theta"]),
+    "nb-char2": (["alpha", "log_likelihoods", "log_priors"], ["log_priors", "log_likelihoods"]),
+    "svm-char3": (["biases", "epochs", "lam", "seed", "weights"], ["weights", "biases"]),
+    "mlp-char2": (["biases", "weights"], ["weights[0]", "weights[1]", "biases[0]", "biases[1]"]),
+    "cnn-char2": (
+        ["conv_bias", "dense_b", "dense_w", "embeddings", "filters", "gram", "max_len", "vocab"],
+        ["embeddings", "filters", "conv_bias", "dense_w", "dense_b"],
+    ),
+    "fasttext-char1_5": (
+        ["feature_mode", "features", "input_vectors", "ngram_max", "ngram_min",
+         "output_bias", "output_weights"],
+        ["input_vectors", "output_weights", "output_bias"],
+    ),
+}
+
+
+def array_paths(params: dict) -> list[str]:
+    """The key (``key[i]`` inside a list) of every array descriptor, by offset."""
+    found = []
+    for key, value in params.items():
+        items = value if isinstance(value, list) else [value]
+        for i, item in enumerate(items):
+            if isinstance(item, dict):
+                found.append((item["offset"], f"{key}[{i}]" if isinstance(value, list) else key))
+    return [path for _, path in sorted(found)]
+
+
+@pytest.mark.parametrize("case", sorted(PARAMS_FORMAT))
+def test_params_format_is_pinned(batch_pipelines, case, tmp_path):
+    path = tmp_path / "model.ndsl"
+    save_model(batch_pipelines[case], path)
+    params = json.loads(path.read_bytes().split(b"\n")[1])["params"]
+    assert (sorted(params), array_paths(params)) == PARAMS_FORMAT[case]
