@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import LABEL_INDEX, LABELS
+from .corpus import LABELS
 from .errors import DimensionMismatch, NegativeCount
 from .features import N_CLASSES, CsrMatrix, design_array, one_hot, softmax, to_dense
 
@@ -41,23 +41,30 @@ def _features(x, expected: int) -> np.ndarray | CsrMatrix:
 # ---------------------------------------------------------------------------
 
 
+#: Bytes that each temporary array of a KNN search may take: the dense
+#: query block, its n x m squared distances, the per-non-zero terms of
+#: the CSR product, and the densified rows of an exact recompute. Each
+#: holds at least one query or one training row, whatever n and d are.
+KNN_BLOCK_BYTES = 16 * 2**20
+
+
 @dataclass
 class KnnModel:
     k: int
-    vectors: np.ndarray  # n x d
+    vectors: CsrMatrix  # n x d
     labels: np.ndarray  # n, class indices
 
     def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
-        """One-hot rows of :func:`knn_predict`'s label, one exact search per query."""
+        """One-hot rows of each query's :func:`knn_predict` label."""
         x = _features(x, self.vectors.shape[1])
-        queries = [x] if x.ndim == 1 else (x[i] for i in range(x.shape[0]))
-        labels = [LABEL_INDEX[knn_predict(self, query)] for query in queries]
-        scores = one_hot(np.array(labels, dtype=np.int64))
+        scores = one_hot(_knn_search(self, x if x.ndim == 2 else x[None]))
         return scores[0] if x.ndim == 1 else scores
 
 
-def train_knn(train_x: np.ndarray, train_y: np.ndarray, k: int = 3) -> KnnModel:
-    train_x = to_dense(train_x)
+def train_knn(train_x: np.ndarray | CsrMatrix, train_y: np.ndarray, k: int = 3) -> KnnModel:
+    train_x = design_array(train_x)
+    if not isinstance(train_x, CsrMatrix):
+        train_x = CsrMatrix.from_dense(train_x)
     train_y = np.asarray(train_y, dtype=np.int64)
     if k < 1 or k > len(train_y):
         raise ValueError(f"k must lie in 1..{len(train_y)}, got {k}")
@@ -71,18 +78,95 @@ def knn_predict(model: KnnModel, x: np.ndarray) -> str:
     by smallest summed distance, then by label order.
     """
     x = _check_dim(x, model.vectors.shape[1])
-    if model.k > len(model.labels):
+    return LABELS[_knn_search(model, x[None])[0]]
+
+
+def _knn_search(model: KnnModel, queries: np.ndarray | CsrMatrix) -> np.ndarray:
+    """Label index of each query row, by the rules of :func:`knn_predict`.
+
+    Queries go ``m`` at a time, so that the dense block (m x d) and its
+    squared distances (n x m) stay within ``KNN_BLOCK_BYTES``. A block's
+    squared distances come from the expansion |v|^2 + |q|^2 - 2 v.q with
+    one CSR product, cut into row ranges whose m x nnz terms fit the
+    budget too. The rows within :func:`_knn_slack` of a query's k-th
+    smallest value are the candidates; their distances are recomputed as
+    ``sqrt(sum((v - q)**2))`` on dense rows, which settles the order and
+    the vote exactly as an exhaustive search by that formula would.
+    """
+    vectors = model.vectors
+    n, d = vectors.shape
+    if model.k > n:
         raise ValueError("k exceeds training set size")
-    distances = np.sqrt(((model.vectors - x) ** 2).sum(axis=1))
+    norms = vectors.row_sq_norms()
+    budget = KNN_BLOCK_BYTES // 8  # float64 cells
+    step = max(1, budget // max(n, d))
+    labels = np.empty(queries.shape[0], dtype=np.int64)
+    # Huge values may overflow to inf or nan; such a query keeps every
+    # row as a candidate and is ranked by the exact formula alone.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, queries.shape[0], step):
+            block = to_dense(queries[start : start + step])  # m x d
+            gram = np.empty((n, len(block)))
+            terms = budget // len(block)  # training non-zeros per product
+            lo = 0
+            while lo < n:  # ranges of at most `terms` non-zeros, or of one row
+                hi = int(np.searchsorted(vectors.indptr, vectors.indptr[lo] + terms, "right"))
+                hi = max(lo + 1, hi - 1)
+                gram[lo:hi] = vectors.row_block(lo, hi) @ block.T
+                lo = hi
+            block_norms = np.einsum("ij,ij->i", block, block)
+            approx = norms[:, None] + block_norms - 2 * gram
+            kth = np.partition(approx, model.k - 1, axis=0)[model.k - 1]
+            limit = kth + _knn_slack(d, norms.max(), block_norms, kth)
+            keep = ~(approx > limit)  # nan compares false: such rows stay
+            for j, query in enumerate(block):
+                candidates = np.flatnonzero(keep[:, j])
+                labels[start + j] = _knn_vote(model, candidates,
+                                              _exact_distances(vectors, candidates, query))
+    return labels
+
+
+def _knn_slack(d: int, max_norm: float, query_norms: np.ndarray, kth: np.ndarray) -> np.ndarray:
+    """How far past the k-th smallest approximate value a row stays a candidate.
+
+    With u = 2**-53 and a d-wide row v and query q, both the expansion a
+    and the exact formula's square e are within eps = g (|v| + |q|)^2 of
+    the true squared distance t, where g = gamma(d + 4) = (d+4)u/(1-(d+4)u)
+    bounds the roundings of a d-term dot product plus the few operations
+    around it. Say the k-th smallest a is A. The k rows with a <= A have
+    e <= A + 2 eps, so the k-th smallest e among candidates is at most
+    E = A + 2 eps. A row with a > A + 4 eps + 8u(|A| + 2 eps) has
+    e > (A + 2 eps)(1 + 8u) >= E(1 + 8u): its sqrt, rounded, lies strictly
+    above the rounded sqrt of E, so even a sqrt tie cannot let it displace
+    a candidate by training order. The slack below doubles that bound,
+    which covers the rounding of the norms that set the scale and of
+    A + slack itself, and adds d + 8 smallest normals for underflow.
+    """
+    info = np.finfo(np.float64)
+    gamma = (d + 4) * info.epsneg / (1 - (d + 4) * info.epsneg)  # epsneg = 2**-53
+    eps = gamma * (np.sqrt(max_norm) + np.sqrt(query_norms)) ** 2
+    return 2 * (4 * eps + 8 * info.epsneg * (np.abs(kth) + 2 * eps)) + (d + 8) * info.tiny
+
+
+def _exact_distances(vectors: CsrMatrix, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``sqrt(sum((v - x)**2))`` of the given training rows, densified a few at a time."""
+    step = max(1, KNN_BLOCK_BYTES // (8 * max(1, vectors.shape[1])))
+    return np.concatenate([
+        np.sqrt(((vectors[rows[i : i + step]] - x) ** 2).sum(axis=1))
+        for i in range(0, len(rows), step)
+    ])
+
+
+def _knn_vote(model: KnnModel, rows: np.ndarray, distances: np.ndarray) -> int:
+    """The label index chosen by the k nearest of ``rows`` (ascending indices)."""
     nearest = np.argsort(distances, kind="stable")[: model.k]
     votes = np.zeros(N_CLASSES)
     sums = np.zeros(N_CLASSES)
     for i in nearest:
-        votes[model.labels[i]] += 1
-        sums[model.labels[i]] += distances[i]
+        votes[model.labels[rows[i]]] += 1
+        sums[model.labels[rows[i]]] += distances[i]
     candidates = np.flatnonzero(votes == votes.max())
-    best = min(candidates, key=lambda c: (sums[c], c))
-    return LABELS[best]
+    return int(min(candidates, key=lambda c: (sums[c], c)))
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,15 @@ class CsrMatrix:
 
     ndim = 2
 
+    @classmethod
+    def from_dense(cls, x: np.ndarray) -> "CsrMatrix":
+        """The non-zeros of a dense 2-D array, read in place: no dense copy."""
+        x = np.asarray(x, dtype=np.float64)
+        rows, columns = np.nonzero(x)
+        indptr = np.zeros(x.shape[0] + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=x.shape[0]), out=indptr[1:])
+        return cls(x.shape, indptr, columns.astype(np.int64), x[rows, columns])
+
     @property
     def nnz(self) -> int:
         return len(self.data)
@@ -292,6 +301,21 @@ class CsrMatrix:
 
     def _row_ids(self) -> np.ndarray:
         return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def row_block(self, start: int, stop: int) -> "CsrMatrix":
+        """Rows ``start:stop`` as a CSR matrix of views, no copy of the values."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return CsrMatrix((stop - start, self.shape[1]), self.indptr[start : stop + 1] - lo,
+                         self.indices[lo:hi], self.data[lo:hi])
+
+    def row_sq_norms(self) -> np.ndarray:
+        """Squared Euclidean norm of every row, from the stored values alone.
+
+        A norm too large for a float64 is inf, without a warning.
+        """
+        with np.errstate(over="ignore"):
+            squares = self.data**2
+        return np.bincount(self._row_ids(), weights=squares, minlength=self.shape[0])
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
@@ -312,7 +336,7 @@ class CsrMatrix:
         other = np.asarray(other, dtype=np.float64)
         if other.ndim not in (1, 2) or other.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        columns = np.ascontiguousarray(other.reshape(self.shape[1], -1).T)  # k x d
+        columns = np.ascontiguousarray((other[:, None] if other.ndim == 1 else other).T)  # k x d
         products = np.take(columns, self.indices, axis=1)  # k x nnz
         products *= self.data
         filled = np.diff(self.indptr) > 0

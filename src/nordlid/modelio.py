@@ -8,7 +8,9 @@ File layout (``NDSL2``), after numpy's ``.npy`` format:
   model's ``params``: the fields of its class (``MODEL_CLASSES``) that
   have no default. An array field is saved as one ``{"dtype", "shape",
   "offset"}`` descriptor, a list of arrays as a list of them, a
-  ``dict[str, int]`` vocabulary as its keys in column order, and a
+  ``CsrMatrix`` (KNN's training vectors) as ``{"shape", "indptr",
+  "indices", "data"}`` with one descriptor for each of its three arrays,
+  a ``dict[str, int]`` vocabulary as its keys in column order, and a
   scalar or string list as itself. Spaces pad the header before its LF
   so that the array section starts at a multiple of 8 bytes;
 - the array section: each array's raw little-endian ``<f8`` or ``<i8``
@@ -275,6 +277,38 @@ def _dec_list(section: _Section, descriptors: list[dict]) -> list[np.ndarray]:
     return [_dec(section, d) for d in descriptors]
 
 
+def _enc_csr(arrays: list[np.ndarray], matrix: CsrMatrix) -> dict:
+    return {"shape": list(matrix.shape), **{
+        key: _enc(arrays, getattr(matrix, key)) for key in ("indptr", "indices", "data")
+    }}
+
+
+def _dec_csr(section: _Section, obj: dict) -> CsrMatrix:
+    """A CSR matrix, checked to be one: the arrays' types and sizes fit the
+    shape, ``indptr`` runs from 0 to nnz without falling, and each row's
+    columns ascend within 0..d-1."""
+    shape = obj["shape"]
+    if not isinstance(shape, list) or len(shape) != 2 or not all(map(_is_count, shape)):
+        raise ModelFormatError(f"sparse matrix shape {shape!r} is not two sizes")
+    n, d = shape
+    indptr, indices, data = (_dec(section, obj[key]) for key in ("indptr", "indices", "data"))
+    if (indptr.dtype.kind, indices.dtype.kind, data.dtype.kind) != ("i", "i", "f"):
+        raise ModelFormatError("sparse matrix arrays are not int64 indptr and indices, float64 data")
+    if indptr.shape != (n + 1,) or data.ndim != 1 or indices.shape != data.shape:
+        raise ModelFormatError(f"sparse matrix arrays do not fit its shape {shape}")
+    if indptr[0] != 0 or indptr[-1] != data.size or (np.diff(indptr) < 0).any():
+        raise ModelFormatError(f"sparse matrix indptr does not run from 0 to {data.size} "
+                               "without falling")
+    if data.size and not 0 <= indices.min() <= indices.max() < d:
+        raise ModelFormatError(f"sparse matrix column indices are not in 0..{d - 1}")
+    rising = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < data.size)] - 1] = True  # a row may start lower
+    if not rising.all():
+        raise ModelFormatError("sparse matrix column indices do not ascend within a row")
+    return CsrMatrix((n, d), indptr, indices, data)
+
+
 def _enc_vocab(_, vocab: dict[str, int]) -> list[str]:
     return sorted(vocab, key=vocab.get)
 
@@ -292,6 +326,7 @@ _FIELD_CODECS = {
     "list[str]": (_as_is, _as_is),
     "np.ndarray": (_enc, _dec),
     "list[np.ndarray]": (_enc_list, _dec_list),
+    "CsrMatrix": (_enc_csr, _dec_csr),
     "dict[str, int]": (_enc_vocab, _dec_vocab),
 }
 
@@ -338,8 +373,10 @@ def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
     A vector model must take vectors as wide as its feature's; a CNN or
     fastText model must hold one embedding row per vocabulary entry (plus
     the CNN's padding row), a CNN's sequences must be as long as its
-    filters at least, and a KNN model must hold one label index per
-    training vector.
+    filters at least, and a fastText model's n-gram orders must be counts
+    with 1 <= ngram_min <= ngram_max. A KNN model must hold one label
+    index per training vector, and every training vector's squared norm
+    must be finite.
     """
     if kind == "knn":
         labels = model.labels
@@ -349,6 +386,8 @@ def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
             raise ModelFormatError(f"knn k {model.k!r} is not in 1..{labels.size}")
         if not 0 <= labels.min() <= labels.max() < len(LABELS):
             raise ModelFormatError(f"knn labels are not label indices 0..{len(LABELS) - 1}")
+        if not np.isfinite(model.vectors.row_sq_norms()).all():
+            raise ModelFormatError("knn training vectors have a squared norm that is not finite")
     if kind == "cnn":
         model.ngram_vocab  # checks the n-gram vocabulary
         if not _is_count(model.max_len) or model.max_len < model.filters.shape[1]:
@@ -356,6 +395,12 @@ def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
         have, want = model.embeddings.shape[0], len(model.vocab) + 1
     elif kind == "fasttext":
         model.feature_index  # checks that the features can key a dict
+        if model.feature_mode not in ("words", "char_ngrams"):
+            raise ModelFormatError(f"fasttext feature_mode {model.feature_mode!r} is unknown")
+        nmin, nmax = model.ngram_min, model.ngram_max
+        if not (_is_count(nmin) and _is_count(nmax) and 1 <= nmin <= nmax):
+            raise ModelFormatError(f"fasttext n-gram orders {nmin!r}..{nmax!r} are not "
+                                   "integers with 1 <= ngram_min <= ngram_max")
         have, want = model.input_vectors.shape[0], len(model.features)
     elif feature is None:
         raise ModelFormatError(f"{kind} model lacks its feature transform")

@@ -1,10 +1,15 @@
 """Classical model behavior against hand computations and brute-force oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nordlid import classifiers
 
 from nordlid.corpus import LABELS
 from nordlid.classifiers import (
@@ -26,14 +31,22 @@ from nordlid.classifiers import (
     train_svm,
 )
 from nordlid.errors import DimensionMismatch, NegativeCount
+from nordlid.features import CsrMatrix
 
 
-def knn_oracle(vectors, labels, k, x):
+def python_distance(row, x):
+    return math.sqrt(sum((a - b) ** 2 for a, b in zip(row, x)))
+
+
+def numpy_distance(row, x):
+    """The documented formula, summed as numpy sums a row: distances that
+    differ in the last bits then order as the model's do."""
+    return float(np.sqrt(((row - x) ** 2).sum()))
+
+
+def knn_oracle(vectors, labels, k, x, distance=python_distance):
     """Exhaustive nearest-neighbor search with the documented tie rules."""
-    dists = [
-        (math.sqrt(sum((a - b) ** 2 for a, b in zip(row, x))), i)
-        for i, row in enumerate(vectors)
-    ]
+    dists = [(distance(row, x), i) for i, row in enumerate(vectors)]
     dists.sort(key=lambda pair: (pair[0], pair[1]))
     chosen = dists[:k]
     votes, sums = {}, {}
@@ -46,7 +59,67 @@ def knn_oracle(vectors, labels, k, x):
     return LABELS[tied[0]]
 
 
+#: Coordinates of tie-built KNN inputs: zeros make rows sparse, the
+#: dyadic values give exact ties, 1/3 and 0.1 near ones.
+TIE_GRID = st.sampled_from([0.0, 0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 1 / 3, 0.1])
+
+
+@st.composite
+def tied_knn_inputs(draw):
+    """Training rows built to tie: duplicates, mirror images through the
+    query (equidistant from it), and copies nudged by one ulp in one
+    coordinate; labels at random."""
+    d = draw(st.integers(1, 12))
+    vector = st.lists(TIE_GRID, min_size=d, max_size=d).map(np.array)
+    query = draw(vector)
+    rows = []
+    for row in draw(st.lists(vector, min_size=1, max_size=5)):
+        rows.append(row)
+        for how in draw(st.lists(st.sampled_from(["copy", "mirror", "nudge"]), max_size=3)):
+            if how == "copy":
+                rows.append(row.copy())
+            elif how == "mirror":
+                rows.append(2 * query - row)
+            else:
+                nudged = row.copy()
+                j = draw(st.integers(0, d - 1))
+                nudged[j] = np.nextafter(nudged[j], draw(st.sampled_from([-np.inf, np.inf])))
+                rows.append(nudged)
+    vectors = np.array(draw(st.permutations(rows)))
+    labels = np.array(draw(st.lists(st.integers(0, 5), min_size=len(rows), max_size=len(rows))))
+    k = draw(st.integers(1, len(rows)))
+    queries = np.array([query, *draw(st.lists(st.sampled_from(rows), max_size=3))])
+    return vectors, labels, k, queries
+
+
 class TestKnn:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_knn_inputs())
+    def test_scores_equal_exhaustive_oracle_on_ties(self, case):
+        vectors, labels, k, queries = case
+        model = train_knn(vectors, labels, k=k)
+        expected = [knn_oracle(vectors, labels, k, q, numpy_distance) for q in queries]
+        assert [LABELS[c] for c in model.scores(queries).argmax(axis=1)] == expected
+        assert [LABELS[c] for c in model.scores(CsrMatrix.from_dense(queries)).argmax(axis=1)] == expected
+        assert [knn_predict(model, q) for q in queries] == expected
+
+    def test_search_memory_stays_within_budget(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        n, d = 400, 3000  # a dense copy of the training set takes 9.6 MB
+        dense = rng.random((n, d)) * (rng.random((n, d)) < 0.01)
+        model = train_knn(dense, rng.integers(0, 6, size=n), k=3)
+        queries = CsrMatrix.from_dense(dense[:40] + 0.5 * dense[40:80])
+        budget = 128 * 1024
+        monkeypatch.setattr(classifiers, "KNN_BLOCK_BYTES", budget)
+        expected = model.scores(queries)
+        tracemalloc.start()
+        try:
+            assert np.array_equal(model.scores(queries), expected)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * budget < dense.nbytes / 8
+
     def test_exact_match_k1(self):
         model = train_knn(np.array([[0.0, 0.0], [5.0, 5.0]]), np.array([2, 4]), k=1)
         assert knn_predict(model, np.array([5.0, 5.0])) == LABELS[4]
@@ -56,6 +129,11 @@ class TestKnn:
         y = np.array([0, 0, 1])  # dk, dk, sv
         model = train_knn(x, y, k=3)
         assert knn_predict(model, np.array([1.0, 1.0])) == "dk"
+
+    def test_zero_width_vectors_tie_by_training_order(self):
+        model = train_knn(np.zeros((3, 0)), np.array([2, 1, 0]), k=2)
+        assert knn_predict(model, np.zeros(0)) == knn_oracle(model.vectors.toarray(), [2, 1, 0], 2, [])
+        assert model.scores(np.zeros((4, 0))).argmax(axis=1).tolist() == [1] * 4
 
     def test_k_exceeds_training_size(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,9 @@
 
 import io
 import json
+import struct
 import sys
+import warnings
 from contextlib import contextmanager, redirect_stderr
 
 import pytest
@@ -269,6 +271,19 @@ class TestInputErrors:
     def cnn_file(self, data_dir, tmp_path_factory):
         return train_small("cnn", data_dir, tmp_path_factory.mktemp("cnn") / "cnn.ndsl")
 
+    @pytest.fixture(scope="class")
+    def knn_file(self, data_dir, tmp_path_factory):
+        return train_small("knn", data_dir, tmp_path_factory.mktemp("knn") / "knn.ndsl")
+
+    @pytest.fixture(scope="class")
+    def char_fasttext_file(self, data_dir, tmp_path_factory):
+        model_file = tmp_path_factory.mktemp("fasttext") / "fasttext.ndsl"
+        assert main([
+            "train", "--model", "fasttext", "--features", "char1_5", "--epochs", "1",
+            "--dim", "4", "--train", str(data_dir / "train.tsv"), "--out", str(model_file),
+        ]) == 0
+        return model_file
+
     @staticmethod
     def assert_input_error(code, capsys, expect=""):
         err = capsys.readouterr().err
@@ -376,6 +391,77 @@ class TestInputErrors:
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
         self.assert_input_error(code, capsys, "knn labels are not label indices")
 
+    @staticmethod
+    def put(parts, descriptor, index, value):
+        """Overwrite element ``index`` of an array of the section with ``value``."""
+        packed = struct.pack("<d" if descriptor["dtype"] == "<f8" else "<q", value)
+        at, section = descriptor["offset"] + 8 * index, parts["section"]
+        parts["section"] = section[:at] + packed + section[at + 8 :]
+
+    @staticmethod
+    def get(parts, descriptor, index):
+        at = descriptor["offset"] + 8 * index
+        return struct.unpack("<q", parts["section"][at : at + 8])[0]
+
+    @pytest.mark.parametrize("edit", ["start", "fall"])
+    def test_knn_indptr_not_from_zero_to_nnz(self, knn_file, edit, tmp_path, capsys):
+        with edited_model(knn_file, tmp_path / "broken.ndsl") as parts:
+            indptr = parts["header"]["params"]["vectors"]["indptr"]
+            if edit == "start":
+                self.put(parts, indptr, 0, 1)
+            else:  # row 1 ends before row 0 does
+                self.put(parts, indptr, 1, self.get(parts, indptr, 2) + 1)
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "indptr does not run from 0 to")
+
+    def test_knn_column_out_of_range(self, knn_file, tmp_path, capsys):
+        with edited_model(knn_file, tmp_path / "broken.ndsl") as parts:
+            vectors = parts["header"]["params"]["vectors"]
+            self.put(parts, vectors["indices"], 0, vectors["shape"][1])
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "column indices are not in 0..")
+
+    def test_knn_columns_not_ascending(self, knn_file, tmp_path, capsys):
+        with edited_model(knn_file, tmp_path / "broken.ndsl") as parts:
+            indices = parts["header"]["params"]["vectors"]["indices"]
+            first, second = self.get(parts, indices, 0), self.get(parts, indices, 1)
+            self.put(parts, indices, 0, second)  # row 0 holds two entries at least
+            self.put(parts, indices, 1, first)
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "column indices do not ascend within a row")
+
+    def test_knn_rows_not_one_per_label(self, knn_file, tmp_path, capsys):
+        with edited_model(knn_file, tmp_path / "broken.ndsl") as parts:
+            labels = parts["header"]["params"]["labels"]
+            assert labels["offset"] + 8 * labels["shape"][0] == len(parts["section"])
+            labels["shape"][0] -= 1  # the last array of the section loses its last entry
+            parts["section"] = parts["section"][:-8]
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "knn labels are not one integer per training vector")
+
+    def test_knn_norm_not_finite(self, knn_file, tmp_path, capsys):
+        with edited_model(knn_file, tmp_path / "broken.ndsl") as parts:
+            self.put(parts, parts["header"]["params"]["vectors"]["data"], 0, 1e200)
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "squared norm that is not finite")
+
+    @pytest.mark.parametrize("orders,expect", [
+        ((2.5, 5), "n-gram orders"),
+        ((1, "5"), "n-gram orders"),
+        ((0, 5), "n-gram orders"),
+        ((4, 3), "n-gram orders"),
+        ("bytes", "feature_mode 'bytes' is unknown"),
+    ])
+    def test_fasttext_header_fields(self, char_fasttext_file, orders, expect, tmp_path, capsys):
+        with edited_model(char_fasttext_file, tmp_path / "broken.ndsl") as parts:
+            params = parts["header"]["params"]
+            if orders == "bytes":
+                params["feature_mode"] = orders
+            else:
+                params["ngram_min"], params["ngram_max"] = orders
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, expect)
+
     @pytest.mark.parametrize("path", ["model", "input", "out"])
     def test_predict_path_is_a_directory(self, svm_file, path, tmp_path, capsys):
         (tmp_path / "in.txt").write_text("hej med dig\n", encoding="utf-8")
@@ -437,12 +523,61 @@ class TestModelFileFuzz:
         def check(data):
             (tmp_path / "m.ndsl").write_bytes(self.damage(model_bytes[kind], data.draw))
             err = io.StringIO()
-            with redirect_stderr(err):
+            with redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = main(args)  # an escaping exception fails the test
             assert code in (0, 2)
+            if code == 0:  # a warning would print to stderr
+                assert [str(w.message) for w in caught] == []
             if code == 2:
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: ")
+
+        check()
+
+
+class TestPredictBytes:
+    """Any bytes as ``--input`` or stdin: exit 0 with one label per LF-split
+    line, or exit 2 with one error line."""
+
+    @pytest.fixture(scope="class")
+    def model_files(self, data_dir, tmp_path_factory):
+        base = tmp_path_factory.mktemp("bytes")
+        return {kind: train_small(kind, data_dir, base / f"{kind}.ndsl") for kind in ("knn", "nb")}
+
+    @pytest.mark.parametrize("source", ["input", "stdin"])
+    @pytest.mark.parametrize("kind", ["knn", "nb"])
+    def test_any_bytes(self, model_files, kind, source, tmp_path, monkeypatch):
+        texts = st.text(st.characters(codec="utf-8"), max_size=40).map(str.encode)
+        lines = st.lists(st.one_of(texts, st.binary(max_size=20)), max_size=6)
+
+        @settings(max_examples=60, deadline=None, database=None)
+        @given(lines.map(b"\n".join), st.sampled_from([b"", b"\n", b"\r\n"]))
+        def check(body, end):
+            data = body + end
+            out = tmp_path / "out.txt"
+            args = ["predict", "--model-file", str(model_files[kind]), "--out", str(out)]
+            if source == "input":
+                (tmp_path / "in.bin").write_bytes(data)
+                args += ["--input", str(tmp_path / "in.bin")]
+            else:
+                monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+            out.write_bytes(b"")
+            err = io.StringIO()
+            with redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(args)
+            assert [str(w.message) for w in caught] == []
+            if code == 2:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+                return
+            assert code == 0 and err.getvalue() == ""
+            lines = data.split(b"\n")
+            expected = len(lines) - (lines[-1] == b"")
+            labels = out.read_text(encoding="utf-8").split("\n")
+            assert labels.pop() == "" and len(labels) == expected
+            assert all(label in LABELS for label in labels)
 
         check()
 

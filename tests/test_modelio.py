@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from nordlid import classifiers, embeddings, modelio, neural
+from nordlid import classifiers, embeddings, features, modelio, neural
 from nordlid.corpus import LABELS, clean_sentence
 from nordlid.errors import IncompatibleSpec, ModelFormatError
 from nordlid.features import (
@@ -75,7 +75,9 @@ def test_knn_roundtrip(tmp_path, corpus, ngram_feature):
     model = classifiers.train_knn(x, label_indices(corpus), k=3)
     pipeline = PipelineModel("knn", 1, model, ngram_feature)
     loaded = roundtrip(pipeline, tmp_path, corpus)
-    assert np.array_equal(loaded.model.vectors, model.vectors)
+    assert loaded.model.vectors.shape == model.vectors.shape
+    for key in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(loaded.model.vectors, key), getattr(model.vectors, key))
 
 
 def test_logreg_roundtrip(tmp_path, corpus, ngram_feature):
@@ -325,6 +327,26 @@ def test_batch_is_cut_into_blocks(batch_pipelines, corpus, monkeypatch):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_knn_search_is_cut_into_blocks(batch_pipelines, corpus, monkeypatch, per_block):
+    lines = [s.text for s in corpus] + EDGE_LINES
+    for case in ("knn-char2", "knn-bow"):  # dense and CSR query blocks
+        pipeline = batch_pipelines[case]
+        whole = pipeline.labels(lines)
+        blocks = []
+
+        def to_dense(x):
+            blocks.append(x.shape[0])
+            return features.to_dense(x)
+
+        n, d = pipeline.model.vectors.shape
+        monkeypatch.setattr(classifiers, "KNN_BLOCK_BYTES", 8 * max(n, d) * per_block)
+        monkeypatch.setattr(classifiers, "to_dense", to_dense)
+        assert pipeline.labels(lines) == whole
+        assert blocks[:-1] == [per_block] * (len(blocks) - 1) and 1 <= blocks[-1] <= per_block
+        monkeypatch.undo()
+
+
 # ---------------------------------------------------------------------------
 # The saved format of each kind
 # ---------------------------------------------------------------------------
@@ -333,7 +355,10 @@ def test_batch_is_cut_into_blocks(batch_pipelines, corpus, monkeypatch):
 #: offset order. Pinned, so that a field added to a model class cannot
 #: change the file format unnoticed.
 PARAMS_FORMAT = {
-    "knn-char2": (["k", "labels", "vectors"], ["vectors", "labels"]),
+    "knn-char2": (
+        ["k", "labels", "vectors"],
+        ["vectors.indptr", "vectors.indices", "vectors.data", "labels"],
+    ),
     "logreg-char2": (["epochs", "learning_rate", "theta"], ["theta"]),
     "nb-char2": (["alpha", "log_likelihoods", "log_priors"], ["log_priors", "log_likelihoods"]),
     "svm-char3": (["biases", "epochs", "lam", "seed", "weights"], ["weights", "biases"]),
@@ -351,13 +376,22 @@ PARAMS_FORMAT = {
 
 
 def array_paths(params: dict) -> list[str]:
-    """The key (``key[i]`` inside a list) of every array descriptor, by offset."""
+    """The path of every array descriptor, by offset: ``key``, ``key[i]``
+    inside a list, ``key.part`` inside a sparse matrix."""
     found = []
+
+    def visit(path, value):
+        if isinstance(value, list):
+            for i, item in enumerate(value):
+                visit(f"{path}[{i}]", item)
+        elif isinstance(value, dict) and "offset" in value:
+            found.append((value["offset"], path))
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                visit(f"{path}.{key}", item)
+
     for key, value in params.items():
-        items = value if isinstance(value, list) else [value]
-        for i, item in enumerate(items):
-            if isinstance(item, dict):
-                found.append((item["offset"], f"{key}[{i}]" if isinstance(value, list) else key))
+        visit(key, value)
     return [path for _, path in sorted(found)]
 
 

@@ -24,13 +24,6 @@ from nordlid.features import (
 from nordlid.synth import generate_pools
 
 
-def csr_from_dense(dense: np.ndarray) -> CsrMatrix:
-    rows, cols = np.nonzero(dense)
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=dense.shape[0]))])
-    return CsrMatrix(dense.shape, indptr.astype(np.int64), cols.astype(np.int64),
-                     dense[rows, cols].astype(np.float64))
-
-
 @st.composite
 def count_matrices(draw, max_rows=12, max_cols=15):
     """Small non-negative integer matrices, mostly zeros, empty rows allowed."""
@@ -62,7 +55,7 @@ class TestCsrMatrix:
     @settings(max_examples=60, deadline=None)
     def test_products_match_dense(self, dense, seed):
         rng = np.random.default_rng(seed)
-        x = csr_from_dense(dense)
+        x = CsrMatrix.from_dense(dense)
         n, d = dense.shape
         w = rng.normal(size=(d, 6))
         g = rng.normal(size=(n, 6))
@@ -74,7 +67,7 @@ class TestCsrMatrix:
     @given(count_matrices(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_rows_materialise_exactly(self, dense, seed):
-        x = csr_from_dense(dense)
+        x = CsrMatrix.from_dense(dense)
         assert np.array_equal(x.toarray(), dense)
         batch = np.random.default_rng(seed).integers(0, dense.shape[0], size=4)
         assert np.array_equal(x[batch], dense[batch])
@@ -82,17 +75,20 @@ class TestCsrMatrix:
             assert np.array_equal(x[i], dense[i])
         assert np.count_nonzero(x) == np.count_nonzero(dense)
         assert x.size == dense.size
+        lo, hi = sorted(np.random.default_rng(seed).integers(0, dense.shape[0] + 1, size=2))
+        assert np.array_equal(x.row_block(lo, hi).toarray(), dense[lo:hi])
+        assert np.array_equal(x.row_sq_norms(), (dense**2).sum(axis=1))  # integer sums are exact
 
     @given(count_matrices())
     @settings(max_examples=40, deadline=None)
     def test_bias_column_is_one_nonzero_per_row(self, dense):
-        augmented = classifiers._augment(csr_from_dense(dense))
+        augmented = classifiers._augment(CsrMatrix.from_dense(dense))
         assert isinstance(augmented, CsrMatrix)
         assert augmented.nnz == np.count_nonzero(dense) + dense.shape[0]
         assert np.array_equal(augmented.toarray(), classifiers._augment(dense))
 
     def test_shape_mismatch_rejected(self):
-        x = csr_from_dense(np.eye(3))
+        x = CsrMatrix.from_dense(np.eye(3))
         with pytest.raises(ValueError):
             x @ np.ones((4, 2))
         with pytest.raises(ValueError):
@@ -100,7 +96,7 @@ class TestCsrMatrix:
 
     def test_other_numpy_functions_refuse_it(self):
         with pytest.raises(TypeError):
-            np.sum(csr_from_dense(np.eye(3)))
+            np.sum(CsrMatrix.from_dense(np.eye(3)))
 
 
 class TestCountMatrix:
@@ -169,13 +165,16 @@ class TestTrainersOnCsr:
         dense = classifiers.train_logreg(to_dense(x), y, epochs=20)
         assert np.allclose(sparse.theta, dense.theta, rtol=0, atol=1e-12)
 
-    def test_knn_stores_dense_vectors(self, design):
+    def test_knn_stores_csr_vectors(self, design):
         _, x, y = design
-        model = classifiers.train_knn(x, y, k=3)
-        assert np.array_equal(model.vectors, to_dense(x))
+        assert classifiers.train_knn(x, y, k=3).vectors is x  # CSR input is kept as it is
+        dense = to_dense(x)
+        stored = classifiers.train_knn(dense, y, k=3).vectors
+        assert isinstance(stored, CsrMatrix) and stored.nnz == x.nnz
+        assert np.array_equal(stored.toarray(), dense)
 
     def test_nb_rejects_negative_csr_counts(self):
-        x = csr_from_dense(np.array([[1.0, -2.0], [0.0, 3.0]]))
+        x = CsrMatrix.from_dense(np.array([[1.0, -2.0], [0.0, 3.0]]))
         with pytest.raises(NegativeCount):
             classifiers.train_nb(x, np.array([0, 1]))
 
@@ -186,7 +185,7 @@ def test_logreg_gradient_on_csr_matches_finite_differences():
     step = 1e-6
     for _ in range(20):
         dense = rng.integers(0, 3, size=(4, 3)) * rng.normal(size=(4, 3))
-        x_aug = classifiers._augment(csr_from_dense(dense))
+        x_aug = classifiers._augment(CsrMatrix.from_dense(dense))
         y = rng.integers(0, 6, size=4)
         theta = rng.normal(size=(6, 4))
         analytic = classifiers.logreg_gradient(theta, x_aug, y)
