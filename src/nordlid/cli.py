@@ -205,7 +205,8 @@ def cmd_train(args) -> int:
         pipeline = PipelineModel("fasttext", args.seed, model)
     else:
         feature = _build_vector_feature(args, dataset, args.model)
-        x = feature.matrix(dataset)
+        # KNN keeps CSR training vectors, so its design is never dense
+        x = feature.matrix(dataset, sparse=args.model == "knn")
         y = label_indices(dataset)
         if args.model == "knn":
             model = classifiers.train_knn(x, y, k=args.k)

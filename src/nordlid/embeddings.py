@@ -9,16 +9,28 @@ repeated runs produce bit-identical matrices.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, count
 
 import numpy as np
 
-from .corpus import LABEL_INDEX, LABELS, Sentence
+from .corpus import LABELS, Sentence
 from .errors import EmptyVocabulary
-from .features import N_CLASSES, extract_char_ngrams, softmax, word_tokenize
+from .features import (
+    KEY_START,
+    N_CLASSES,
+    CodeIndex,
+    WordVocabulary,
+    gram_keys,
+    key_string_order,
+    label_indices,
+    ngram_hits,
+    softmax,
+    word_tokenize,
+)
 
 
 @dataclass(frozen=True)
@@ -69,13 +81,31 @@ def fnv1a(data: bytes) -> int:
     return h
 
 
+def fnv1a_many(texts: list[str]) -> np.ndarray:
+    """:func:`fnv1a` of the UTF-8 bytes of every text, as int64.
+
+    One numpy step per byte position, over the texts that are still that
+    long. A product of a 32-bit hash and the 25-bit prime fits in 64 bits.
+    """
+    data = [text.encode("utf-8") for text in texts]
+    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
+    flat = np.frombuffer(b"".join(data), dtype=np.uint8).astype(np.int64)
+    starts = np.cumsum(lengths) - lengths
+    h = np.full(len(data), 0x811C9DC5, dtype=np.int64)
+    for k in range(lengths.max(initial=0)):
+        live = np.flatnonzero(lengths > k)
+        h[live] = ((h[live] ^ flat[starts[live] + k]) * 0x01000193) & 0xFFFFFFFF
+    return h
+
+
 @dataclass
 class EmbeddingMatrix:
     """Trained embedding table with precomposed per-word query vectors.
 
     ``vectors`` holds word rows first, then one row per occupied subword
-    bucket (skip-gram only). ``composed`` is the mean of each word's own
-    row and its subword rows and is what queries consume.
+    bucket (skip-gram only): bucket ``buckets[i]`` owns row
+    ``len(words) + i``. ``composed`` is the mean of each word's own row and
+    its subword rows and is what queries consume.
     """
 
     mode: str
@@ -85,7 +115,7 @@ class EmbeddingMatrix:
     vectors: np.ndarray
     composed: np.ndarray
     output_vectors: np.ndarray
-    bucket_rows: dict[int, int] = field(default_factory=dict)
+    buckets: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     word_rows: list[np.ndarray] = field(default_factory=list)
     epoch_losses: list[float] = field(default_factory=list)
 
@@ -128,38 +158,47 @@ def _init_embedding(
     word_index = {w: i for i, w in enumerate(words)}
     n_words = len(words)
 
-    bucket_rows: dict[int, int] = {}
-    word_rows: list[np.ndarray] = []
     if cfg.mode == "skipgram":
-        buckets_per_word = [
-            [
-                fnv1a(gram.encode("utf-8")) % cfg.bucket_count
-                for gram in subword_ngrams(w, cfg.subword_min, cfg.subword_max)
-            ]
-            for w in words
-        ]
-        occupied = sorted({b for buckets in buckets_per_word for b in buckets})
-        bucket_rows = {b: n_words + i for i, b in enumerate(occupied)}
-        for i, buckets in enumerate(buckets_per_word):
-            rows = [i] + [bucket_rows[b] for b in buckets]
-            word_rows.append(np.array(rows, dtype=np.int64))
+        word_rows, buckets = _subword_rows(words, cfg)
     else:
         word_rows = [np.array([i], dtype=np.int64) for i in range(n_words)]
+        buckets = np.zeros(0, dtype=np.int64)
 
     rng = np.random.default_rng(cfg.seed)
-    n_rows = n_words + len(bucket_rows)
+    n_rows = n_words + len(buckets)
     vectors = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(n_rows, cfg.dim))
     output_vectors = np.zeros((n_words, cfg.dim))
-    emb = EmbeddingMatrix(
+    emb = EmbeddingMatrix(  # _train_pairs fills ``composed`` when it is done
         cfg.mode, cfg.dim, words, word_index, vectors,
-        np.zeros((n_words, cfg.dim)), output_vectors, bucket_rows, word_rows,
+        np.zeros((n_words, cfg.dim)), output_vectors, buckets, word_rows,
     )
-    _recompose(emb)
     ids = [
         [word_index[t] for t in tokens]
         for tokens in sentences
     ]
     return emb, ids, _negative_table(freqs)
+
+
+def _subword_rows(
+    words: list[str], cfg: EmbeddingConfig
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each word's rows, its own and then one per subword gram's bucket, and
+    the occupied buckets in ascending order, whose rows follow the words'.
+
+    Words share most of their grams, so each distinct gram is hashed once.
+    """
+    distinct = defaultdict(count().__next__)  # gram -> its number, given on first sight
+    grams = [
+        [distinct[g] for g in subword_ngrams(w, cfg.subword_min, cfg.subword_max)] for w in words
+    ]
+    lengths = np.fromiter(map(len, grams), dtype=np.int64, count=len(grams))
+    flat = np.fromiter(chain.from_iterable(grams), dtype=np.int64, count=int(lengths.sum()))
+    occupied, bucket_of = np.unique(fnv1a_many(list(distinct)) % cfg.bucket_count,
+                                    return_inverse=True)
+    ends = np.cumsum(lengths)
+    rows = np.insert(len(words) + bucket_of[flat], ends - lengths, np.arange(len(words)))
+    word_rows = np.split(rows, (ends + np.arange(1, len(words) + 1))[:-1])
+    return word_rows, occupied
 
 
 def _recompose(emb: EmbeddingMatrix) -> None:
@@ -281,42 +320,91 @@ def sentence_embedding(text: str, emb: EmbeddingMatrix) -> np.ndarray:
 class FastTextClassifier:
     """Softmax over a mean feature embedding times a linear output layer.
 
-    The output bias is kept at zero so that inputs with no known features
-    always yield a uniform posterior.
+    Word mode keys each row of ``input_vectors`` by a word (``features``);
+    character mode keys it by an n-gram key of orders ngram_min..ngram_max
+    (``keys``, see :data:`features.KEY_START`). Both list the rows in rank
+    order, and the other mode's field is empty. The output bias is kept at
+    zero so that inputs with no known features always yield a uniform
+    posterior.
     """
 
     feature_mode: str  # "words" or "char_ngrams"
     ngram_min: int
     ngram_max: int
-    features: list[str]
+    features: list[str]  # words mode: the word of each row
+    keys: np.ndarray  # char_ngrams mode: the n-gram key of each row, int64
     input_vectors: np.ndarray  # V x d
     output_weights: np.ndarray  # d x 6
     output_bias: np.ndarray  # 6
     epoch_losses: list[float] = field(default_factory=list)
 
     @cached_property
-    def feature_index(self) -> dict[str, int]:
-        """feature -> row of ``input_vectors``, built on first use.
+    def word_vocab(self) -> WordVocabulary:
+        """The words as a vocabulary, rank i + 1 for row i, built on first use.
 
         ``features`` must not change after that.
         """
-        return {f: i for i, f in enumerate(self.features)}
+        return WordVocabulary({w: i for i, w in enumerate(self.features, start=1)})
+
+    @cached_property
+    def key_index(self) -> CodeIndex:
+        """The row of each n-gram key, built on first use.
+
+        Raises ValueError if two keys are equal. ``keys`` must not change
+        after that.
+        """
+        return CodeIndex.build(self.keys, np.arange(len(self.keys)), KEY_START[self.ngram_max + 1])
+
+    def _hits(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """(text index, row) of every known word or n-gram of cleaned
+        ``texts``, text by text in the order training reads them."""
+        if self.feature_mode == "words":
+            return ngram_hits(texts, self.word_vocab)
+        lines, keys = gram_keys(texts, self.ngram_min, self.ngram_max)
+        rows = self.key_index.rows_of(keys)
+        return lines[rows >= 0], rows[rows >= 0]
 
     def scores(self, texts: list[str]) -> np.ndarray:
-        """Posterior of every cleaned text, n x 6, each from :func:`predict_fasttext`."""
-        posteriors = [predict_fasttext(self, text)[1] for text in texts]
-        return np.array(posteriors).reshape(len(texts), N_CLASSES)
+        """Posterior of every cleaned text, n x 6.
+
+        Equal bit for bit to scoring each text alone: the mean of its rows
+        as ``input_vectors[ids].mean(axis=0)`` takes it (the zero vector
+        for none), times ``output_weights`` as a 1-D product per text (a
+        batched product rounds differently), plus the bias, through the
+        softmax.
+        """
+        means = _line_means(self.input_vectors, *self._hits(texts), len(texts))
+        logits = np.array([mean @ self.output_weights for mean in means])
+        return softmax(logits.reshape(len(texts), N_CLASSES) + self.output_bias)
 
 
-def _sentence_features(
-    text: str, mode: str, nmin: int, nmax: int
-) -> list[str]:
-    if mode == "words":
-        return word_tokenize(text)
-    grams: list[str] = []
-    for n in range(nmin, nmax + 1):
-        grams.extend(extract_char_ngrams(text, n))
-    return grams
+def _line_means(vectors: np.ndarray, lines: np.ndarray, rows: np.ndarray,
+                n_lines: int) -> np.ndarray:
+    """Mean of the ``vectors`` rows of each line, zero for a line with none.
+
+    ``lines`` (ascending) and ``rows`` list each line's rows in order. A
+    mean sums them one after another, starting from -0.0, and divides by
+    their count, as numpy's ``mean(axis=0)`` over two or more columns
+    does, so the means equal per-line ones bit for bit. Lines go longest
+    first, so that the j-th rows of the lines still running are a prefix
+    of them. numpy sums a single column pairwise instead, so with one
+    column each line is averaged on its own.
+    """
+    counts = np.bincount(lines, minlength=n_lines)
+    starts = np.cumsum(counts) - counts
+    if vectors.shape[1] == 1:
+        return np.array([vectors[rows[s : s + c]].mean(axis=0) if c else np.zeros(1)
+                         for s, c in zip(starts, counts)]).reshape(n_lines, 1)
+    longest = np.argsort(-counts, kind="stable")
+    counts, starts = counts[longest], starts[longest]
+    sums = np.full((n_lines, vectors.shape[1]), -0.0)
+    for j in range(counts.max(initial=0)):
+        running = np.searchsorted(-counts, -j)  # lines with more than j rows
+        sums[:running] += vectors[rows[starts[:running] + j]]
+    means = np.zeros_like(sums)
+    means[longest] = np.divide(sums, counts[:, None], out=np.zeros_like(sums),
+                               where=counts[:, None] > 0)
+    return means
 
 
 @dataclass(frozen=True)
@@ -325,6 +413,27 @@ class SupervisedConfig:
     epochs: int = 5
     learning_rate: float = 0.1
     seed: int = 42
+
+
+def _word_rows(texts: list[str]) -> tuple[list[str], list[np.ndarray]]:
+    """The words ranked by (-count, word), and each text's word rows in order."""
+    docs = [word_tokenize(text) for text in texts]
+    counts = Counter(chain.from_iterable(docs))
+    words = [w for w, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+    index = {w: i for i, w in enumerate(words)}
+    return words, [np.array([index[w] for w in doc], dtype=np.int64) for doc in docs]
+
+
+def _gram_rows(texts: list[str], nmin: int, nmax: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The n-gram keys ranked by (-count, string), and each text's n-gram
+    rows in :func:`features.gram_keys` order."""
+    lines, keys = gram_keys(texts, nmin, nmax)
+    unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    ranked = np.lexsort((key_string_order(unique, nmax), -counts))
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(len(ranked))
+    ends = np.cumsum(np.bincount(lines, minlength=len(texts)))
+    return unique[ranked], np.split(rank[inverse], ends[:-1])
 
 
 def train_fasttext_supervised(
@@ -337,31 +446,23 @@ def train_fasttext_supervised(
     if feature_mode not in ("words", "char_ngrams"):
         raise ValueError(f"unknown feature mode {feature_mode!r}")
     train = list(train)
-    counts: Counter = Counter()
-    docs = []
-    labels = []
-    for sentence in train:
-        feats = _sentence_features(sentence.text, feature_mode, ngram_min, ngram_max)
-        counts.update(feats)
-        docs.append(feats)
-        labels.append(LABEL_INDEX[sentence.label])
-    if not counts:
+    texts = [sentence.text for sentence in train]
+    if feature_mode == "words":
+        features, doc_ids = _word_rows(texts)
+        keys = np.zeros(0, dtype=np.int64)
+    else:
+        keys, doc_ids = _gram_rows(texts, ngram_min, ngram_max)
+        features = []
+    n_rows = len(features) + len(keys)
+    if not n_rows:
         raise EmptyVocabulary("training corpus contains no features")
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    features = [f for f, _ in ranked]
     rng = np.random.default_rng(cfg.seed)
-    input_vectors = rng.uniform(
-        -1.0 / cfg.dim, 1.0 / cfg.dim, size=(len(features), cfg.dim)
-    )
+    input_vectors = rng.uniform(-1.0 / cfg.dim, 1.0 / cfg.dim, size=(n_rows, cfg.dim))
     model = FastTextClassifier(
-        feature_mode, ngram_min, ngram_max, features,
+        feature_mode, ngram_min, ngram_max, features, keys,
         input_vectors, np.zeros((cfg.dim, N_CLASSES)), np.zeros(N_CLASSES),
     )
-    feature_index = model.feature_index
-    doc_ids = [
-        np.array([feature_index[f] for f in feats], dtype=np.int64) for feats in docs
-    ]
-    label_arr = np.array(labels, dtype=np.int64)
+    label_arr = label_indices(train)
     order_rng = np.random.default_rng(cfg.seed + 1)
     n = len(doc_ids)
     total = max(cfg.epochs * n, 1)
@@ -393,16 +494,7 @@ def supervised_loss(model: FastTextClassifier, ids: np.ndarray, label: int) -> f
     return float(-np.log(max(posterior[label], 1e-12)))
 
 
-def predict_fasttext(
-    model: FastTextClassifier, text: str
-) -> tuple[str, np.ndarray]:
-    feats = _sentence_features(
-        text, model.feature_mode, model.ngram_min, model.ngram_max
-    )
-    ids = [model.feature_index[f] for f in feats if f in model.feature_index]
-    if ids:
-        mean = model.input_vectors[np.array(ids, dtype=np.int64)].mean(axis=0)
-    else:
-        mean = np.zeros(model.input_vectors.shape[1])
-    posterior = softmax(mean @ model.output_weights + model.output_bias)
+def predict_fasttext(model: FastTextClassifier, text: str) -> tuple[str, np.ndarray]:
+    """Label and posterior of one cleaned text: its row of ``model.scores``."""
+    posterior = model.scores([text])[0]
     return LABELS[int(np.argmax(posterior))], posterior

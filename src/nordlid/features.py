@@ -5,7 +5,9 @@ of cleaned text maps to its rank in the alphabet sorted by code point
 (the space first), and an n-gram to ``sum(c[i] * 40**(n-1-i))``, so for
 a fixed n the numeric order of n-gram codes equals their string order.
 Vocabularies, design matrices and the CNN's token ids are built from
-these codes with numpy, with no Python step per n-gram.
+these codes with numpy, with no Python step per n-gram. fastText keys
+the grams of several orders in one space: an n-gram's key is
+``KEY_START[n]`` (the number of grams of orders 1..n-1) plus its code.
 
 The label-space helpers every classifier family shares live here too:
 ``N_CLASSES``, :func:`one_hot` and :func:`softmax`.
@@ -33,12 +35,16 @@ CODE_ORDER = "".join(sorted(ALPHABET))
 BASE = len(CODE_ORDER)
 #: Highest n-gram order whose codes (below BASE**n) fit in an int64.
 MAX_ORDER = 11
-#: Highest n-gram order whose column lookup indexes a table of 40**n
-#: entries (0.5 MB at order 3, 20 MB at order 4). On a 1024-line block
-#: of chat text against a 1356-gram char2 vocabulary (47k grams, 2-vCPU
-#: x86 machine) the table takes 0.08 ms and a binary search of the
-#: sorted codes 5 ms; the search serves the orders above.
+#: Highest n-gram order whose codes and keys a :class:`CodeIndex` looks
+#: up in a table indexed by them (0.5 MB up to order 3, 20 MB at order 4).
+#: On a 1024-line block of chat text against a 1356-gram char2 vocabulary
+#: (47k grams, 2-vCPU x86 machine) the table takes 0.08 ms and a binary
+#: search of the sorted codes 5 ms; the search serves the orders above.
 TABLE_MAX_ORDER = 3
+#: First key of each n-gram order n, at index n (1..MAX_ORDER + 1):
+#: sum(BASE**m for m in 1..n-1), so the keys of order n fill
+#: KEY_START[n]..KEY_START[n + 1] - 1 and fit in an int64.
+KEY_START = [sum(BASE**m for m in range(1, n)) for n in range(MAX_ORDER + 2)]
 #: Code of every Latin-1 code point; -1 off the alphabet.
 _CODE_OF = np.full(256, -1, dtype=np.int64)
 _CODE_OF[[ord(ch) for ch in CODE_ORDER]] = np.arange(BASE)
@@ -80,6 +86,88 @@ def gram_codes(texts: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     # a window lies inside one text when it starts and ends in the same one
     inside = rows[:starts] == rows[n - 1 : starts + n - 1]
     return rows[:starts][inside], grams[inside]
+
+
+def gram_keys(texts: list[str], nmin: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(text index, key) of every n-gram of orders nmin..nmax of ``texts``.
+
+    The keys come text by text; within a text, order nmin first and each
+    order left to right, as the :func:`extract_char_ngrams` lists of the
+    orders would follow one another.
+    """
+    orders = range(nmin, nmax + 1)
+    parts = [gram_codes(texts, n) for n in orders]
+    rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [r for r, _ in parts])
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)]
+                          + [g + KEY_START[n] for n, (_, g) in zip(orders, parts)])
+    by_text = np.argsort(rows, kind="stable")
+    return rows[by_text], keys[by_text]
+
+
+def key_string_order(keys: np.ndarray, width: int) -> np.ndarray:
+    """An int64 per n-gram key, ordered as the n-grams' strings are.
+
+    Each character becomes one base-(BASE + 1) digit, its code + 1, and a
+    gram shorter than ``width`` is padded with zero digits, so that it
+    comes before every gram it begins, as in Python's string order.
+    ``width`` is at most ``MAX_ORDER`` and no key is of a higher order.
+    """
+    out = np.zeros(len(keys), dtype=np.int64)
+    for n in range(1, width + 1):
+        at = (keys >= KEY_START[n]) & (keys < KEY_START[n + 1])
+        codes = keys[at] - KEY_START[n]
+        for i in range(n):
+            out[at] += (codes // BASE ** (n - 1 - i) % BASE + 1) * (BASE + 1) ** (width - 1 - i)
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class CodeIndex:
+    """The row of each of a set of distinct n-gram codes or keys in 0..size-1.
+
+    Codes below ``KEY_START[TABLE_MAX_ORDER + 1]`` (every gram of orders up
+    to ``TABLE_MAX_ORDER``) index ``table``; the others binary-search
+    ``ordered``, the sorted codes above them, whose rows are ``rows``.
+    """
+
+    size: int
+    table: np.ndarray
+    ordered: np.ndarray
+    rows: np.ndarray
+
+    @classmethod
+    def build(cls, codes: np.ndarray, rows: np.ndarray, size: int) -> "CodeIndex":
+        """Index of ``codes`` in 0..size-1, code i at row ``rows[i]``.
+
+        Raises ValueError if two codes are equal.
+        """
+        order = np.argsort(codes)
+        codes, rows = codes[order], rows[order]
+        if (codes[1:] == codes[:-1]).any():
+            raise ValueError("codes are not distinct")
+        table = np.full(min(size, KEY_START[TABLE_MAX_ORDER + 1]), -1, dtype=np.int64)
+        split = int(np.searchsorted(codes, len(table)))
+        table[codes[:split]] = rows[:split]
+        return cls(size, table, codes[split:], rows[split:])
+
+    def rows_of(self, codes: np.ndarray) -> np.ndarray:
+        """The row of each code in 0..size-1, -1 for a code not indexed."""
+        if len(self.table) == self.size:  # the table holds every code
+            return self.table[codes]
+        out = np.full(len(codes), -1, dtype=np.int64)
+        low = codes < len(self.table)
+        out[low] = self.table[codes[low]]
+        high = codes[~low]
+        if len(self.ordered):
+            # Searched in ascending order, the codes walk ``ordered`` from one
+            # end to the other: on 228k order-4/5 keys against 542k fastText
+            # keys (2-vCPU x86 machine) 23 ms with the sort instead of 73 ms.
+            order = np.argsort(high)
+            at = np.empty_like(order)
+            at[order] = np.searchsorted(self.ordered, high[order])
+            at = np.minimum(at, len(self.ordered) - 1)
+            out[~low] = np.where(self.ordered[at] == high, self.rows[at], -1)
+        return out
 
 
 def decode_grams(grams: np.ndarray, n: int) -> list[str]:
@@ -135,26 +223,12 @@ class NgramVocabulary:
         return codes[:: self.n], columns  # the windows that start at an entry
 
     @cached_property
-    def _table(self) -> np.ndarray:
-        codes, columns = self._codes
-        table = np.full(BASE**self.n, -1, dtype=np.int64)
-        table[codes] = columns
-        return table
+    def _index(self) -> CodeIndex:
+        return CodeIndex.build(*self._codes, BASE**self.n)
 
     def columns(self, grams: np.ndarray) -> np.ndarray:
-        """Column of each n-gram code, -1 out of vocabulary.
-
-        Orders up to ``TABLE_MAX_ORDER`` index a table of 40**n entries;
-        higher orders binary-search the sorted vocabulary codes.
-        """
-        if self.n <= TABLE_MAX_ORDER:
-            return self._table[grams]
-        codes, columns = self._codes
-        if not len(codes):
-            return np.full(len(grams), -1, dtype=np.int64)
-        order = np.argsort(codes)
-        at = order[np.minimum(np.searchsorted(codes, grams, sorter=order), len(codes) - 1)]
-        return np.where(codes[at] == grams, columns[at], -1)
+        """Column of each n-gram code, -1 out of vocabulary."""
+        return self._index.rows_of(grams)
 
 
 @dataclass(frozen=True)
@@ -164,7 +238,7 @@ class WordVocabulary:
     entries: dict[str, int]
 
     def __post_init__(self):
-        if not all(isinstance(w, str) for w in self.entries):
+        if not set(map(type, self.entries)) <= {str}:
             raise ValueError("word vocabulary holds an entry that is not a string")
         if sorted(self.entries.values()) != list(range(1, self.size + 1)):
             raise ValueError(f"word vocabulary ranks are not 1..{self.size}")
@@ -379,19 +453,20 @@ def count_matrix(
     sentences: Iterable[Sentence | str],
     vocab: NgramVocabulary | WordVocabulary,
     normalize: bool = False,
+    sparse: bool = False,
 ) -> np.ndarray | CsrMatrix:
     """Design matrix of n-gram or word counts, one row per sentence.
 
     Takes sentences or cleaned strings. Out-of-vocabulary n-grams are
     ignored, and a text with none in the vocabulary gives a zero row.
     With ``normalize`` each row is divided by its number of in-vocabulary
-    n-grams. The result is a :class:`CsrMatrix` when its density
-    nnz/(n*d) is below ``SPARSE_DENSITY`` and a dense float64 array
-    otherwise.
+    n-grams. The result is a :class:`CsrMatrix` when ``sparse`` is set or
+    its density nnz/(n*d) is below ``SPARSE_DENSITY``, and a dense float64
+    array otherwise.
     """
     texts = texts_of(sentences)
     matrix = _csr_counts(*ngram_hits(texts, vocab), (len(texts), vocab.size), normalize)
-    if matrix.size and matrix.nnz / matrix.size < SPARSE_DENSITY:
+    if sparse or (matrix.size and matrix.nnz / matrix.size < SPARSE_DENSITY):
         return matrix
     return matrix.toarray()
 

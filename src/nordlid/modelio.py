@@ -39,7 +39,15 @@ import numpy as np
 from . import classifiers, embeddings, neural
 from .corpus import LABELS, Sentence, clean_sentence
 from .errors import IncompatibleSpec, ModelFormatError
-from .features import CsrMatrix, NgramVocabulary, WordVocabulary, count_matrix, texts_of
+from .features import (
+    KEY_START,
+    MAX_ORDER,
+    CsrMatrix,
+    NgramVocabulary,
+    WordVocabulary,
+    count_matrix,
+    texts_of,
+)
 
 MAGIC = "NDSL2"
 #: Array element types; both are 8 bytes wide.
@@ -143,15 +151,16 @@ class VectorFeature:
             return self.word_vocab.size
         return self.embedding.dim
 
-    def matrix(self, texts: Iterable[Sentence | str]) -> np.ndarray | CsrMatrix:
+    def matrix(self, texts: Iterable[Sentence | str], sparse: bool = False) -> np.ndarray | CsrMatrix:
         """Design matrix of sentences or cleaned strings, one row each.
 
-        Counts come from :func:`count_matrix`; embedding features stack
-        one sentence vector per text.
+        Counts come from :func:`count_matrix`, as CSR whatever their
+        density when ``sparse`` is set; embedding features stack one dense
+        sentence vector per text.
         """
         vocab = self.ngram_vocab if self.ngram_vocab is not None else self.word_vocab
         if vocab is not None:
-            return count_matrix(texts, vocab, self.normalize)
+            return count_matrix(texts, vocab, self.normalize, sparse)
         rows = [embeddings.sentence_embedding(t, self.embedding) for t in texts_of(texts)]
         return np.array(rows).reshape(len(rows), self.dim)
 
@@ -367,14 +376,50 @@ _INPUT_WIDTH = {
 }
 
 
+def _fasttext_rows(model: embeddings.FastTextClassifier) -> int:
+    """The number of rows a fastText model's words or n-gram keys call for.
+
+    Raises ModelFormatError unless the feature mode is known, the n-gram
+    orders are integers with 1 <= ngram_min <= ngram_max <= MAX_ORDER, the
+    output layer fits the rows' width and the six labels, and the mode's
+    own field holds the rows' features while the other is empty: distinct
+    words, or distinct int64 keys of orders ngram_min..ngram_max.
+    """
+    mode, nmin, nmax, keys = model.feature_mode, model.ngram_min, model.ngram_max, model.keys
+    if mode not in ("words", "char_ngrams"):
+        raise ModelFormatError(f"fasttext feature_mode {mode!r} is unknown")
+    if not (_is_count(nmin) and _is_count(nmax) and 1 <= nmin <= nmax <= MAX_ORDER):
+        raise ModelFormatError(f"fasttext n-gram orders {nmin!r}..{nmax!r} are not integers "
+                               f"with 1 <= ngram_min <= ngram_max <= {MAX_ORDER}")
+    if (model.output_weights.shape != (model.input_vectors.shape[1], len(LABELS))
+            or model.output_bias.shape != (len(LABELS),)):
+        raise ModelFormatError("fasttext output layer does not fit its input vectors")
+    if mode == "words":
+        if not isinstance(model.features, list) or keys.size:
+            raise ModelFormatError("fasttext words model holds n-gram keys or no word list")
+        model.word_vocab  # checks that the words are distinct strings
+        return len(model.features)
+    if model.features:
+        raise ModelFormatError("fasttext char_ngrams model holds words")
+    if keys.dtype.kind != "i" or keys.ndim != 1:
+        raise ModelFormatError("fasttext n-gram keys are not one int64 array")
+    if keys.size and not KEY_START[nmin] <= keys.min() <= keys.max() < KEY_START[nmax + 1]:
+        raise ModelFormatError(f"fasttext n-gram keys are not keys of orders {nmin}..{nmax}")
+    try:
+        model.key_index
+    except ValueError as exc:
+        raise ModelFormatError("fasttext n-gram keys are not distinct") from exc
+    return keys.size
+
+
 def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
     """Raise ModelFormatError unless the model's parameters fit its features.
 
     A vector model must take vectors as wide as its feature's; a CNN or
-    fastText model must hold one embedding row per vocabulary entry (plus
-    the CNN's padding row), a CNN's sequences must be as long as its
-    filters at least, and a fastText model's n-gram orders must be counts
-    with 1 <= ngram_min <= ngram_max. A KNN model must hold one label
+    fastText model must hold one embedding row per vocabulary entry, word
+    or n-gram key (plus the CNN's padding row), a CNN's sequences must be
+    as long as its filters at least, and a fastText model must pass the
+    checks of :func:`_fasttext_rows`. A KNN model must hold one label
     index per training vector, and every training vector's squared norm
     must be finite.
     """
@@ -394,14 +439,7 @@ def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
             raise ModelFormatError(f"cnn max_len {model.max_len!r} is shorter than its filters")
         have, want = model.embeddings.shape[0], len(model.vocab) + 1
     elif kind == "fasttext":
-        model.feature_index  # checks that the features can key a dict
-        if model.feature_mode not in ("words", "char_ngrams"):
-            raise ModelFormatError(f"fasttext feature_mode {model.feature_mode!r} is unknown")
-        nmin, nmax = model.ngram_min, model.ngram_max
-        if not (_is_count(nmin) and _is_count(nmax) and 1 <= nmin <= nmax):
-            raise ModelFormatError(f"fasttext n-gram orders {nmin!r}..{nmax!r} are not "
-                                   "integers with 1 <= ngram_min <= ngram_max")
-        have, want = model.input_vectors.shape[0], len(model.features)
+        have, want = model.input_vectors.shape[0], _fasttext_rows(model)
     elif feature is None:
         raise ModelFormatError(f"{kind} model lacks its feature transform")
     else:

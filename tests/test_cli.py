@@ -462,6 +462,42 @@ class TestInputErrors:
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
         self.assert_input_error(code, capsys, expect)
 
+    @pytest.mark.parametrize("edit,expect", [
+        ("float-keys", "keys are not one int64 array"),
+        ("duplicate-key", "keys are not distinct"),
+        ("key-below-orders", "keys are not keys of orders 1..5"),
+        ("key-above-orders", "keys are not keys of orders 1..5"),
+        ("raised-ngram-min", "keys are not keys of orders 2..5"),
+        ("ngram-max-over-max-order", "n-gram orders"),
+        ("words-in-char-model", "char_ngrams model holds words"),
+        ("keys-in-words-model", "words model holds n-gram keys"),
+        ("output-layer", "output layer does not fit"),
+    ])
+    def test_fasttext_keys(self, char_fasttext_file, edit, expect, tmp_path, capsys):
+        with edited_model(char_fasttext_file, tmp_path / "broken.ndsl") as parts:
+            params = parts["header"]["params"]
+            keys = params["keys"]
+            if edit == "float-keys":
+                keys["dtype"] = "<f8"
+            elif edit == "duplicate-key":
+                self.put(parts, keys, 1, self.get(parts, keys, 0))
+            elif edit == "key-below-orders":
+                self.put(parts, keys, 3, -1)
+            elif edit == "key-above-orders":
+                self.put(parts, keys, 3, sum(40**m for m in range(1, 6)))
+            elif edit == "raised-ngram-min":
+                params["ngram_min"] = 2
+            elif edit == "ngram-max-over-max-order":
+                params["ngram_max"] = 12
+            elif edit == "words-in-char-model":
+                params["features"] = ["hej"]
+            elif edit == "keys-in-words-model":
+                params["feature_mode"] = "words"
+            else:
+                params["output_weights"]["shape"] = params["output_weights"]["shape"][::-1]
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, expect)
+
     @pytest.mark.parametrize("path", ["model", "input", "out"])
     def test_predict_path_is_a_directory(self, svm_file, path, tmp_path, capsys):
         (tmp_path / "in.txt").write_text("hej med dig\n", encoding="utf-8")
@@ -500,6 +536,12 @@ class TestModelFileFuzz:
     def model_bytes(self, data_dir, tmp_path_factory):
         base = tmp_path_factory.mktemp("fuzz")
         files = {kind: train_small(kind, data_dir, base / f"{kind}.ndsl") for kind in SEVEN_KINDS}
+        files["fasttext-char1_5"] = base / "fasttext-char1_5.ndsl"
+        assert main([
+            "train", "--model", "fasttext", "--features", "char1_5", "--epochs", "1",
+            "--dim", "4", "--train", str(data_dir / "train.tsv"),
+            "--out", str(files["fasttext-char1_5"]),
+        ]) == 0
         return {kind: path.read_bytes() for kind, path in files.items()}
 
     @staticmethod
@@ -512,7 +554,7 @@ class TestModelFileFuzz:
         at = draw(st.integers(0, start - 1) if how == "header" else st.integers(start, len(data) - 1))
         return data[:at] + bytes([data[at] ^ draw(st.integers(1, 255))]) + data[at + 1 :]
 
-    @pytest.mark.parametrize("kind", sorted(SEVEN_KINDS))
+    @pytest.mark.parametrize("kind", sorted(SEVEN_KINDS) + ["fasttext-char1_5"])
     def test_damaged_model_file(self, model_bytes, kind, tmp_path):
         (tmp_path / "in.txt").write_text("hej med dig\n\nog så videre\n", encoding="utf-8")
         args = ["predict", "--model-file", str(tmp_path / "m.ndsl"),

@@ -1,13 +1,16 @@
 """Embedding training, subword handling, and the supervised classifier."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from nordlid.corpus import Sentence
+from nordlid.corpus import ALPHABET, LABELS, Sentence
 from nordlid.embeddings import (
     EmbeddingConfig,
     SupervisedConfig,
     fnv1a,
+    fnv1a_many,
     pair_score,
     predict_fasttext,
     sentence_embedding,
@@ -18,6 +21,7 @@ from nordlid.embeddings import (
     train_skipgram,
 )
 from nordlid.errors import EmptyVocabulary
+from nordlid.synth import generate_pools
 
 
 class TestSubwordNgrams:
@@ -46,6 +50,30 @@ def test_fnv1a_reference_values():
     assert fnv1a(b"") == 0x811C9DC5
     assert fnv1a(b"a") == 0xE40C292C
     assert fnv1a(b"foobar") == 0xBF9CF968
+
+
+@pytest.mark.parametrize("texts", [
+    [], [""], ["a", "foobar", ""], ["<hej>", "rød", "grød>", "þórður", "\u2028x", "og" * 40],
+])
+def test_fnv1a_many_equals_fnv1a(texts):
+    assert fnv1a_many(texts).tolist() == [fnv1a(t.encode("utf-8")) for t in texts]
+
+
+def test_word_rows_follow_per_gram_fnv1a():
+    cfg = EmbeddingConfig(dim=4, epochs=0, subword_min=2, subword_max=4, bucket_count=97)
+    emb = train_skipgram(
+        [Sentence("hej med dig og hej igen", "dk"), Sentence("þórður rød grød", "is")], cfg
+    )
+    buckets = [[fnv1a(g.encode("utf-8")) % cfg.bucket_count for g in subword_ngrams(w, 2, 4)]
+               for w in emb.words]
+    occupied = sorted({b for word in buckets for b in word})
+    rows = {b: len(emb.words) + i for i, b in enumerate(occupied)}
+    assert emb.buckets.tolist() == occupied
+    assert len(emb.word_rows) == len(emb.words)
+    for i, word in enumerate(buckets):
+        assert emb.word_rows[i].dtype == np.int64
+        assert emb.word_rows[i].tolist() == [i] + [rows[b] for b in word]
+    assert emb.vectors.shape == (len(emb.words) + len(occupied), 4)
 
 
 def repeated_pair_corpus(n=120):
@@ -182,7 +210,7 @@ class TestFastTextSupervised:
             corpus, SupervisedConfig(dim=8, epochs=2, seed=4), "words"
         )
         rng = np.random.default_rng(0)
-        words = list(model.feature_index)
+        words = model.features
         for _ in range(20):
             text = " ".join(rng.choice(words, size=3))
             _, posterior = predict_fasttext(model, text)
@@ -235,3 +263,139 @@ def test_embedding_config_validation():
         EmbeddingConfig(window=0)
     with pytest.raises(ValueError):
         EmbeddingConfig(subword_min=4, subword_max=3)
+
+
+# ---------------------------------------------------------------------------
+# Batch scores against an independent per-line string reference
+# ---------------------------------------------------------------------------
+
+_CHARS = "".join(sorted(ALPHABET))
+
+
+def decode_key(key: int) -> str:
+    """The n-gram of a key: orders are numbered up from 1, each order's
+    40**n codes after those of the orders below it."""
+    n, start = 1, 0
+    while key >= start + 40**n:
+        start += 40**n
+        n += 1
+    code = key - start
+    return "".join(_CHARS[code // 40 ** (n - 1 - i) % 40] for i in range(n))
+
+
+def reference_rows(model) -> dict[str, int]:
+    """feature string -> row of ``input_vectors``, from the model's own fields."""
+    if model.feature_mode == "words":
+        return {w: i for i, w in enumerate(model.features)}
+    return {decode_key(int(k)): i for i, k in enumerate(model.keys)}
+
+
+def reference_posterior(model, rows: dict[str, int], text: str) -> np.ndarray:
+    """One line scored on its own with strings, as the model once was."""
+    if model.feature_mode == "words":
+        feats = [w for w in text.split(" ") if w]
+    else:
+        feats = [text[i : i + n] for n in range(model.ngram_min, model.ngram_max + 1)
+                 for i in range(len(text) - n + 1)]
+    ids = [rows[f] for f in feats if f in rows]
+    if ids:
+        mean = model.input_vectors[np.array(ids)].mean(axis=0)
+    else:
+        mean = np.zeros(model.input_vectors.shape[1])
+    z = mean @ model.output_weights + model.output_bias
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+@pytest.fixture(scope="module")
+def synth_corpus():
+    pools = generate_pools(10, "wiki", seed=1)
+    return [s for code in sorted(pools) for s in pools[code]]
+
+
+def scoring_lines(corpus, seed):
+    """Training lines, cut and joined lines, random alphabet strings, an
+    empty line and lines with no known feature."""
+    rng = np.random.default_rng(seed)
+    texts = [s.text for s in corpus]
+    lines = texts[::4] + ["", "zzzxxx", "q", " "]
+    for _ in range(40):
+        a, b = rng.choice(len(texts), 2)
+        lines.append(texts[a][: rng.integers(0, 40)] + texts[b][rng.integers(0, 20):])
+        lines.append("".join(rng.choice(list(ALPHABET), rng.integers(0, 30))))
+    return lines
+
+
+@pytest.mark.parametrize("mode,dim", [
+    ("char_ngrams", 8), ("char_ngrams", 2), ("char_ngrams", 1), ("words", 8), ("words", 1),
+])
+def test_scores_equal_per_line_string_reference(synth_corpus, mode, dim):
+    train = synth_corpus + [Sentence("rød grød", "dk")] * 3
+    kwargs = {"ngram_min": 2, "ngram_max": 4} if dim == 2 else {}
+    model = train_fasttext_supervised(train, SupervisedConfig(dim=dim, epochs=2, seed=dim),
+                                      mode, **kwargs)
+    lines = scoring_lines(synth_corpus, dim)
+    scores = model.scores(lines)
+    rows = reference_rows(model)
+    assert scores.shape == (len(lines), len(LABELS))
+    for line, row in zip(lines, scores):
+        assert row.tobytes() == reference_posterior(model, rows, line).tobytes(), line
+    assert model.scores([]).shape == (0, len(LABELS))
+
+
+@pytest.mark.parametrize("mode", ["char_ngrams", "words"])
+def test_lines_without_known_features_score_uniform(mode):
+    model = train_fasttext_supervised(
+        disjoint_vocab_corpus(), SupervisedConfig(dim=8, epochs=3, seed=0), mode
+    )
+    lines = ["", "zzzxxx", "rød grød", "qq"]  # z, x and q are not in the corpus
+    scores = model.scores(lines)
+    rows = reference_rows(model)
+    for line, row in zip(lines, scores):
+        assert row.tobytes() == reference_posterior(model, rows, line).tobytes()
+    for k in (0, 1, 3):
+        assert np.all(scores[k] == 1 / 6) and predict_fasttext(model, lines[k])[0] == "dk"
+    assert not np.all(scores[2] == 1 / 6)
+
+
+@pytest.mark.parametrize("orders", [(1, 5), (2, 3), (3, 3)])
+def test_trained_keys_follow_count_then_string_ranking(synth_corpus, orders):
+    nmin, nmax = orders
+    model = train_fasttext_supervised(
+        synth_corpus, SupervisedConfig(dim=3, epochs=0), "char_ngrams", nmin, nmax
+    )
+    counts = Counter(s.text[i : i + n] for s in synth_corpus for n in range(nmin, nmax + 1)
+                     for i in range(len(s.text) - n + 1))
+    ranked = [g for g, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
+    assert model.keys.dtype == np.int64 and model.features == []
+    assert [decode_key(int(k)) for k in model.keys] == ranked
+    assert model.input_vectors.shape == (len(ranked), 3)
+
+
+def test_char_training_equals_string_training(synth_corpus):
+    """Per-document SGD over string features, run here, gives the same arrays."""
+    cfg = SupervisedConfig(dim=4, epochs=2, seed=3)
+    model = train_fasttext_supervised(synth_corpus, cfg, "char_ngrams")
+    rows = reference_rows(model)
+    docs = [np.array([rows[s.text[i : i + n]] for n in range(1, 6)
+                      for i in range(len(s.text) - n + 1)], dtype=np.int64)
+            for s in synth_corpus]
+    vectors = np.random.default_rng(cfg.seed).uniform(-1 / 4, 1 / 4, size=(len(rows), 4))
+    weights = np.zeros((4, len(LABELS)))
+    order_rng = np.random.default_rng(cfg.seed + 1)
+    labels = [LABELS.index(s.label) for s in synth_corpus]
+    total, step = cfg.epochs * len(docs), 0
+    for _ in range(cfg.epochs):
+        for i in order_rng.permutation(len(docs)):
+            lr = cfg.learning_rate * max(1.0 - step / total, 0.0)
+            step += 1
+            ids = docs[i]
+            mean = vectors[ids].mean(axis=0)
+            z = mean @ weights
+            posterior = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
+            posterior[labels[i]] -= 1.0
+            dmean = weights @ posterior
+            weights -= lr * np.outer(mean, posterior)
+            vectors[ids] -= lr * dmean / len(ids)
+    assert model.input_vectors.tobytes() == vectors.tobytes()
+    assert model.output_weights.tobytes() == weights.tobytes()

@@ -18,10 +18,13 @@ from nordlid.features import (
     build_word_vocab,
     char_codes,
     char_frequency_profile,
+    KEY_START,
     count_matrix,
     decode_grams,
     extract_char_ngrams,
     gram_codes,
+    gram_keys,
+    key_string_order,
     to_dense,
     word_tokenize,
 )
@@ -263,6 +266,17 @@ def csr_arrays(x):
     return indptr.astype(np.int64), columns.astype(np.int64), x[rows, columns]
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_count_matrix_sparse_on_request(n):
+    corpus = _sentences(["hej med", "dig der", "hej hej", ""])
+    vocab = build_ngram_vocab(corpus, n)
+    dense = count_matrix(corpus, vocab, normalize=True)
+    sparse = count_matrix(corpus, vocab, normalize=True, sparse=True)
+    assert not isinstance(dense, CsrMatrix) and isinstance(sparse, CsrMatrix)
+    for got, want in zip(csr_arrays(sparse), csr_arrays(dense)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_count_matrix_matches_vectorize():
     corpus = _sentences(["hej med", "dig der", "hej hej"])
     vocab = build_ngram_vocab(corpus, 2)
@@ -307,6 +321,25 @@ class TestArrayFeaturizer:
         assert list(zip(rows.tolist(), decode_grams(grams, n))) == expected
         order = sorted(range(len(grams)), key=lambda i: grams[i])
         assert [expected[i][1] for i in order] == sorted(g for _, g in expected)
+
+    @given(st.lists(st.one_of(tie_text, clean_text), max_size=6), st.integers(1, 5),
+           st.integers(0, 3))
+    def test_keys_list_every_order_text_by_text(self, texts, nmin, extra):
+        nmax = min(nmin + extra, 5)
+        rows, keys = gram_keys(texts, nmin, nmax)
+        expected = [(r, g) for r, t in enumerate(texts) for n in range(nmin, nmax + 1)
+                    for g in extract_char_ngrams(t, n)]
+        grams = []
+        for key in keys.tolist():
+            n = max(m for m in range(1, 6) if KEY_START[m] <= key)
+            grams += decode_grams(np.array([key - KEY_START[n]]), n)
+        assert list(zip(rows.tolist(), grams)) == expected
+        order = np.argsort(key_string_order(keys, nmax), kind="stable")
+        assert [grams[i] for i in order] == sorted(grams)
+
+    def test_key_start_counts_the_lower_orders(self):
+        assert KEY_START[1:4] == [0, 40, 40 + 40**2]
+        assert KEY_START[-1] < 2**63
 
     def test_space_sorts_first(self):
         assert CODE_ORDER[0] == " " and CODE_ORDER == "".join(sorted(ALPHABET))

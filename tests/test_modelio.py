@@ -132,6 +132,31 @@ def test_fasttext_roundtrip(tmp_path, corpus):
     assert np.array_equal(loaded.model.input_vectors, model.input_vectors)
 
 
+def test_fasttext_char_header_holds_no_ngram_strings(tmp_path, corpus):
+    cfg = embeddings.SupervisedConfig(dim=4, epochs=1, seed=5)
+    model = embeddings.train_fasttext_supervised(corpus, cfg, "char_ngrams")
+    path = tmp_path / "model.ndsl"
+    save_model(PipelineModel("fasttext", 5, model), path)
+    params = json.loads(path.read_bytes().split(b"\n")[1])["params"]
+    assert params["features"] == []
+    assert params["keys"]["dtype"] == "<i8" and params["keys"]["shape"] == [len(model.keys)]
+    assert params["input_vectors"]["shape"] == [len(model.keys), 4]
+
+
+@pytest.mark.parametrize("mode", ["char_ngrams", "words"])
+def test_fasttext_rows_must_match_features(tmp_path, corpus, mode):
+    cfg = embeddings.SupervisedConfig(dim=4, epochs=1, seed=5)
+    model = embeddings.train_fasttext_supervised(corpus, cfg, mode)
+    if mode == "words":
+        model.features = model.features[:-1]
+    else:
+        model.keys = model.keys[:-1]
+    path = tmp_path / "model.ndsl"
+    save_model(PipelineModel("fasttext", 5, model), path)
+    with pytest.raises(ModelFormatError, match="fasttext parameters are sized for"):
+        load_model(path)
+
+
 def test_embedding_feature_roundtrip(tmp_path, corpus):
     emb_cfg = embeddings.EmbeddingConfig(mode="cbow", dim=8, epochs=1, seed=6)
     matrix = embeddings.train_cbow(corpus, emb_cfg)
@@ -293,6 +318,8 @@ def batch_cases(corpus):
             corpus, cnn_cfg, gram=2, kernel=2, filters=4, embed_dim=4)),
         "fasttext-char1_5": PipelineModel("fasttext", 5, embeddings.train_fasttext_supervised(
             corpus, embeddings.SupervisedConfig(dim=8, epochs=2, seed=5), "char_ngrams")),
+        "fasttext-bow": PipelineModel("fasttext", 5, embeddings.train_fasttext_supervised(
+            corpus, embeddings.SupervisedConfig(dim=8, epochs=2, seed=5), "words")),
     }
 
 
@@ -304,7 +331,7 @@ def batch_pipelines(corpus):
 @pytest.mark.parametrize("case", [
     "knn-char2", "knn-bow", "logreg-char2", "logreg-char3", "logreg-cbow", "nb-char2",
     "nb-char3", "nb-char2-alpha0", "nb-char3-alpha0", "svm-char3", "mlp-char2",
-    "cnn-char2", "fasttext-char1_5",
+    "cnn-char2", "fasttext-char1_5", "fasttext-bow",
 ])
 def test_batch_labels_equal_per_line_reference(batch_pipelines, corpus, case):
     pipeline = batch_pipelines[case]
@@ -368,9 +395,14 @@ PARAMS_FORMAT = {
         ["embeddings", "filters", "conv_bias", "dense_w", "dense_b"],
     ),
     "fasttext-char1_5": (
-        ["feature_mode", "features", "input_vectors", "ngram_max", "ngram_min",
+        ["feature_mode", "features", "input_vectors", "keys", "ngram_max", "ngram_min",
          "output_bias", "output_weights"],
-        ["input_vectors", "output_weights", "output_bias"],
+        ["keys", "input_vectors", "output_weights", "output_bias"],
+    ),
+    "fasttext-bow": (
+        ["feature_mode", "features", "input_vectors", "keys", "ngram_max", "ngram_min",
+         "output_bias", "output_weights"],
+        ["input_vectors", "keys", "output_weights", "output_bias"],
     ),
 }
 
