@@ -18,7 +18,15 @@ import numpy as np
 
 from .corpus import LABELS
 from .errors import DimensionMismatch, NegativeCount
-from .features import N_CLASSES, CsrMatrix, design_array, one_hot, softmax, to_dense
+from .features import (
+    N_CLASSES,
+    CsrMatrix,
+    check_learning_rate,
+    design_array,
+    one_hot,
+    softmax,
+    to_dense,
+)
 
 
 def _check_dim(x: np.ndarray, expected: int) -> np.ndarray:
@@ -218,6 +226,9 @@ def train_logreg(
     epochs: int = 500,
 ) -> LogRegModel:
     """Full-batch gradient descent on cross-entropy, zero-initialized weights."""
+    check_learning_rate(learning_rate)
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
     x_aug = _augment(design_array(train_x))
     y = np.asarray(train_y, dtype=np.int64)
     theta = np.zeros((N_CLASSES, x_aug.shape[1]))
@@ -354,8 +365,8 @@ def train_svm(
     the mean of the iterates from the second half of training, which
     smooths the noisy tail of the 1/(lam*t) schedule.
     """
-    if lam <= 0:
-        raise ValueError(f"regularization must be positive, got {lam}")
+    if not lam > 0 or epochs < 0:
+        raise ValueError(f"need lam > 0 and epochs >= 0, got {lam} and {epochs}")
     x = design_array(train_x)  # x[i] is a dense row either way
     y = np.asarray(train_y, dtype=np.int64)
     n, dim = x.shape

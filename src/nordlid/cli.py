@@ -53,6 +53,7 @@ from .features import (
     build_ngram_vocab,
     build_word_vocab,
     char_frequency_profile,
+    check_learning_rate,
     label_indices,
     to_dense,
 )
@@ -181,6 +182,8 @@ def _train_config(args, learning_rate: float, epochs: int) -> neural.TrainConfig
 
 def cmd_train(args) -> int:
     check_compatibility(args.model, args.features)
+    if args.lr is not None:  # checked for every model, also those that ignore it
+        check_learning_rate(args.lr)
     dataset = load_dataset_tsv(args.train)
     if args.model == "cnn":
         model = neural.cnn_train(

@@ -24,6 +24,7 @@ from .features import (
     N_CLASSES,
     CodeIndex,
     WordVocabulary,
+    check_learning_rate,
     gram_keys,
     key_string_order,
     label_indices,
@@ -49,8 +50,9 @@ class EmbeddingConfig:
     def __post_init__(self):
         if self.mode not in ("skipgram", "cbow"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.window < 1 or self.negatives < 1 or self.dim < 1:
-            raise ValueError("window, negatives, and dim must be >= 1")
+        if self.window < 1 or self.negatives < 1 or self.dim < 1 or self.epochs < 0:
+            raise ValueError("window, negatives, and dim must be >= 1, and epochs >= 0")
+        check_learning_rate(self.learning_rate)
         if not 1 <= self.subword_min <= self.subword_max:
             raise ValueError("need 1 <= subword_min <= subword_max")
 
@@ -142,16 +144,9 @@ def _negative_table(freqs: np.ndarray) -> np.ndarray:
     return np.cumsum(weights / weights.sum())
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + np.exp(-x))
-    e = np.exp(x)
-    return e / (1.0 + e)
-
-
 def _init_embedding(
     corpus: Iterable[Sentence], cfg: EmbeddingConfig
-) -> tuple[EmbeddingMatrix, list[list[int]], np.ndarray]:
+) -> tuple[EmbeddingMatrix, list[np.ndarray], np.ndarray]:
     sentences = [word_tokenize(s.text) for s in corpus]
     sentences = [tokens for tokens in sentences if tokens]
     words, freqs = _vocab_words(sentences)
@@ -165,17 +160,12 @@ def _init_embedding(
         buckets = np.zeros(0, dtype=np.int64)
 
     rng = np.random.default_rng(cfg.seed)
-    n_rows = n_words + len(buckets)
-    vectors = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(n_rows, cfg.dim))
-    output_vectors = np.zeros((n_words, cfg.dim))
-    emb = EmbeddingMatrix(  # _train_pairs fills ``composed`` when it is done
+    vectors = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(n_words + len(buckets), cfg.dim))
+    emb = EmbeddingMatrix(  # _train fills ``composed`` when it is done
         cfg.mode, cfg.dim, words, word_index, vectors,
-        np.zeros((n_words, cfg.dim)), output_vectors, buckets, word_rows,
+        np.zeros((n_words, cfg.dim)), np.zeros((n_words, cfg.dim)), buckets, word_rows,
     )
-    ids = [
-        [word_index[t] for t in tokens]
-        for tokens in sentences
-    ]
+    ids = [np.array([word_index[t] for t in tokens], dtype=np.int64) for tokens in sentences]
     return emb, ids, _negative_table(freqs)
 
 
@@ -202,96 +192,101 @@ def _subword_rows(
 
 
 def _recompose(emb: EmbeddingMatrix) -> None:
-    for i, rows in enumerate(emb.word_rows):
-        emb.composed[i] = emb.vectors[rows].mean(axis=0)
+    """Each word's ``composed`` row, the mean of its ``vectors`` rows, for a
+    block of words at a time whose gathered rows stay within 1 MiB (a
+    16 MiB block raised the train's peak memory by its size)."""
+    lengths = np.fromiter(map(len, emb.word_rows), dtype=np.int64, count=len(emb.word_rows))
+    ends = np.cumsum(lengths)
+    lo = 0
+    while lo < len(lengths):
+        start = ends[lo] - lengths[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, start + (1 << 20) // (8 * emb.dim), "right")))
+        sums = np.add.reduceat(emb.vectors[np.concatenate(emb.word_rows[lo:hi])],
+                               ends[lo:hi] - lengths[lo:hi] - start)
+        emb.composed[lo:hi] = sums / lengths[lo:hi, None]
+        lo = hi
 
 
-def _negative_sampling_step(
-    emb: EmbeddingMatrix,
-    input_rows: np.ndarray,
-    target: int,
-    table: np.ndarray,
-    rng: np.random.Generator,
-    negatives: int,
-    lr: float,
-) -> float:
-    """One (input representation -> target word) update; returns the pair loss."""
-    v = emb.vectors[input_rows].mean(axis=0)
-    grad_v = np.zeros_like(v)
-    loss = 0.0
-    samples = [(target, 1.0)]
-    drawn = np.searchsorted(table, rng.random(negatives))
-    samples.extend((int(j), 0.0) for j in drawn if int(j) != target)
-    for index, label in samples:
-        u = emb.output_vectors[index]
-        score = _sigmoid(float(u @ v))
-        loss -= np.log(max(score if label else 1.0 - score, 1e-12))
-        g = (score - label) * lr
-        grad_v += g * u
-        emb.output_vectors[index] = u - g * v
-    emb.vectors[input_rows] -= grad_v / len(input_rows)
-    return loss
+def _train(corpus: Iterable[Sentence], cfg: EmbeddingConfig, mode: str) -> EmbeddingMatrix:
+    """Negative-sampling SGD, one update per sentence.
 
-
-def _train_pairs(
-    emb: EmbeddingMatrix,
-    ids: list[list[int]],
-    table: np.ndarray,
-    cfg: EmbeddingConfig,
-) -> None:
+    An example maps input rows to a target word: skip-gram has one per
+    (position, context word), with the center's rows as inputs; CBOW one
+    per position with a context, with the context words as inputs and the
+    center as target. Each position draws its reach and has its own
+    linearly decaying rate; each example draws ``negatives`` words and
+    skips one equal to its target. All of a sentence's examples read the
+    parameters as they stand at its start, and their summed gradients are
+    applied once, so a row used twice (a shared subword bucket, a repeated
+    word, an output row drawn twice) gets every contribution. An incidence
+    matrix over the sentence's distinct rows (row x position, weight
+    1/len) turns the gathers and scatters into small products.
+    """
+    if cfg.mode != mode:
+        raise ValueError(f"config mode must be {mode!r}")
+    emb, ids, table = _init_embedding(corpus, cfg)
     rng = np.random.default_rng(cfg.seed + 1)
-    total_positions = sum(len(s) for s in ids) * cfg.epochs
+    total = max(sum(map(len, ids)) * cfg.epochs, 1)
+    n_rows = np.fromiter(map(len, emb.word_rows), dtype=np.int64, count=len(emb.word_rows))
+    offsets = np.r_[-cfg.window : 0, 1 : cfg.window + 1]
     step = 0
     for _ in range(cfg.epochs):
-        epoch_loss = 0.0
-        pairs = 0
+        loss, examples = 0.0, 0
         for tokens in ids:
-            for t, center in enumerate(tokens):
-                lr = cfg.learning_rate * max(1.0 - step / max(total_positions, 1), 0.0)
-                step += 1
-                reach = int(rng.integers(1, cfg.window + 1))
-                lo = max(0, t - reach)
-                hi = min(len(tokens), t + reach + 1)
-                context = [tokens[j] for j in range(lo, hi) if j != t]
-                if not context:
-                    continue
-                if cfg.mode == "skipgram":
-                    rows = emb.word_rows[center]
-                    for ctx in context:
-                        epoch_loss += _negative_sampling_step(
-                            emb, rows, ctx, table, rng, cfg.negatives, lr
-                        )
-                        pairs += 1
-                else:
-                    rows = np.array(context, dtype=np.int64)
-                    epoch_loss += _negative_sampling_step(
-                        emb, rows, center, table, rng, cfg.negatives, lr
-                    )
-                    pairs += 1
-        emb.epoch_losses.append(epoch_loss / max(pairs, 1))
+            n = len(tokens)
+            lr = cfg.learning_rate * np.maximum(1.0 - (step + np.arange(n)) / total, 0.0)
+            step += n
+            grid = np.arange(n)[:, None] + offsets
+            reach = rng.integers(1, cfg.window + 1, size=n)[:, None]
+            near = (np.abs(offsets) <= reach) & (grid >= 0) & (grid < n)
+            pos, context = np.nonzero(near)[0], grid[near]
+            if mode == "skipgram":
+                inputs = np.concatenate([emb.word_rows[w] for w in tokens])
+                group = np.repeat(np.arange(n), n_rows[tokens])
+                weight = 1.0 / n_rows[tokens[group]]
+                owner, target = pos, tokens[context]
+            else:
+                inputs, group = tokens[context], pos
+                sizes = np.bincount(pos, minlength=n)
+                weight = 1.0 / sizes[pos]
+                owner = np.flatnonzero(sizes)
+                target = tokens[owner]
+            if not len(target):
+                continue
+            drawn = np.searchsorted(table, rng.random((len(target), cfg.negatives)))
+            rows, row_of = np.unique(inputs, return_inverse=True)
+            outs, out_of = np.unique(np.column_stack((target, drawn)), return_inverse=True)
+            incidence = np.bincount(row_of * n + group, weights=weight,
+                                    minlength=len(rows) * n).reshape(len(rows), n)
+            w_in, w_out = emb.vectors[rows], emb.output_vectors[outs]
+            v = incidence.T @ w_in  # the input mean of each position
+            cell = owner[:, None] * len(outs) + out_of.reshape(len(target), -1)
+            error = 0.5 + 0.5 * np.tanh(0.5 * (v @ w_out.T).ravel()[cell])  # the sigmoid,
+            error[:, 0] -= 1.0  # minus the label: 1 for the target, 0 for a negative
+            error[:, 1:][drawn == target[:, None]] = 0.0
+            loss -= np.log(np.maximum(1.0 - np.abs(error), 1e-12)).sum()
+            grad = np.bincount(cell.ravel(), weights=(error * lr[owner, None]).ravel(),
+                               minlength=n * len(outs)).reshape(n, len(outs))
+            emb.output_vectors[outs] = w_out - grad.T @ v
+            emb.vectors[rows] = w_in - incidence @ (grad @ w_out)
+            examples += len(target)
+        emb.epoch_losses.append(loss / max(examples, 1))
     _recompose(emb)
+    return emb
 
 
 def train_skipgram(
     corpus: Iterable[Sentence], cfg: EmbeddingConfig = EmbeddingConfig()
 ) -> EmbeddingMatrix:
     """Predict context words from the subword-composed center word."""
-    if cfg.mode != "skipgram":
-        raise ValueError("config mode must be 'skipgram'")
-    emb, ids, table = _init_embedding(corpus, cfg)
-    _train_pairs(emb, ids, table, cfg)
-    return emb
+    return _train(corpus, cfg, "skipgram")
 
 
 def train_cbow(
     corpus: Iterable[Sentence], cfg: EmbeddingConfig = EmbeddingConfig(mode="cbow")
 ) -> EmbeddingMatrix:
     """Predict the center word from the averaged context vectors."""
-    if cfg.mode != "cbow":
-        raise ValueError("config mode must be 'cbow'")
-    emb, ids, table = _init_embedding(corpus, cfg)
-    _train_pairs(emb, ids, table, cfg)
-    return emb
+    return _train(corpus, cfg, "cbow")
 
 
 def pair_score(emb: EmbeddingMatrix, center: str, context: str) -> float:
@@ -344,7 +339,7 @@ class FastTextClassifier:
 
         ``features`` must not change after that.
         """
-        return WordVocabulary({w: i for i, w in enumerate(self.features, start=1)})
+        return WordVocabulary.from_ranked(self.features)
 
     @cached_property
     def key_index(self) -> CodeIndex:
@@ -413,6 +408,11 @@ class SupervisedConfig:
     epochs: int = 5
     learning_rate: float = 0.1
     seed: int = 42
+
+    def __post_init__(self):
+        if self.dim < 1 or self.epochs < 0:
+            raise ValueError(f"need dim >= 1 and epochs >= 0, got {self.dim} and {self.epochs}")
+        check_learning_rate(self.learning_rate)
 
 
 def _word_rows(texts: list[str]) -> tuple[list[str], list[np.ndarray]]:

@@ -10,7 +10,8 @@ the grams of several orders in one space: an n-gram's key is
 ``KEY_START[n]`` (the number of grams of orders 1..n-1) plus its code.
 
 The label-space helpers every classifier family shares live here too:
-``N_CLASSES``, :func:`one_hot` and :func:`softmax`.
+``N_CLASSES``, :func:`one_hot`, :func:`softmax` and the trainers' check
+:func:`check_learning_rate`.
 """
 
 from __future__ import annotations
@@ -238,10 +239,29 @@ class WordVocabulary:
     entries: dict[str, int]
 
     def __post_init__(self):
-        if not set(map(type, self.entries)) <= {str}:
-            raise ValueError("word vocabulary holds an entry that is not a string")
+        self._check_strings()
         if sorted(self.entries.values()) != list(range(1, self.size + 1)):
             raise ValueError(f"word vocabulary ranks are not 1..{self.size}")
+
+    @classmethod
+    def from_ranked(cls, words: list[str]) -> WordVocabulary:
+        """The vocabulary giving ``words[i]`` rank i + 1.
+
+        The ranks are 1..n by construction, so nothing is sorted: the words
+        must be strings, and distinct, which holds when the map is as long
+        as the list.
+        """
+        entries = {word: rank for rank, word in enumerate(words, start=1)}
+        if len(entries) != len(words):
+            raise ValueError("word vocabulary lists a word twice")
+        vocab = cls.__new__(cls)
+        object.__setattr__(vocab, "entries", entries)
+        vocab._check_strings()
+        return vocab
+
+    def _check_strings(self) -> None:
+        if not set(map(type, self.entries)) <= {str}:
+            raise ValueError("word vocabulary holds an entry that is not a string")
 
     @property
     def size(self) -> int:
@@ -274,7 +294,7 @@ def build_word_vocab(
     for sentence in corpus:
         counts.update(word_tokenize(sentence.text))
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:cap]
-    return WordVocabulary({word: rank for rank, (word, _) in enumerate(ranked, start=1)})
+    return WordVocabulary.from_ranked([word for word, _ in ranked])
 
 
 def ngram_hits(
@@ -494,6 +514,12 @@ def one_hot(y: np.ndarray) -> np.ndarray:
     out = np.zeros((len(y), N_CLASSES))
     out[np.arange(len(y)), y] = 1.0
     return out
+
+
+def check_learning_rate(learning_rate: float) -> None:
+    """Raise ValueError unless the learning rate is finite and > 0 (NaN is not)."""
+    if not (np.isfinite(learning_rate) and learning_rate > 0):
+        raise ValueError(f"learning rate must be finite and > 0, got {learning_rate}")
 
 
 def softmax(z: np.ndarray) -> np.ndarray:

@@ -250,9 +250,7 @@ def _feature_from_payload(section: _Section, payload: dict | None) -> VectorFeat
         )
         return VectorFeature(kind, payload["normalize"], ngram_vocab=vocab)
     if "vocab" in payload:
-        vocab = WordVocabulary(
-            {w: rank for rank, w in enumerate(payload["vocab"], start=1)}
-        )
+        vocab = WordVocabulary.from_ranked(payload["vocab"])
         return VectorFeature(kind, payload["normalize"], word_vocab=vocab)
     emb = payload["embedding"]
     query = QueryEmbedding(

@@ -21,6 +21,7 @@ from .features import (
     N_CLASSES,
     NgramVocabulary,
     build_ngram_vocab,
+    check_learning_rate,
     design_array,
     ngram_hits,
     one_hot,
@@ -50,8 +51,9 @@ class TrainConfig:
     max_len: int = 128
 
     def __post_init__(self):
-        if min(self.learning_rate, self.epochs, self.batch_size, self.max_len) <= 0:
+        if min(self.epochs, self.batch_size, self.max_len) <= 0:
             raise ValueError("all training config fields must be positive")
+        check_learning_rate(self.learning_rate)
 
 
 def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:

@@ -218,6 +218,45 @@ class TestTrainEvalPredict:
         ])
         assert code == 4
 
+    @pytest.mark.parametrize("features", ["skipgram", "cbow"])
+    def test_embedding_rerun_byte_identical(self, data_dir, tmp_path, features):
+        args = [
+            "train", "--model", "logreg", "--features", features,
+            "--train", str(data_dir / "train.tsv"), "--out", str(tmp_path / "m.ndsl"),
+            "--embed-epochs", "1", "--window", "2", "--negatives", "2", "--dim", "8",
+            "--epochs", "5",
+        ]
+        assert main(args) == 0
+        first = (tmp_path / "m.ndsl").read_bytes()
+        assert main(args) == 0
+        assert (tmp_path / "m.ndsl").read_bytes() == first
+
+    @pytest.mark.parametrize("model,features,flags", [
+        ("fasttext", "bow", ["--dim", "0"]),
+        ("fasttext", "bow", ["--lr", "nan"]),
+        ("logreg", "char1", ["--lr", "nan"]),
+        ("mlp", "char1", ["--lr", "nan"]),
+        ("svm", "char1", ["--lr", "nan"]),
+        ("cnn", "char1", ["--lr", "inf"]),
+        ("logreg", "cbow", ["--embed-lr", "nan"]),
+        ("logreg", "skipgram", ["--embed-lr", "-1"]),
+        ("fasttext", "bow", ["--epochs", "-1"]),
+        ("logreg", "char1", ["--epochs", "-1"]),
+        ("svm", "char1", ["--epochs", "-1"]),
+        ("logreg", "cbow", ["--embed-epochs", "-1"]),
+        ("logreg", "cbow", ["--window", "0"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_bad_training_flag_exit_3(self, data_dir, tmp_path, capsys, model, features, flags):
+        capsys.readouterr()
+        code = main([
+            "train", "--model", model, "--features", features, *flags,
+            "--train", str(data_dir / "train.tsv"), "--out", str(tmp_path / "m.ndsl"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "m.ndsl").exists()
+
 
 @contextmanager
 def edited_model(source, target):
@@ -317,6 +356,14 @@ class TestInputErrors:
             header = parts["header"]
             vocab = header["feature"]["vocab"] if kind == "svm" else header["params"]["vocab"]
             vocab[-1] = vocab[0] if entry == "duplicate" else entry
+        self.assert_input_error(self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys), capsys)
+
+    @pytest.mark.parametrize("entry", [5, "duplicate"])
+    def test_fasttext_bow_word(self, data_dir, entry, tmp_path, capsys):
+        source = train_small("fasttext", data_dir, tmp_path / "fasttext.ndsl")
+        with edited_model(source, tmp_path / "broken.ndsl") as parts:
+            words = parts["header"]["params"]["features"]
+            words[-1] = words[0] if entry == "duplicate" else entry
         self.assert_input_error(self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys), capsys)
 
     @pytest.mark.parametrize("command", ["predict", "eval"])

@@ -1,6 +1,7 @@
 """Embedding training, subword handling, and the supervised classifier."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nordlid.embeddings import (
     train_skipgram,
 )
 from nordlid.errors import EmptyVocabulary
+from nordlid.features import word_tokenize
 from nordlid.synth import generate_pools
 
 
@@ -265,6 +267,21 @@ def test_embedding_config_validation():
         EmbeddingConfig(subword_min=4, subword_max=3)
 
 
+@pytest.mark.parametrize("config,kwargs", [
+    (EmbeddingConfig, {"learning_rate": float("nan")}),
+    (EmbeddingConfig, {"learning_rate": -1.0}),
+    (EmbeddingConfig, {"epochs": -1}),
+    (EmbeddingConfig, {"dim": 0}),
+    (SupervisedConfig, {"learning_rate": float("nan")}),
+    (SupervisedConfig, {"learning_rate": float("inf")}),
+    (SupervisedConfig, {"epochs": -1}),
+    (SupervisedConfig, {"dim": 0}),
+])
+def test_training_configs_reject_bad_values(config, kwargs):
+    with pytest.raises(ValueError):
+        config(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # Batch scores against an independent per-line string reference
 # ---------------------------------------------------------------------------
@@ -399,3 +416,102 @@ def test_char_training_equals_string_training(synth_corpus):
             vectors[ids] -= lr * dmean / len(ids)
     assert model.input_vectors.tobytes() == vectors.tobytes()
     assert model.output_weights.tobytes() == weights.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Skip-gram and CBOW against a per-example reference
+# ---------------------------------------------------------------------------
+
+
+def reference_embedding(corpus, cfg):
+    """``(vectors, output_vectors, epoch_losses)`` trained by plain loops.
+
+    Every example's gradient is taken at the parameters as they stand at
+    its sentence's start; the sums are applied once the sentence is done.
+    """
+    train = train_skipgram if cfg.mode == "skipgram" else train_cbow
+    start = train(corpus, replace(cfg, epochs=0))
+    vectors, outputs = start.vectors.copy(), start.output_vectors.copy()
+    sentences = [word_tokenize(s.text) for s in corpus]
+    ids = [[start.word_index[w] for w in tokens] for tokens in sentences if tokens]
+    counts = Counter(w for tokens in sentences for w in tokens)
+    weights = np.array([counts[w] for w in start.words], dtype=np.float64) ** 0.75
+    table = np.cumsum(weights / weights.sum())
+    rng = np.random.default_rng(cfg.seed + 1)
+    total = sum(map(len, ids)) * cfg.epochs
+    step, losses = 0, []
+    for _ in range(cfg.epochs):
+        loss, count = 0.0, 0
+        for tokens in ids:
+            reach = rng.integers(1, cfg.window + 1, size=len(tokens))
+            examples = []  # (position, input rows, target word)
+            for t, center in enumerate(tokens):
+                context = [tokens[j] for j in range(t - reach[t], t + reach[t] + 1)
+                           if j != t and 0 <= j < len(tokens)]
+                if cfg.mode == "skipgram":
+                    examples += [(t, start.word_rows[center], word) for word in context]
+                elif context:
+                    examples.append((t, np.array(context), center))
+            if examples:
+                draws = np.searchsorted(table, rng.random((len(examples), cfg.negatives)))
+            d_in, d_out = np.zeros_like(vectors), np.zeros_like(outputs)
+            for (t, rows, target), drawn in zip(examples, draws):
+                lr = cfg.learning_rate * max(1.0 - (step + t) / total, 0.0)
+                v = vectors[rows].mean(axis=0)
+                d_v = np.zeros_like(v)
+                for word, label in [(target, 1.0)] + [(w, 0.0) for w in drawn if w != target]:
+                    p = 1.0 / (1.0 + np.exp(-(outputs[word] @ v)))
+                    loss -= np.log(p if label else 1.0 - p)
+                    d_v += (p - label) * lr * outputs[word]
+                    d_out[word] += (p - label) * lr * v
+                for row in rows:  # one row listed twice gets both shares
+                    d_in[row] += d_v / len(rows)
+            vectors -= d_in
+            outputs -= d_out
+            step += len(tokens)
+            count += len(examples)
+        losses.append(loss / count)
+    return vectors, outputs, losses
+
+
+@pytest.mark.parametrize("mode,bucket_count", [
+    ("skipgram", 1 << 20), ("skipgram", 2), ("cbow", 1 << 20),
+], ids=["skipgram", "skipgram-2-buckets", "cbow"])
+def test_sentence_steps_equal_per_example_reference(synth_corpus, mode, bucket_count):
+    """Two buckets make most subword rows collide within a sentence, so a
+    buffered ``vectors[rows] -= g`` that drops repeats fails here."""
+    corpus = synth_corpus[::3] + [Sentence("og du og du og", "dk"), Sentence("hej", "sv")]
+    cfg = EmbeddingConfig(mode=mode, dim=6, window=2, negatives=3, epochs=2,
+                          learning_rate=0.5, bucket_count=bucket_count, seed=3)
+    emb = (train_skipgram if mode == "skipgram" else train_cbow)(corpus, cfg)
+    vectors, outputs, losses = reference_embedding(corpus, cfg)
+    assert np.abs(emb.output_vectors).max() > 0.05  # the steps are not negligible
+    np.testing.assert_allclose(emb.vectors, vectors, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(emb.output_vectors, outputs, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(emb.epoch_losses, losses, rtol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+def test_negative_equal_to_its_target_changes_nothing(mode):
+    """With one word every draw is the target, so any number of negatives
+    trains like one, and only the targets move the output row."""
+    corpus = [Sentence("ja ja ja ja", "dk")] * 3
+    train = train_skipgram if mode == "skipgram" else train_cbow
+    runs = [train(corpus, EmbeddingConfig(mode=mode, dim=4, window=1, negatives=k,
+                                          epochs=2, learning_rate=0.5, seed=2))
+            for k in (1, 4)]
+    assert np.array_equal(runs[0].vectors, runs[1].vectors)
+    assert np.array_equal(runs[0].output_vectors, runs[1].output_vectors)
+    assert runs[0].epoch_losses == pytest.approx(runs[1].epoch_losses, rel=1e-12)
+    # a target pulls its output row toward the input means, which start near 0
+    # but not at it, so a positive-only step raises the pair score
+    assert pair_score(runs[1], "ja", "ja") > 0
+
+
+@pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+def test_composed_is_mean_of_word_rows(synth_corpus, mode):
+    cfg = EmbeddingConfig(mode=mode, dim=5, window=2, negatives=2, epochs=1, seed=4)
+    emb = (train_skipgram if mode == "skipgram" else train_cbow)(synth_corpus, cfg)
+    for i, rows in enumerate(emb.word_rows):
+        np.testing.assert_allclose(emb.composed[i], emb.vectors[rows].mean(axis=0),
+                                   rtol=0, atol=1e-15)

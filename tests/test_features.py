@@ -136,6 +136,15 @@ class TestWordVocabulary:
         assert vocab.index("b") == 1
         assert vocab.index("zz") is None
 
+    def test_from_ranked_equals_rank_map(self):
+        assert WordVocabulary.from_ranked(["og", "i", "er"]) == WordVocabulary(
+            {"og": 1, "i": 2, "er": 3})
+
+    @pytest.mark.parametrize("words", [["og", "i", "og"], ["og", 5]])
+    def test_from_ranked_rejects_repeated_or_non_string_words(self, words):
+        with pytest.raises(ValueError):
+            WordVocabulary.from_ranked(words)
+
 
 def vectorize(text, vocab, normalize=False) -> np.ndarray:
     """The count_matrix row of one text."""

@@ -288,3 +288,9 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
+
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.1])
+def test_train_config_rejects_learning_rate_that_is_not_finite_and_positive(rate):
+    with pytest.raises(ValueError):
+        TrainConfig(learning_rate=rate)
