@@ -283,18 +283,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.max_points < 1:
+        raise ValueError(f"--max-points must be at least 1, got {args.max_points}")
+    if args.iterations < 0:
+        raise ValueError(f"--iterations must be at least 0, got {args.iterations}")
     dataset = load_dataset_tsv(args.input)
     sentences = list(dataset)
-    if args.max_points is not None and len(sentences) > args.max_points:
+    if len(sentences) > args.max_points:
         rng = random.Random(args.seed)
         sentences = rng.sample(sentences, args.max_points)
     subset = Dataset(tuple(sentences), seed=args.seed)
     feature = _build_vector_feature(args, subset, "reduce")
-    x = to_dense(feature.matrix(subset))
+    x = feature.matrix(subset)  # PCA keeps a CSR matrix; t-SNE needs dense rows
     if args.method == "pca":
         coords = reduce.pca_project(x, m=2)
     else:
-        affinities, _ = reduce.tsne_affinities(x, perplexity=args.perplexity)
+        affinities, _ = reduce.tsne_affinities(to_dense(x), perplexity=args.perplexity)
         coords = reduce.tsne_optimize(
             affinities, iterations=args.iterations, seed=args.seed
         ).positions

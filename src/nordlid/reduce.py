@@ -1,15 +1,25 @@
-"""PCA by power iteration and exact t-SNE for 2-D corpus projections.
+"""PCA by block subspace iteration and exact t-SNE for 2-D corpus projections.
 
-PCA follows the covariance-eigendecomposition route: population
-covariance, then dominant eigenpairs extracted one at a time by power
-iteration with deflation. t-SNE is the exact O(n^2) algorithm: Gaussian
-input affinities with per-point bandwidths tuned by bisection to a
-target perplexity, Student-t low-dimensional affinities, and momentum
-gradient descent on the KL divergence with early exaggeration.
+PCA finds the dominant eigenpairs of the population covariance
+K = Xcᵀ Xc / n by block subspace iteration with Rayleigh–Ritz (Saad,
+*Numerical Methods for Large Eigenvalue Problems*, ch. 5) on the implicit
+operator v ↦ Xcᵀ(Xc v)/n, with Xc v computed as X v − 1(μᵀv). Neither the
+centred data nor the d×d covariance is formed, so X may stay a
+``features.CsrMatrix``. The block carries ``BLOCK_EXTRA`` vectors beyond the
+wanted ones, so pair i converges at the rate λ_{b+1}/λ_i and a small gap
+between two wanted eigenvalues does not slow it. ``top_eigenpairs`` runs the
+same routine on an explicit symmetric matrix.
+
+t-SNE is the exact O(n^2) algorithm: Gaussian input affinities with
+per-point bandwidths tuned by bisection to a target perplexity (all rows
+at once), Student-t low-dimensional affinities, and momentum gradient
+descent on the KL divergence with early exaggeration. It works on dense
+input.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +30,13 @@ from .errors import (
     PerplexityInfeasible,
     TooFewPoints,
 )
+from .features import CsrMatrix, design_array
+
+#: Block vectors beyond the m wanted ones.
+BLOCK_EXTRA = 8
+#: PCA stops once every wanted residual is at most this times lambda_1.
+PCA_TOL = 1e-9
+PCA_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -47,20 +64,51 @@ def covariance(data: np.ndarray) -> CovarianceMatrix:
     return CovarianceMatrix((k + k.T) / 2.0, means)
 
 
-def _spectral_radius_estimate(
-    k: np.ndarray, rng: np.random.Generator, iterations: int = 200
-) -> float:
-    v = rng.standard_normal(k.shape[0])
-    v /= np.linalg.norm(v)
-    radius = 0.0
-    for _ in range(iterations):
-        w = k @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        radius = norm
-        v = w / norm
-    return radius
+def _subspace_eigenpairs(
+    apply: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    m: int,
+    tol: float,
+    max_iter: int,
+    seed: int,
+    shift: float = 0.0,
+    floor: float = 0.0,
+) -> list[EigenPair]:
+    """The m largest eigenpairs of a symmetric operator, largest first.
+
+    ``apply`` maps a dim x b block V to K V. Each step orthonormalises
+    (K + shift I) V and solves the b x b Rayleigh–Ritz problem; ``shift``
+    must make K + shift I positive semidefinite, so that the wanted
+    eigenvalues also dominate in magnitude. Iteration stops once every
+    wanted Ritz pair's true residual ||K u - theta u|| is at most
+    ``tol`` * max(max |theta|, ``floor``); ``floor`` keeps an operator whose
+    eigenvalues are all at roundoff level from chasing its noise. A block
+    that spans the whole space is exact after one step.
+    """
+    b = min(m + BLOCK_EXTRA, dim)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, b)))
+    residuals, bound = np.full(m, np.inf), 0.0
+    for _ in range(max_iter):
+        w = apply(q) + shift * q
+        h = q.T @ w
+        values, s = np.linalg.eigh((h + h.T) / 2.0)
+        values, s = values[::-1], s[:, ::-1]  # descending
+        vectors = q @ s
+        residuals = np.linalg.norm(w @ s[:, :m] - vectors[:, :m] * values[:m], axis=0)
+        bound = tol * max(float(np.abs(values - shift).max()), floor)
+        if (residuals <= bound).all():
+            break
+        q, _ = np.linalg.qr(w)
+    else:
+        component = int(np.argmax(residuals > bound))
+        raise ConvergenceFailure(component, float(residuals[component]))
+    pairs = []
+    for value, v in zip(values[:m] - shift, vectors[:, :m].T):
+        if v[np.argmax(np.abs(v))] < 0:
+            v = -v
+        pairs.append(EigenPair(float(value), v))
+    return pairs
 
 
 def top_eigenpairs(
@@ -72,11 +120,11 @@ def top_eigenpairs(
 ) -> list[EigenPair]:
     """The m algebraically largest eigenpairs of a symmetric matrix.
 
-    Power iteration runs on K + cI with c slightly above the spectral
-    radius, making the algebraically largest remaining eigenvalue also
-    the dominant one; found components are deflated to zero. Iteration
-    stops on direction change below ``tol`` or once the true residual
-    ||Kv - lambda v|| clears the 1e-6 ||K||_F acceptance bound.
+    Block subspace iteration with Rayleigh–Ritz on K + cI, where c is the
+    Gershgorin bound that makes the shifted matrix positive semidefinite.
+    Iteration stops once every returned pair's residual ||Kv - lambda v||
+    is at most ``tol`` times the largest |Ritz value|; past ``max_iter``
+    steps it raises ``ConvergenceFailure``.
     """
     k = np.asarray(k, dtype=np.float64)
     dim = k.shape[0]
@@ -84,50 +132,41 @@ def top_eigenpairs(
         raise ValueError("matrix must be square and symmetric")
     if not 1 <= m <= dim:
         raise ValueError(f"m must lie in 1..{dim}, got {m}")
-    scale = np.linalg.norm(k)
-    residual_bound = 1e-6 * max(scale, 1e-300)
-    rng = np.random.default_rng(seed)
-    shift = 1.1 * _spectral_radius_estimate(k, rng) + 1e-9 * max(scale, 1.0)
-    working = k + shift * np.eye(dim)
-    pairs: list[EigenPair] = []
-    for component in range(m):
-        v = rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        for iteration in range(max_iter):
-            w = working @ v
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                # v fell entirely into the deflated null space; restart.
-                v = rng.standard_normal(dim)
-                v /= np.linalg.norm(v)
-                continue
-            v_next = w / norm
-            converged = np.linalg.norm(v_next - v) < tol
-            v = v_next
-            if converged:
-                break
-            if iteration % 10 == 9:
-                rayleigh = float(v @ k @ v)
-                if np.linalg.norm(k @ v - rayleigh * v) <= 1e-4 * residual_bound:
-                    break
-        value = float(v @ k @ v)
-        residual = float(np.linalg.norm(k @ v - value * v))
-        if residual > residual_bound:
-            raise ConvergenceFailure(component, residual)
-        if v[np.argmax(np.abs(v))] < 0:
-            v = -v
-        pairs.append(EigenPair(value, v))
-        working -= (value + shift) * np.outer(v, v)
-    pairs.sort(key=lambda pair: -pair.value)
-    return pairs
+    diagonal = np.diag(k)
+    radii = np.abs(k).sum(axis=1) - np.abs(diagonal)
+    shift = max(0.0, float(-(diagonal - radii).min()))
+    return _subspace_eigenpairs(lambda v: k @ v, dim, m, tol, max_iter, seed, shift)
 
 
-def pca_project(data: np.ndarray, m: int = 2) -> np.ndarray:
-    """Project centered data onto its top-m principal axes."""
-    cov = covariance(data)
-    pairs = top_eigenpairs(cov.matrix, m)
-    basis = np.stack([p.vector for p in pairs], axis=1)  # d x m
-    return (np.asarray(data, dtype=np.float64) - cov.means) @ basis
+def pca_project(data: np.ndarray | CsrMatrix, m: int = 2) -> np.ndarray:
+    """Project centred data onto its top-m principal axes.
+
+    ``data`` may be a dense array or a ``CsrMatrix``; the covariance is
+    applied implicitly as v ↦ Xcᵀ(Xc v)/n with Xc v = X v − 1(μᵀv).
+    """
+    x = design_array(data)
+    if x.ndim != 2:
+        raise DimensionMismatch(2, x.ndim)
+    n, dim = x.shape
+    if n < 2:
+        raise TooFewPoints(f"need at least 2 points, got {n}")
+    if not 1 <= m <= dim:
+        raise ValueError(f"m must lie in 1..{dim}, got {m}")
+    means = np.ones(n) @ x / n
+
+    def centred_times(v: np.ndarray) -> np.ndarray:  # Xc v
+        return x @ v - means @ v
+
+    def covariance_times(v: np.ndarray) -> np.ndarray:  # Xcᵀ (Xc v) / n
+        y = centred_times(v)
+        return ((y.T @ x).T - np.outer(means, y.sum(axis=0))) / n
+
+    stored = x.data if isinstance(x, CsrMatrix) else x
+    pairs = _subspace_eigenpairs(
+        covariance_times, dim, m, PCA_TOL, PCA_MAX_ITER, seed=0,
+        floor=1e-6 * float(np.vdot(stored, stored)) / n,
+    )
+    return centred_times(np.stack([p.vector for p in pairs], axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -135,24 +174,15 @@ def pca_project(data: np.ndarray, m: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _squared_distances(x: np.ndarray) -> np.ndarray:
+def _squared_distances(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pairwise squared distances, zero diagonal, clipped at 0; into ``out`` if given."""
     sq = (x**2).sum(axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    d2 = np.matmul(x, x.T, out=out)
+    d2 *= -2.0
+    d2 += sq[:, None]
+    d2 += sq[None, :]
     np.fill_diagonal(d2, 0.0)
-    return np.maximum(d2, 0.0)
-
-
-def _row_affinities(d2_row: np.ndarray, beta: float) -> np.ndarray:
-    # Shift by the smallest distance for numerical range; cancels in the ratio.
-    shifted = d2_row - d2_row.min()
-    p = np.exp(-shifted * beta)
-    return p / p.sum()
-
-
-def _row_perplexity(p: np.ndarray) -> float:
-    nz = p[p > 0]
-    entropy = float(-(nz * np.log2(nz)).sum())
-    return 2.0**entropy
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def tsne_affinities(
@@ -163,9 +193,10 @@ def tsne_affinities(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized joint affinities P and the per-point bandwidths sigma.
 
-    Each point's Gaussian precision is tuned by bisection (with bracket
-    expansion) until the conditional distribution's perplexity matches
-    the target within ``tol``.
+    Every point's Gaussian precision beta is tuned at once by bisection
+    (with bracket expansion) until its conditional distribution's
+    perplexity matches the target within ``tol``; a row that matches stops
+    moving.
     """
     x = np.asarray(data, dtype=np.float64)
     n = x.shape[0]
@@ -175,30 +206,44 @@ def tsne_affinities(
         raise PerplexityInfeasible(
             f"perplexity must lie in (1, {n - 1}) for {n} points, got {perplexity}"
         )
-    d2 = _squared_distances(x)
-    conditionals = np.zeros((n, n))
-    sigmas = np.zeros(n)
     off_diag = ~np.eye(n, dtype=bool)
-    for i in range(n):
-        row = d2[i][off_diag[i]]
-        beta = 1.0 / (2.0 * max(np.median(row), 1e-12))
-        beta_min, beta_max = 0.0, np.inf
-        p = _row_affinities(row, beta)
-        for _ in range(max_tries):
-            gap = _row_perplexity(p) - perplexity
-            if abs(gap) <= tol:
-                break
-            if gap > 0:  # too spread out: sharpen
-                beta_min = beta
-                beta = beta * 2.0 if np.isinf(beta_max) else (beta + beta_max) / 2.0
-            else:
-                beta_max = beta
-                beta = beta / 2.0 if beta_min == 0.0 else (beta + beta_min) / 2.0
-            p = _row_affinities(row, beta)
-        conditionals[i][off_diag[i]] = p
-        sigmas[i] = np.sqrt(1.0 / (2.0 * beta))
+    rows = _squared_distances(x)[off_diag].reshape(n, n - 1)
+    beta = 1.0 / (2.0 * np.maximum(np.median(rows, axis=1), 1e-12))
+    # Shift each row by its smallest distance for numerical range; cancels in the ratio.
+    rows -= rows.min(axis=1, keepdims=True)
+    beta_min = np.zeros(n)
+    beta_max = np.full(n, np.inf)
+    active = np.arange(n)
+    p = np.empty_like(rows)
+    for attempt in range(max_tries + 1):
+        block = rows[active]
+        e = np.exp(-block * beta[active, None])
+        total = e.sum(axis=1)
+        e /= total[:, None]
+        p[active] = e
+        if attempt == max_tries:
+            break
+        # Entropy in nats: log(total) + beta * E_p[shifted distance].
+        entropy = np.log(total) + beta[active] * (block * e).sum(axis=1)
+        gap = np.exp(entropy) - perplexity
+        moving = np.abs(gap) > tol
+        active, gap = active[moving], gap[moving]
+        if active.size == 0:
+            break
+        b = beta[active]
+        sharpen = gap > 0  # too spread out
+        lo = np.where(sharpen, b, beta_min[active])
+        hi = np.where(sharpen, beta_max[active], b)
+        beta_min[active], beta_max[active] = lo, hi
+        beta[active] = np.where(
+            sharpen,
+            np.where(np.isinf(hi), b * 2.0, (b + hi) / 2.0),
+            np.where(lo == 0.0, b / 2.0, (b + lo) / 2.0),
+        )
+    conditionals = np.zeros((n, n))
+    conditionals[off_diag] = p.ravel()
     joint = (conditionals + conditionals.T) / (2.0 * n)
-    return joint, sigmas
+    return joint, np.sqrt(1.0 / (2.0 * beta))
 
 
 def student_t_affinities(y: np.ndarray) -> np.ndarray:
@@ -236,12 +281,14 @@ def tsne_optimize(
     """Momentum gradient descent on KL(P || Q) from a tiny Gaussian init.
 
     The gradient at point i is 4 sum_j (p_ij - q_ij)(y_i - y_j) /
-    (1 + ||y_i - y_j||^2). Affinities are multiplied by the exaggeration
-    factor for the first ``exaggeration_iters`` iterations. Per-coordinate
-    gains (+0.2 on sign disagreement with the velocity, x0.8 on agreement,
+    (1 + ||y_i - y_j||^2), computed as 4 (rowsum(M) y - M y) with
+    M = (P - Q) * W. Affinities are multiplied by the exaggeration factor
+    for the first ``exaggeration_iters`` iterations. Per-coordinate gains
+    (+0.2 on sign disagreement with the velocity, x0.8 on agreement,
     floored at 0.01) follow the original reference implementation and keep
     the fixed learning rate stable late in the run. KL against the
-    unexaggerated P is recorded every iteration.
+    unexaggerated P is recorded every iteration, as sum p log p minus
+    sum p log max(q, 1e-12). The n x n work reuses two buffers.
     """
     p = np.asarray(p, dtype=np.float64)
     n = p.shape[0]
@@ -251,13 +298,26 @@ def tsne_optimize(
     gains = np.ones_like(y)
     kl_history: list[float] = []
     clamped = 0
+    positive = p[p > 0]
+    p_log_p = float(np.dot(positive, np.log(positive)))
+    p_total = float(p.sum())
+    p_flat = p.ravel()
+    p_exaggerated = p * early_exaggeration
+    w = np.empty((n, n))
+    m = np.empty((n, n))
     for it in range(iterations):
-        p_eff = p * early_exaggeration if it < exaggeration_iters else p
-        w = 1.0 / (1.0 + _squared_distances(y))
+        _squared_distances(y, out=w)
+        w += 1.0
+        np.reciprocal(w, out=w)
         np.fill_diagonal(w, 0.0)
-        q = w / w.sum()
-        m = (p_eff - q) * w
-        grad = 4.0 * (np.diag(m.sum(axis=1)) - m) @ y
+        z = float(w.sum())
+        np.multiply(w, -1.0 / z, out=m)  # -q
+        m += p_exaggerated if it < exaggeration_iters else p
+        m *= w
+        grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+        np.maximum(w, 1e-12 * z, out=m)
+        np.log(m, out=m)
+        kl_history.append(p_log_p - float(np.dot(p_flat, m.ravel())) + np.log(z) * p_total)
         norm = np.linalg.norm(grad)
         if norm > grad_norm_clamp:
             grad *= grad_norm_clamp / norm
@@ -269,7 +329,6 @@ def tsne_optimize(
         velocity = momentum * velocity - learning_rate * (gains * grad)
         y = y + velocity
         y = y - y.mean(axis=0)
-        kl_history.append(kl_divergence(p, q))
     return TsneResult(y, kl_history, clamped)
 
 

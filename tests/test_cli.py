@@ -769,6 +769,22 @@ class TestReduceSweepProfile:
         assert main(args) == 0
         assert (tmp_path / "t.tsv").read_bytes() == first
 
+    @pytest.mark.parametrize("method, flag, value", [
+        ("pca", "--max-points", "-1"),
+        ("tsne", "--max-points", "0"),
+        ("tsne", "--iterations", "-1"),
+    ])
+    def test_reduce_rejects_bad_counts(self, data_dir, tmp_path, capsys, method, flag, value):
+        out = tmp_path / "proj.tsv"
+        code = main([
+            "reduce", "--method", method, "--input", str(data_dir / "train.tsv"),
+            "--out", str(out), flag, value,
+        ])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0]
+        assert not out.exists()
+
     def test_sweep_csv(self, data_dir, tmp_path):
         out = tmp_path / "sweep.csv"
         assert main([

@@ -1,9 +1,13 @@
 """PCA and t-SNE components against analytic cases and independent solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from nordlid.errors import PerplexityInfeasible, TooFewPoints
+from nordlid.corpus import LABELS
+from nordlid.errors import ConvergenceFailure, PerplexityInfeasible, TooFewPoints
+from nordlid.features import CsrMatrix, build_ngram_vocab, count_matrix
 from nordlid.reduce import (
     covariance,
     kl_divergence,
@@ -13,6 +17,7 @@ from nordlid.reduce import (
     tsne_affinities,
     tsne_optimize,
 )
+from nordlid.synth import generate_pools
 
 
 def charpoly_coefficients(a: np.ndarray) -> list[float]:
@@ -111,6 +116,40 @@ class TestTopEigenpairs:
             assert pair.vector[np.argmax(np.abs(pair.vector))] > 0
 
 
+def close_gap_data(n: int = 60, d: int = 30, seed: int = 14):
+    """Centred data whose population covariance has eigenvalues ``spectrum``,
+    with lambda_2 / lambda_3 = 1.001; power iteration on one vector would
+    need thousands of steps to separate the second axis from the third."""
+    rng = np.random.default_rng(seed)
+    spectrum = np.concatenate([[10.0, 5.0, 5.0 / 1.001], np.geomspace(1.0, 1e-3, d - 3)])
+    g = rng.normal(size=(n, d))
+    scores, _ = np.linalg.qr(g - g.mean(axis=0))  # orthonormal, zero-mean columns
+    axes, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    return np.sqrt(n) * (scores * np.sqrt(spectrum)) @ axes.T, spectrum
+
+
+class TestCloseEigenvalueGap:
+    def test_explicit_matrix_converges_within_small_max_iter(self):
+        data, _ = close_gap_data()
+        k = covariance(data).matrix
+        pairs = top_eigenpairs(k, 3, max_iter=200)
+        expected = np.linalg.eigvalsh(k)[::-1][:3]
+        assert np.abs([p.value for p in pairs] - expected).max() <= 1e-8
+
+    def test_pca_variances_match_eigvalsh(self):
+        data, spectrum = close_gap_data()
+        coords = pca_project(data, 2)
+        expected = np.linalg.eigvalsh(covariance(data).matrix)[::-1][:2]
+        assert np.allclose(expected, spectrum[:2], rtol=1e-12)
+        assert np.abs(coords.var(axis=0) - expected).max() <= 1e-8
+
+    def test_one_step_raises_convergence_failure(self):
+        data, _ = close_gap_data()
+        with pytest.raises(ConvergenceFailure) as failure:
+            top_eigenpairs(covariance(data).matrix, 2, max_iter=1)
+        assert failure.value.residual > 0
+
+
 class TestPcaProject:
     def test_collinear_data_second_axis_zero(self):
         t = np.linspace(-2, 2, 9)
@@ -134,6 +173,35 @@ class TestPcaProject:
         assert total_variance == pytest.approx(
             pairs[0].value + pairs[1].value, rel=1e-8
         )
+
+    def test_identical_rows_project_to_zero(self):
+        # The covariance is zero up to roundoff: no residual can fall below
+        # a bound relative to lambda_1 alone.
+        data = np.tile(np.random.default_rng(17).random(30), (12, 1))
+        assert np.abs(pca_project(data, 2)).max() <= 1e-12
+
+    def test_csr_input_matches_dense_copy(self):
+        rng = np.random.default_rng(15)
+        dense = rng.integers(1, 4, size=(40, 60)) * (rng.random((40, 60)) < 0.1)
+        dense = dense.astype(np.float64)
+        expected = pca_project(dense, 2)
+        got = pca_project(CsrMatrix.from_dense(dense), 2)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_char3_csr_allocates_no_d_by_d_array(self):
+        pools = generate_pools(30, "wiki", seed=16)
+        sentences = [s for code in LABELS for s in pools[code]]
+        x = count_matrix(sentences, build_ngram_vocab(sentences, 3), normalize=True)
+        assert isinstance(x, CsrMatrix)
+        d = x.shape[1]
+        tracemalloc.start()
+        try:
+            coords = pca_project(x, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coords.shape == (len(sentences), 2)
+        assert peak < d * d * 8 / 10
 
 
 def conditional_from_sigma(data: np.ndarray, i: int, sigma: float) -> np.ndarray:
@@ -222,6 +290,14 @@ class TestTsneOptimize:
         a = tsne_optimize(p, iterations=100, seed=5)
         b = tsne_optimize(p, iterations=100, seed=5)
         assert np.array_equal(a.positions, b.positions)
+
+    def test_kl_history_matches_reference_formula(self):
+        data, _ = two_cluster_data(n=16, seed=18)
+        p, _ = tsne_affinities(data, perplexity=4.0)
+        result = tsne_optimize(p, iterations=1, seed=2)
+        start = np.random.default_rng(2).normal(0.0, 1e-4, size=(16, 2))
+        expected = kl_divergence(p, student_t_affinities(start))
+        assert result.kl_history[0] == pytest.approx(expected, rel=1e-12)
 
     def test_q_matrix_sums_to_one(self):
         rng = np.random.default_rng(12)
