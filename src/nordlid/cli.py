@@ -148,25 +148,33 @@ _NGRAM_FEATURES = {"char1": 1, "char2": 2, "char3": 3}
 
 
 def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeature:
+    """The feature the flags ask for, fitted to ``dataset``.
+
+    Raises EmptyVocabulary when the dataset yields no n-gram or word.
+    """
     normalize = model_kind != "nb" and not args.raw_counts
     if args.features in _NGRAM_FEATURES:
         vocab = build_ngram_vocab(dataset, _NGRAM_FEATURES[args.features], cap=args.cap)
-        return VectorFeature(args.features, normalize, ngram_vocab=vocab)
-    if args.features == "bow":
+        feature = VectorFeature(args.features, normalize, ngram_vocab=vocab)
+    elif args.features == "bow":
         vocab = build_word_vocab(dataset, cap=args.cap)
-        return VectorFeature(args.features, normalize, word_vocab=vocab)
-    cfg = embeddings.EmbeddingConfig(
-        mode=args.features,
-        dim=args.dim,
-        window=args.window,
-        negatives=args.negatives,
-        epochs=args.embed_epochs,
-        learning_rate=args.embed_lr,
-        seed=args.seed,
-    )
-    trainer = embeddings.train_cbow if args.features == "cbow" else embeddings.train_skipgram
-    matrix = trainer(dataset, cfg)
-    return VectorFeature(args.features, False, embedding=QueryEmbedding.from_matrix(matrix))
+        feature = VectorFeature(args.features, normalize, word_vocab=vocab)
+    else:
+        cfg = embeddings.EmbeddingConfig(
+            mode=args.features,
+            dim=args.dim,
+            window=args.window,
+            negatives=args.negatives,
+            epochs=args.embed_epochs,
+            learning_rate=args.embed_lr,
+            seed=args.seed,
+        )
+        trainer = embeddings.train_cbow if args.features == "cbow" else embeddings.train_skipgram
+        matrix = trainer(dataset, cfg)
+        return VectorFeature(args.features, False, embedding=QueryEmbedding.from_matrix(matrix))
+    if not feature.dim:
+        raise EmptyVocabulary(f"corpus contains no {args.features} features")
+    return feature
 
 
 def _train_config(args, learning_rate: float, epochs: int) -> neural.TrainConfig:

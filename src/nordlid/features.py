@@ -293,8 +293,14 @@ def build_word_vocab(
     counts: Counter = Counter()
     for sentence in corpus:
         counts.update(word_tokenize(sentence.text))
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:cap]
-    return WordVocabulary.from_ranked([word for word, _ in ranked])
+    return WordVocabulary.from_ranked(rank_words(counts)[:cap])
+
+
+def rank_words(counts: Counter) -> list[str]:
+    """The words of ``counts`` by descending count, ties in string order."""
+    words = sorted(counts)
+    words.sort(key=counts.__getitem__, reverse=True)  # stable: ties keep string order
+    return words
 
 
 def ngram_hits(

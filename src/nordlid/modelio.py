@@ -32,6 +32,7 @@ import math
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ from .features import (
     NgramVocabulary,
     WordVocabulary,
     count_matrix,
+    ngram_hits,
     texts_of,
 )
 
@@ -119,18 +121,27 @@ def _dec(section: _Section, obj: dict) -> np.ndarray:
 
 @dataclass
 class QueryEmbedding:
-    """Composed per-word vectors, the query-time face of an EmbeddingMatrix."""
+    """Composed per-word vectors, the query-time face of an EmbeddingMatrix.
+
+    Word ``words[i]`` owns row i of ``composed``.
+    """
 
     mode: str
     dim: int
     words: list[str]
-    word_index: dict[str, int]
     composed: np.ndarray
 
     @classmethod
     def from_matrix(cls, emb: embeddings.EmbeddingMatrix) -> "QueryEmbedding":
-        return cls(emb.mode, emb.dim, list(emb.words), dict(emb.word_index),
-                   emb.composed.copy())
+        return cls(emb.mode, emb.dim, list(emb.words), emb.composed.copy())
+
+    @cached_property
+    def word_vocab(self) -> WordVocabulary:
+        """The words as a vocabulary, rank i + 1 for row i, built on first use.
+
+        ``words`` must not change after that.
+        """
+        return WordVocabulary.from_ranked(self.words)
 
 
 @dataclass
@@ -155,14 +166,16 @@ class VectorFeature:
         """Design matrix of sentences or cleaned strings, one row each.
 
         Counts come from :func:`count_matrix`, as CSR whatever their
-        density when ``sparse`` is set; embedding features stack one dense
-        sentence vector per text.
+        density when ``sparse`` is set; embedding features give each text
+        its dense sentence vector, the mean of its known words' vectors,
+        equal bit for bit to :func:`embeddings.sentence_embedding`.
         """
         vocab = self.ngram_vocab if self.ngram_vocab is not None else self.word_vocab
         if vocab is not None:
             return count_matrix(texts, vocab, self.normalize, sparse)
-        rows = [embeddings.sentence_embedding(t, self.embedding) for t in texts_of(texts)]
-        return np.array(rows).reshape(len(rows), self.dim)
+        texts = texts_of(texts)
+        hits = ngram_hits(texts, self.embedding.word_vocab)
+        return embeddings._line_means(self.embedding.composed, *hits, len(texts))
 
 
 #: Lines scored per block, so that design matrices and CNN activations
@@ -253,10 +266,12 @@ def _feature_from_payload(section: _Section, payload: dict | None) -> VectorFeat
         vocab = WordVocabulary.from_ranked(payload["vocab"])
         return VectorFeature(kind, payload["normalize"], word_vocab=vocab)
     emb = payload["embedding"]
-    query = QueryEmbedding(
-        emb["mode"], emb["dim"], list(emb["words"]),
-        {w: i for i, w in enumerate(emb["words"])}, _dec(section, emb["composed"]),
-    )
+    query = QueryEmbedding(emb["mode"], emb["dim"], list(emb["words"]),
+                           _dec(section, emb["composed"]))
+    if query.composed.shape != (len(query.words), query.dim):
+        raise ModelFormatError(f"embedding vectors of shape {query.composed.shape} do not fit "
+                               f"{len(query.words)} words of dimension {query.dim}")
+    query.word_vocab  # checks that the words are distinct strings
     return VectorFeature(kind, payload["normalize"], embedding=query)
 
 

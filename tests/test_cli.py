@@ -257,6 +257,33 @@ class TestTrainEvalPredict:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not (tmp_path / "m.ndsl").exists()
 
+    @pytest.mark.parametrize("model,features,flags", [
+        ("logreg", "bow", []),
+        ("nb", "char3", []),
+        ("knn", "char1", []),
+        ("svm", "char2", []),
+        ("mlp", "bow", []),
+        ("logreg", "char2", ["--cap", "0"]),
+        ("logreg", "skipgram", []),
+        ("logreg", "cbow", []),
+        ("fasttext", "bow", []),
+        ("fasttext", "char1_5", []),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_empty_vocabulary_exit_3(self, data_dir, tmp_path, capsys, model, features, flags):
+        """Blank texts (or a cap of 0) leave no feature: no 0-dimensional model."""
+        if flags:
+            train = data_dir / "train.tsv"
+        else:
+            train = tmp_path / "blank.tsv"
+            save_dataset_tsv([Sentence("", code) for code in LABELS], train)
+        capsys.readouterr()
+        code = main(["train", "--model", model, "--features", features, *flags,
+                     "--train", str(train), "--out", str(tmp_path / "m.ndsl")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not (tmp_path / "m.ndsl").exists()
+
 
 @contextmanager
 def edited_model(source, target):
@@ -381,6 +408,23 @@ class TestInputErrors:
                 "--out-dir", str(tmp_path / "eval"),
             ])
         self.assert_input_error(code, capsys, "parameters are sized for")
+
+    @pytest.mark.parametrize("edit", ["drop last word", "duplicate word", "dim"])
+    def test_embedding_words_must_fit_vectors(self, data_dir, tmp_path, capsys, edit):
+        model_file = tmp_path / "cbow.ndsl"
+        assert main(["train", "--model", "logreg", "--features", "cbow", "--dim", "4",
+                     "--embed-epochs", "1", "--epochs", "2",
+                     "--train", str(data_dir / "train.tsv"), "--out", str(model_file)]) == 0
+        with edited_model(model_file, tmp_path / "broken.ndsl") as parts:
+            embedding = parts["header"]["feature"]["embedding"]
+            if edit == "drop last word":
+                embedding["words"].pop()
+            elif edit == "duplicate word":
+                embedding["words"][-1] = embedding["words"][0]
+            else:
+                embedding["dim"] = 5
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys)
 
     def test_non_utf8_model_file(self, svm_file, tmp_path, capsys):
         with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:

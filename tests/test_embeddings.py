@@ -1,11 +1,16 @@
 """Embedding training, subword handling, and the supervised classifier."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from nordlid import embeddings
 from nordlid.corpus import ALPHABET, LABELS, Sentence
 from nordlid.embeddings import (
     EmbeddingConfig,
@@ -76,6 +81,60 @@ def test_word_rows_follow_per_gram_fnv1a():
         assert emb.word_rows[i].dtype == np.int64
         assert emb.word_rows[i].tolist() == [i] + [rows[b] for b in word]
     assert emb.vectors.shape == (len(emb.words) + len(occupied), 4)
+
+
+def reference_subword_rows(words, cfg):
+    """``_subword_rows`` built word by word from ``subword_ngrams`` and ``fnv1a``."""
+    buckets = [[fnv1a(g.encode("utf-8")) % cfg.bucket_count
+                for g in subword_ngrams(w, cfg.subword_min, cfg.subword_max)] for w in words]
+    occupied = sorted({b for word in buckets for b in word})
+    row = {b: len(words) + i for i, b in enumerate(occupied)}
+    return [[i] + [row[b] for b in word] for i, word in enumerate(buckets)], occupied
+
+
+#: Words of any code points (no lone surrogates, which UTF-8 cannot encode),
+#: and words over a few characters of 1 to 4 UTF-8 bytes and the boundary
+#: marks, which repeat grams within a word.
+any_word = st.text(st.characters(codec="utf-8"), min_size=1, max_size=12)
+repeating_word = st.text("a<>þ€😀", min_size=1, max_size=14)
+
+
+@given(words=st.lists(st.one_of(any_word, repeating_word), min_size=1, max_size=12),
+       orders=st.tuples(st.integers(1, 10), st.integers(0, 9)),
+       bucket_count=st.sampled_from([1, 2, 7, 1 << 20]),
+       block=st.integers(1, 5))
+@example(words=["aaaaaaa", "a", "og", "<a>", "aaaa"], orders=(3, 3), bucket_count=1 << 20,
+         block=2)
+@settings(max_examples=300, deadline=None)
+def test_subword_rows_equal_per_word_reference(words, orders, bucket_count, block):
+    nmin, extra = orders
+    cfg = EmbeddingConfig(subword_min=nmin, subword_max=min(nmin + extra, 10),
+                          bucket_count=bucket_count)
+    with mock.patch.object(embeddings, "SUBWORD_BLOCK", block):
+        word_rows, occupied = embeddings._subword_rows(words, cfg)
+    rows, buckets = reference_subword_rows(words, cfg)
+    assert occupied.dtype == np.int64 and occupied.tolist() == buckets
+    assert [r.dtype for r in word_rows] == [np.dtype(np.int64)] * len(words)
+    assert [r.tolist() for r in word_rows] == rows
+
+
+def test_subword_rows_memory_is_bounded_by_blocks():
+    """Only each block's distinct buckets and its grams' indices among
+    them outlive the block, and together they are about as large as the
+    result; a pass over every word at once held each character position's
+    arrays for the whole vocabulary and peaked at four times the result."""
+    pools = generate_pools(1000, "wiki", seed=0)
+    words, _ = embeddings._vocab_words([word_tokenize(s.text) for p in pools.values() for s in p])
+    cfg = EmbeddingConfig(dim=4)
+    tracemalloc.start()
+    try:
+        result = embeddings._subword_rows(words, cfg)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, result[0])) > 30 * len(words)  # every word's grams
+    block_allowance = 4 << 20
+    assert peak <= 2 * held + block_allowance, (peak, held)
 
 
 def repeated_pair_corpus(n=120):
@@ -265,6 +324,9 @@ def test_embedding_config_validation():
         EmbeddingConfig(window=0)
     with pytest.raises(ValueError):
         EmbeddingConfig(subword_min=4, subword_max=3)
+    for bucket_count in (0, -5):  # no bucket, or negative bucket ids
+        with pytest.raises(ValueError, match="bucket_count"):
+            EmbeddingConfig(bucket_count=bucket_count)
 
 
 @pytest.mark.parametrize("config,kwargs", [

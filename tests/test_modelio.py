@@ -238,7 +238,9 @@ EDGE_LINES = ["", "!!! 123", "xq", "Hej med dig, Þór!", "qz" * 3, "abc " * 20]
 def reference_vector(text: str, feature: VectorFeature) -> np.ndarray:
     """The feature vector of one cleaned text, counted with a Counter."""
     if feature.embedding is not None:
-        return embeddings.sentence_embedding(text, feature.embedding)
+        index = {w: i for i, w in enumerate(feature.embedding.words)}
+        hits = [index[w] for w in word_tokenize(text) if w in index]
+        return feature.embedding.composed[hits].mean(axis=0) if hits else np.zeros(feature.dim)
     if feature.ngram_vocab is not None:
         entries = feature.ngram_vocab.entries
         hits = [entries[g] for g in extract_char_ngrams(text, feature.ngram_vocab.n)
@@ -300,6 +302,8 @@ def batch_cases(corpus):
     bow = VectorFeature("bow", True, word_vocab=build_word_vocab(corpus))
     cbow = VectorFeature("cbow", False, embedding=QueryEmbedding.from_matrix(
         embeddings.train_cbow(corpus, embeddings.EmbeddingConfig(mode="cbow", dim=8, epochs=1))))
+    skipgram = VectorFeature("skipgram", False, embedding=QueryEmbedding.from_matrix(
+        embeddings.train_skipgram(corpus, embeddings.EmbeddingConfig(dim=8, epochs=1))))
     cnn_cfg = neural.TrainConfig(learning_rate=0.05, epochs=2, seed=4, max_len=16)
     return {
         "knn-char2": vector_pipeline("knn", corpus, char2, k=3),
@@ -307,6 +311,7 @@ def batch_cases(corpus):
         "logreg-char2": vector_pipeline("logreg", corpus, char2, epochs=20),
         "logreg-char3": vector_pipeline("logreg", corpus, char3, epochs=20),
         "logreg-cbow": vector_pipeline("logreg", corpus, cbow, epochs=20),
+        "logreg-skipgram": vector_pipeline("logreg", corpus, skipgram, epochs=20),
         "nb-char2": vector_pipeline("nb", corpus, raw2),
         "nb-char3": vector_pipeline("nb", corpus, raw3),
         "nb-char2-alpha0": vector_pipeline("nb", corpus, raw2, alpha=0.0),
@@ -329,8 +334,8 @@ def batch_pipelines(corpus):
 
 
 @pytest.mark.parametrize("case", [
-    "knn-char2", "knn-bow", "logreg-char2", "logreg-char3", "logreg-cbow", "nb-char2",
-    "nb-char3", "nb-char2-alpha0", "nb-char3-alpha0", "svm-char3", "mlp-char2",
+    "knn-char2", "knn-bow", "logreg-char2", "logreg-char3", "logreg-cbow", "logreg-skipgram",
+    "nb-char2", "nb-char3", "nb-char2-alpha0", "nb-char3-alpha0", "svm-char3", "mlp-char2",
     "cnn-char2", "fasttext-char1_5", "fasttext-bow",
 ])
 def test_batch_labels_equal_per_line_reference(batch_pipelines, corpus, case):
@@ -342,6 +347,26 @@ def test_batch_labels_equal_per_line_reference(batch_pipelines, corpus, case):
     assert labels == [reference_label(pipeline, line) for line in lines]
     assert labels == [pipeline.predict(line) for line in lines]
     assert pipeline.labels([]) == []
+
+
+@pytest.mark.parametrize("mode,dim", [("cbow", 8), ("skipgram", 5), ("cbow", 1), ("skipgram", 1)])
+def test_embedding_design_equals_per_line_sentence_embedding(corpus, mode, dim):
+    """Bit for bit, on more than one scoring block of lines, among them an
+    empty line and lines with no known word. With dim 1, numpy averages a
+    single column pairwise, which the batch path must match too."""
+    train = embeddings.train_cbow if mode == "cbow" else embeddings.train_skipgram
+    emb = train(corpus, embeddings.EmbeddingConfig(mode=mode, dim=dim, epochs=1, seed=dim))
+    feature = VectorFeature(mode, False, embedding=QueryEmbedding.from_matrix(emb))
+    texts = [s.text for s in corpus]
+    lines = ["", "qqq zzz", " "] + [
+        " ".join(texts[i % len(texts)].split()[i % 3 :] + ["xq"] * (i % 2))
+        for i in range(modelio.BATCH_LINES + 5)
+    ]
+    x = feature.matrix(lines)
+    expected = np.array([embeddings.sentence_embedding(line, emb) for line in lines])
+    assert x.shape == (len(lines), dim)
+    assert x.tobytes() == expected.tobytes()
+    assert not x[:3].any() and x[3:].any(axis=1).all()
 
 
 def test_batch_is_cut_into_blocks(batch_pipelines, corpus, monkeypatch):
@@ -387,6 +412,7 @@ PARAMS_FORMAT = {
         ["vectors.indptr", "vectors.indices", "vectors.data", "labels"],
     ),
     "logreg-char2": (["epochs", "learning_rate", "theta"], ["theta"]),
+    "logreg-skipgram": (["epochs", "learning_rate", "theta"], ["theta"]),
     "nb-char2": (["alpha", "log_likelihoods", "log_priors"], ["log_priors", "log_likelihoods"]),
     "svm-char3": (["biases", "epochs", "lam", "seed", "weights"], ["weights", "biases"]),
     "mlp-char2": (["biases", "weights"], ["weights[0]", "weights[1]", "biases[0]", "biases[1]"]),
