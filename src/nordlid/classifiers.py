@@ -2,10 +2,9 @@
 
 Trainers take a design matrix, dense or CSR (see ``features.CsrMatrix``),
 and integer class indices (0..5, matching the canonical label order).
-Each model's ``scores`` takes one dense vector, giving six scores, or a
-design matrix, giving one row of six per sample; a sample's label is the
-argmax of its scores. Predictors take one dense vector and return label
-codes.
+Each model's ``scores`` takes an n x d design matrix, dense or CSR, and
+gives one row of six scores per sample; a sample's label is the argmax
+of its row. One sample is scored as a one-row matrix.
 Training is deterministic: full-batch methods are order-independent,
 stochastic ones take an explicit seed.
 """
@@ -16,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import LABELS
 from .errors import DimensionMismatch, NegativeCount
 from .features import (
     N_CLASSES,
@@ -29,17 +27,10 @@ from .features import (
 )
 
 
-def _check_dim(x: np.ndarray, expected: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != expected:
-        raise DimensionMismatch(expected, x.shape[-1] if x.ndim else 0)
-    return x
-
-
 def _features(x, expected: int) -> np.ndarray | CsrMatrix:
-    """One vector or a design matrix of ``expected`` features, checked."""
+    """A design matrix of ``expected`` features, checked."""
     x = design_array(x)
-    if x.ndim not in (1, 2) or x.shape[-1] != expected:
+    if x.ndim != 2 or x.shape[-1] != expected:
         raise DimensionMismatch(expected, x.shape[-1] if x.ndim else 0)
     return x
 
@@ -53,6 +44,7 @@ def _features(x, expected: int) -> np.ndarray | CsrMatrix:
 #: query block, its n x m squared distances, the per-non-zero terms of
 #: the CSR product, and the densified rows of an exact recompute. Each
 #: holds at least one query or one training row, whatever n and d are.
+#: Naive Bayes keeps its dense per-class contributions within it too.
 KNN_BLOCK_BYTES = 16 * 2**20
 
 
@@ -63,10 +55,13 @@ class KnnModel:
     labels: np.ndarray  # n, class indices
 
     def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
-        """One-hot rows of each query's :func:`knn_predict` label."""
-        x = _features(x, self.vectors.shape[1])
-        scores = one_hot(_knn_search(self, x if x.ndim == 2 else x[None]))
-        return scores[0] if x.ndim == 1 else scores
+        """One-hot row of each query row's label: the majority label among
+        its k nearest training points by Euclidean distance.
+
+        Distance ties resolve by training-set order (stable sort); vote ties
+        by smallest summed distance, then by label order.
+        """
+        return one_hot(_knn_search(self, _features(x, self.vectors.shape[1])))
 
 
 def train_knn(train_x: np.ndarray | CsrMatrix, train_y: np.ndarray, k: int = 3) -> KnnModel:
@@ -79,18 +74,8 @@ def train_knn(train_x: np.ndarray | CsrMatrix, train_y: np.ndarray, k: int = 3) 
     return KnnModel(k, train_x, train_y)
 
 
-def knn_predict(model: KnnModel, x: np.ndarray) -> str:
-    """Majority label among the k nearest training points.
-
-    Distance ties resolve by training-set order (stable sort); vote ties
-    by smallest summed distance, then by label order.
-    """
-    x = _check_dim(x, model.vectors.shape[1])
-    return LABELS[_knn_search(model, x[None])[0]]
-
-
 def _knn_search(model: KnnModel, queries: np.ndarray | CsrMatrix) -> np.ndarray:
-    """Label index of each query row, by the rules of :func:`knn_predict`.
+    """Label index of each query row, by the rules of :meth:`KnnModel.scores`.
 
     Queries go ``m`` at a time, so that the dense block (m x d) and its
     squared distances (n x m) stay within ``KNN_BLOCK_BYTES``. A block's
@@ -239,14 +224,7 @@ def train_logreg(
 
 def logreg_posterior(model: LogRegModel, x: np.ndarray | CsrMatrix) -> np.ndarray:
     x = _features(x, model.theta.shape[1] - 1)
-    if x.ndim == 1:
-        return softmax(model.theta @ np.append(x, 1.0))
     return softmax(x @ model.theta[:, :-1].T + model.theta[:, -1])
-
-
-def logreg_predict(model: LogRegModel, x: np.ndarray) -> tuple[str, np.ndarray]:
-    posterior = logreg_posterior(model, x)
-    return LABELS[int(np.argmax(posterior))], posterior
 
 
 # ---------------------------------------------------------------------------
@@ -297,25 +275,22 @@ def nb_scores(model: NbModel, x: np.ndarray | CsrMatrix) -> np.ndarray:
     x = _features(x, model.log_likelihoods.shape[1])
     if ((x.data if isinstance(x, CsrMatrix) else x) < 0).any():
         raise NegativeCount("feature counts must be non-negative")
-    if x.ndim == 1:
-        # 0 * log(0) is taken as 0: absent features contribute nothing.
-        with np.errstate(invalid="ignore"):
-            contributions = np.where(x > 0, x * model.log_likelihoods, 0.0)
-        return model.log_priors + contributions.sum(axis=1)
     finite = np.isfinite(model.log_likelihoods)
     scores = x @ np.where(finite, model.log_likelihoods, 0.0).T + model.log_priors
     # A product would turn 0 * log(0) into nan, so the rows that hold a
     # feature with a non-finite log-likelihood (alpha = 0, or a class
-    # absent from training) are scored one at a time.
-    touched = x @ (~finite).any(axis=0).astype(np.float64) > 0
-    for i in np.flatnonzero(touched):
-        scores[i] = nb_scores(model, x[i])
+    # absent from training) are scored as dense blocks, in which an absent
+    # feature contributes nothing; a block's m x 6 x d contributions stay
+    # within KNN_BLOCK_BYTES.
+    touched = np.flatnonzero(x @ (~finite).any(axis=0).astype(np.float64) > 0)
+    step = max(1, KNN_BLOCK_BYTES // (8 * N_CLASSES * max(1, x.shape[1])))
+    for start in range(0, len(touched), step):
+        rows = touched[start : start + step]
+        dense = x[rows][:, None]  # m x 1 x d
+        with np.errstate(invalid="ignore"):
+            contributions = np.where(dense > 0, dense * model.log_likelihoods, 0.0)
+        scores[rows] = model.log_priors + contributions.sum(axis=2)
     return scores
-
-
-def nb_predict(model: NbModel, x: np.ndarray) -> tuple[str, np.ndarray]:
-    scores = nb_scores(model, x)
-    return LABELS[int(np.argmax(scores))], scores
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +379,4 @@ def train_svm(
 
 
 def svm_scores(model: SvmModel, x: np.ndarray | CsrMatrix) -> np.ndarray:
-    x = _features(x, model.weights.shape[1])
-    if x.ndim == 1:
-        return model.weights @ x + model.biases
-    return x @ model.weights.T + model.biases
-
-
-def svm_predict(model: SvmModel, x: np.ndarray) -> str:
-    return LABELS[int(np.argmax(svm_scores(model, x)))]
+    return _features(x, model.weights.shape[1]) @ model.weights.T + model.biases

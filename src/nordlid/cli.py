@@ -466,9 +466,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_sizes(args) -> None:
+    """Raise ValueError naming the first of the size flags ``--cap``,
+    ``--hidden``, ``--filters`` and ``--embed-dim`` given below 1."""
+    for name in ("cap", "hidden", "filters", "embed_dim"):
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_sizes(args)
         return args.func(args)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

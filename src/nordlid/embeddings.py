@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .corpus import LABELS, Sentence
+from .corpus import Sentence
 from .errors import EmptyVocabulary
 from .features import (
     KEY_START,
@@ -579,9 +579,3 @@ def supervised_loss(model: FastTextClassifier, ids: np.ndarray, label: int) -> f
     mean = model.input_vectors[ids].mean(axis=0)
     posterior = softmax(mean @ model.output_weights + model.output_bias)
     return float(-np.log(max(posterior[label], 1e-12)))
-
-
-def predict_fasttext(model: FastTextClassifier, text: str) -> tuple[str, np.ndarray]:
-    """Label and posterior of one cleaned text: its row of ``model.scores``."""
-    posterior = model.scores([text])[0]
-    return LABELS[int(np.argmax(posterior))], posterior

@@ -5,7 +5,8 @@ of cleaned text maps to its rank in the alphabet sorted by code point
 (the space first), and an n-gram to ``sum(c[i] * 40**(n-1-i))``, so for
 a fixed n the numeric order of n-gram codes equals their string order.
 Vocabularies, design matrices and the CNN's token ids are built from
-these codes with numpy, with no Python step per n-gram. fastText keys
+these codes with numpy, with no Python step per n-gram, and an n-gram
+vocabulary is kept, and saved, as the array of its codes. fastText keys
 the grams of several orders in one space: an n-gram's key is
 ``KEY_START[n]`` (the number of grams of orders 1..n-1) plus its code.
 
@@ -49,7 +50,6 @@ KEY_START = [sum(BASE**m for m in range(1, n)) for n in range(MAX_ORDER + 2)]
 #: Code of every Latin-1 code point; -1 off the alphabet.
 _CODE_OF = np.full(256, -1, dtype=np.int64)
 _CODE_OF[[ord(ch) for ch in CODE_ORDER]] = np.arange(BASE)
-_CHAR_OF = np.array(list(CODE_ORDER))
 
 
 def char_codes(text: str) -> np.ndarray:
@@ -171,12 +171,6 @@ class CodeIndex:
         return out
 
 
-def decode_grams(grams: np.ndarray, n: int) -> list[str]:
-    """The n-gram strings of codes from :func:`gram_codes`."""
-    digits = grams[:, None] // BASE ** np.arange(n - 1, -1, -1) % BASE
-    return _CHAR_OF[digits].view(f"<U{n}").ravel().tolist()
-
-
 def extract_char_ngrams(text: str, n: int) -> list[str]:
     """All width-n windows of ``text`` (spaces included), left to right."""
     if n < 1:
@@ -189,43 +183,38 @@ def word_tokenize(text: str) -> list[str]:
     return [w for w in text.split(" ") if w]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NgramVocabulary:
-    """Dense n-gram -> index map, ordered by descending corpus frequency.
+    """The n-grams of one order a feature or model knows, by their codes.
 
-    Frequency ties are broken lexicographically so construction is a pure
-    function of the corpus. Construction checks that the entries are
-    distinct strings of width n over the alphabet with the columns
-    0..size-1: it raises TypeError on an entry that is not a string and
-    ValueError on any other fault.
+    ``codes[j]`` is the :func:`gram_codes` code of column j's n-gram. Built
+    from a corpus, the columns go by descending frequency, ties in code
+    (and so string) order, so construction is a pure function of the
+    corpus. Construction checks that 1 <= n <= ``MAX_ORDER`` and that
+    ``codes`` is one 1-D int64 array of distinct codes in 0..BASE**n - 1,
+    and raises ValueError otherwise.
     """
 
     n: int
-    entries: dict[str, int]
+    codes: np.ndarray
 
     def __post_init__(self):
-        self._codes  # encodes, and so checks, the entries once
+        if type(self.n) is not int or not 1 <= self.n <= MAX_ORDER:
+            raise ValueError(f"n-gram order {self.n!r} is not an integer in 1..{MAX_ORDER}")
+        codes = self.codes
+        if not isinstance(codes, np.ndarray) or codes.dtype != np.int64 or codes.ndim != 1:
+            raise ValueError("vocabulary codes are not one 1-D int64 array")
+        if codes.size and not 0 <= codes.min() <= codes.max() < BASE**self.n:
+            raise ValueError(f"vocabulary codes are not codes of order {self.n}")
+        self._index  # indexes, and so checks that no code repeats, once
 
     @property
     def size(self) -> int:
-        return len(self.entries)
-
-    @cached_property
-    def _codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Code and column of every vocabulary n-gram, in entry order."""
-        text = "".join(self.entries)
-        # with no entry wider than n, a total of n * size leaves each exactly n wide
-        if len(text) != self.n * self.size or max(map(len, self.entries), default=0) > self.n:
-            raise ValueError(f"vocabulary of order {self.n} holds an entry of another width")
-        _, codes = gram_codes([text], self.n)
-        columns = np.fromiter(self.entries.values(), dtype=np.int64, count=self.size)
-        if not np.array_equal(np.sort(columns), np.arange(self.size)):
-            raise ValueError(f"vocabulary columns are not 0..{self.size - 1}")
-        return codes[:: self.n], columns  # the windows that start at an entry
+        return len(self.codes)
 
     @cached_property
     def _index(self) -> CodeIndex:
-        return CodeIndex.build(*self._codes, BASE**self.n)
+        return CodeIndex.build(self.codes, np.arange(self.size), BASE**self.n)
 
     def columns(self, grams: np.ndarray) -> np.ndarray:
         """Column of each n-gram code, -1 out of vocabulary."""
@@ -283,8 +272,7 @@ def build_ngram_vocab(
 ) -> NgramVocabulary:
     _, grams = gram_codes(texts_of(corpus), n)
     unique, counts = np.unique(grams, return_counts=True)
-    ranked = unique[np.lexsort((unique, -counts))][:cap]
-    return NgramVocabulary(n, {gram: i for i, gram in enumerate(decode_grams(ranked, n))})
+    return NgramVocabulary(n, unique[np.lexsort((unique, -counts))][:cap])
 
 
 def build_word_vocab(

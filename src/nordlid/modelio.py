@@ -10,9 +10,11 @@ File layout (``NDSL2``), after numpy's ``.npy`` format:
   "offset"}`` descriptor, a list of arrays as a list of them, a
   ``CsrMatrix`` (KNN's training vectors) as ``{"shape", "indptr",
   "indices", "data"}`` with one descriptor for each of its three arrays,
-  a ``dict[str, int]`` vocabulary as its keys in column order, and a
-  scalar or string list as itself. Spaces pad the header before its LF
-  so that the array section starts at a multiple of 8 bytes;
+  an ``NgramVocabulary`` (a vector feature's, or the CNN's) as ``{"n",
+  "codes"}`` with one ``<i8`` descriptor of its n-gram codes in column
+  order, and a scalar or string list (a word vocabulary) as itself.
+  Spaces pad the header before its LF so that the array section starts
+  at a multiple of 8 bytes;
 - the array section: each array's raw little-endian ``<f8`` or ``<i8``
   bytes, back to back: the feature pipeline's, then the model's in
   field order. A descriptor's offset counts from the start of the
@@ -237,9 +239,7 @@ def _feature_payload(arrays: list[np.ndarray], feature: VectorFeature | None) ->
         return None
     payload = {"type": feature.type, "normalize": feature.normalize}
     if feature.ngram_vocab is not None:
-        ordered = sorted(feature.ngram_vocab.entries, key=feature.ngram_vocab.entries.get)
-        payload["ngram_n"] = feature.ngram_vocab.n
-        payload["vocab"] = ordered
+        payload["ngram_vocab"] = _enc_ngrams(arrays, feature.ngram_vocab)
     elif feature.word_vocab is not None:
         ordered = sorted(feature.word_vocab.entries, key=feature.word_vocab.entries.get)
         payload["vocab"] = ordered
@@ -257,10 +257,8 @@ def _feature_from_payload(section: _Section, payload: dict | None) -> VectorFeat
     if payload is None:
         return None
     kind = payload["type"]
-    if "ngram_n" in payload:
-        vocab = NgramVocabulary(
-            payload["ngram_n"], {g: i for i, g in enumerate(payload["vocab"])}
-        )
+    if "ngram_vocab" in payload:
+        vocab = _dec_ngrams(section, payload["ngram_vocab"])
         return VectorFeature(kind, payload["normalize"], ngram_vocab=vocab)
     if "vocab" in payload:
         vocab = WordVocabulary.from_ranked(payload["vocab"])
@@ -331,12 +329,13 @@ def _dec_csr(section: _Section, obj: dict) -> CsrMatrix:
     return CsrMatrix((n, d), indptr, indices, data)
 
 
-def _enc_vocab(_, vocab: dict[str, int]) -> list[str]:
-    return sorted(vocab, key=vocab.get)
+def _enc_ngrams(arrays: list[np.ndarray], vocab: NgramVocabulary) -> dict:
+    return {"n": vocab.n, "codes": _enc(arrays, vocab.codes)}
 
 
-def _dec_vocab(_, entries: list[str]) -> dict[str, int]:
-    return {g: i for i, g in enumerate(entries)}
+def _dec_ngrams(section: _Section, obj: dict) -> NgramVocabulary:
+    """The vocabulary, which checks its order and codes on construction."""
+    return NgramVocabulary(obj["n"], _dec(section, obj["codes"]))
 
 
 #: (encode, decode) of a model field, by its annotation as written. An
@@ -349,7 +348,7 @@ _FIELD_CODECS = {
     "np.ndarray": (_enc, _dec),
     "list[np.ndarray]": (_enc_list, _dec_list),
     "CsrMatrix": (_enc_csr, _dec_csr),
-    "dict[str, int]": (_enc_vocab, _dec_vocab),
+    "NgramVocabulary": (_enc_ngrams, _dec_ngrams),
 }
 
 #: kind -> (name, encode, decode) of each saved field, in declaration
@@ -447,10 +446,9 @@ def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
         if not np.isfinite(model.vectors.row_sq_norms()).all():
             raise ModelFormatError("knn training vectors have a squared norm that is not finite")
     if kind == "cnn":
-        model.ngram_vocab  # checks the n-gram vocabulary
         if not _is_count(model.max_len) or model.max_len < model.filters.shape[1]:
             raise ModelFormatError(f"cnn max_len {model.max_len!r} is shorter than its filters")
-        have, want = model.embeddings.shape[0], len(model.vocab) + 1
+        have, want = model.embeddings.shape[0], model.vocab.size + 1
     elif kind == "fasttext":
         have, want = model.input_vectors.shape[0], _fasttext_rows(model)
     elif feature is None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -179,22 +178,13 @@ class CnnModel:
     Token index 0 is reserved for padding; real tokens are 1-based.
     """
 
-    gram: int
-    vocab: dict[str, int]  # ngram -> 0-based index; stored ids are index + 1
+    vocab: NgramVocabulary  # column j is token id j + 1
     embeddings: np.ndarray  # (V+1) x e, row 0 = pad
     filters: np.ndarray  # F x h x e
     conv_bias: np.ndarray  # F
     dense_w: np.ndarray  # F x 6
     dense_b: np.ndarray  # 6
     max_len: int
-
-    @cached_property
-    def ngram_vocab(self) -> NgramVocabulary:
-        """``vocab`` as an :class:`NgramVocabulary`, built on first use.
-
-        ``gram`` and ``vocab`` must not change after that.
-        """
-        return NgramVocabulary(self.gram, self.vocab)
 
     def scores(self, texts: list[str]) -> np.ndarray:
         """Posterior of every cleaned text, n x 6, forwarded ``PREDICT_BLOCK`` rows at a time.
@@ -209,8 +199,7 @@ class CnnModel:
 
 
 def init_cnn(
-    gram: int,
-    vocab: dict[str, int],
+    vocab: NgramVocabulary,
     kernel: int = 3,
     filters: int = 64,
     embed_dim: int = 16,
@@ -220,12 +209,11 @@ def init_cnn(
     if kernel < 1 or kernel > max_len:
         raise ValueError(f"kernel width must lie in 1..{max_len}, got {kernel}")
     rng = np.random.default_rng(seed)
-    embeddings = rng.uniform(-0.1, 0.1, size=(len(vocab) + 1, embed_dim))
+    embeddings = rng.uniform(-0.1, 0.1, size=(vocab.size + 1, embed_dim))
     conv = _xavier(rng, kernel * embed_dim, filters, (filters, kernel, embed_dim))
     dense = _xavier(rng, filters, N_CLASSES, (filters, N_CLASSES))
     return CnnModel(
-        gram,
-        dict(vocab),
+        vocab,
         embeddings,
         conv,
         np.zeros(filters),
@@ -242,7 +230,7 @@ def cnn_token_ids(model: CnnModel, texts: list[str]) -> np.ndarray:
     truncated to ``max_len`` and padded with ``PAD_INDEX``; a text with
     none in the vocabulary gets an all-padding row.
     """
-    rows, columns = ngram_hits(texts, model.ngram_vocab)
+    rows, columns = ngram_hits(texts, model.vocab)
     # rows ascend, so each hit's rank within its text is its distance
     # from the first hit of that text
     rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
@@ -256,7 +244,7 @@ def _training_ids(model: CnnModel, texts: list[str]) -> np.ndarray:
     """Token ids as :func:`cnn_token_ids`; a text without any is an error."""
     ids = cnn_token_ids(model, texts)
     if not ids[:, 0].all():
-        raise SequenceTooShort(f"no in-vocabulary tokens of order {model.gram}")
+        raise SequenceTooShort(f"no in-vocabulary tokens of order {model.vocab.n}")
     return ids
 
 
@@ -354,10 +342,8 @@ def cnn_train(
     vocab_cap: int | None = None,
 ) -> CnnModel:
     train = list(train)
-    vocab = build_ngram_vocab(train, gram, cap=vocab_cap).entries
-    model = init_cnn(
-        gram, vocab, kernel, filters, embed_dim, cfg.max_len, cfg.seed
-    )
+    vocab = build_ngram_vocab(train, gram, cap=vocab_cap)
+    model = init_cnn(vocab, kernel, filters, embed_dim, cfg.max_len, cfg.seed)
     ids = _training_ids(model, [s.text for s in train])
     labels = np.array([LABEL_INDEX[s.label] for s in train], dtype=np.int64)
     rng = np.random.default_rng(cfg.seed + 1)

@@ -23,6 +23,7 @@ from nordlid.corpus import (
     train_test_split,
 )
 from nordlid.experiments import run_mini_experiment
+from nordlid.features import NgramVocabulary
 from nordlid.modelio import load_model
 from nordlid.synth import generate_pools
 
@@ -125,7 +126,8 @@ def test_criterion_2_oracle_equivalence():
         labels = rng.integers(0, 6, size=n)
         query = rng.normal(size=d).round(3)
         model = classifiers.train_knn(vectors, labels, k=k)
-        assert classifiers.knn_predict(model, query) == knn_oracle(vectors, labels, k, query)
+        label = LABELS[int(model.scores(query[None]).argmax())]  # the query as a one-row matrix
+        assert label == knn_oracle(vectors, labels, k, query)
 
     for _ in range(50):  # NB log-scores vs exact-rational enumeration
         n = int(rng.integers(6, 15))
@@ -135,7 +137,7 @@ def test_criterion_2_oracle_equivalence():
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
         x = rng.integers(0, 4, size=v).astype(float)
         model = classifiers.train_nb(counts, labels, alpha=alpha)
-        got = classifiers.nb_scores(model, x)
+        got = classifiers.nb_scores(model, x[None])[0]
         for a, b in zip(got, nb_oracle_scores(counts, labels, alpha, x)):
             if math.isinf(b):
                 assert math.isinf(a)
@@ -227,9 +229,9 @@ def test_criterion_3_gradient_checks():
                 model.biases[layer][index] += step
                 assert relative_error(b_grads[layer][index], (up - down) / (2 * step)) < 1e-4
 
-    vocab = {f"g{i}": i for i in range(5)}
+    vocab = NgramVocabulary(1, np.arange(5, dtype=np.int64))
     for i in range(20):  # CNN, all parameter tensors (V=5, e=3, F=2, h=2, L=6)
-        model = neural.init_cnn(1, vocab, kernel=2, filters=2, embed_dim=3, max_len=6, seed=i)
+        model = neural.init_cnn(vocab, kernel=2, filters=2, embed_dim=3, max_len=6, seed=i)
         ids = rng.integers(0, 6, size=(2, 6))
         y = rng.integers(0, 6, size=2)
         _, grads = neural.cnn_grads(model, ids, y)

@@ -16,14 +16,10 @@ from nordlid.classifiers import (
     LogRegModel,
     SvmModel,
     _augment,
-    knn_predict,
     logreg_gradient,
     logreg_loss,
-    logreg_predict,
-    nb_predict,
     nb_scores,
     svm_objective,
-    svm_predict,
     svm_scores,
     train_knn,
     train_logreg,
@@ -42,6 +38,11 @@ def numpy_distance(row, x):
     """The documented formula, summed as numpy sums a row: distances that
     differ in the last bits then order as the model's do."""
     return float(np.sqrt(((row - x) ** 2).sum()))
+
+
+def label(model, x) -> str:
+    """The label of one sample: the argmax of the model's scores of it as a one-row matrix."""
+    return LABELS[int(model.scores(np.asarray(x, dtype=np.float64)[None]).argmax())]
 
 
 def knn_oracle(vectors, labels, k, x, distance=python_distance):
@@ -101,7 +102,7 @@ class TestKnn:
         expected = [knn_oracle(vectors, labels, k, q, numpy_distance) for q in queries]
         assert [LABELS[c] for c in model.scores(queries).argmax(axis=1)] == expected
         assert [LABELS[c] for c in model.scores(CsrMatrix.from_dense(queries)).argmax(axis=1)] == expected
-        assert [knn_predict(model, q) for q in queries] == expected
+        assert [label(model, q) for q in queries] == expected
 
     def test_search_memory_stays_within_budget(self, monkeypatch):
         rng = np.random.default_rng(3)
@@ -122,17 +123,17 @@ class TestKnn:
 
     def test_exact_match_k1(self):
         model = train_knn(np.array([[0.0, 0.0], [5.0, 5.0]]), np.array([2, 4]), k=1)
-        assert knn_predict(model, np.array([5.0, 5.0])) == LABELS[4]
+        assert label(model, [5.0, 5.0]) == LABELS[4]
 
     def test_majority_vote(self):
         x = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 10.0]])
         y = np.array([0, 0, 1])  # dk, dk, sv
         model = train_knn(x, y, k=3)
-        assert knn_predict(model, np.array([1.0, 1.0])) == "dk"
+        assert label(model, [1.0, 1.0]) == "dk"
 
     def test_zero_width_vectors_tie_by_training_order(self):
         model = train_knn(np.zeros((3, 0)), np.array([2, 1, 0]), k=2)
-        assert knn_predict(model, np.zeros(0)) == knn_oracle(model.vectors.toarray(), [2, 1, 0], 2, [])
+        assert label(model, np.zeros(0)) == knn_oracle(model.vectors.toarray(), [2, 1, 0], 2, [])
         assert model.scores(np.zeros((4, 0))).argmax(axis=1).tolist() == [1] * 4
 
     def test_k_exceeds_training_size(self):
@@ -142,19 +143,21 @@ class TestKnn:
     def test_dimension_mismatch(self):
         model = train_knn(np.zeros((3, 4)), np.array([0, 1, 2]), k=1)
         with pytest.raises(DimensionMismatch):
-            knn_predict(model, np.zeros(5))
+            model.scores(np.zeros((1, 5)))
+        with pytest.raises(DimensionMismatch):  # one sample is a one-row matrix
+            model.scores(np.zeros(4))
 
     def test_distance_tie_uses_training_order(self):
         # two equidistant points with different labels, k=1
         x = np.array([[1.0, 0.0], [-1.0, 0.0]])
         model = train_knn(x, np.array([3, 1]), k=1)
-        assert knn_predict(model, np.array([0.0, 0.0])) == LABELS[3]
+        assert label(model, [0.0, 0.0]) == LABELS[3]
 
     def test_vote_tie_smallest_summed_distance(self):
         x = np.array([[0.0, 1.0], [0.0, -1.0], [3.0, 0.0], [4.0, 0.0]])
         y = np.array([1, 1, 0, 0])  # sv pair nearer, dk pair further
         model = train_knn(x, y, k=4)
-        assert knn_predict(model, np.array([0.0, 0.0])) == "sv"
+        assert label(model, [0.0, 0.0]) == "sv"
 
     def test_agrees_with_exhaustive_oracle(self):
         rng = np.random.default_rng(0)
@@ -166,14 +169,14 @@ class TestKnn:
             labels = rng.integers(0, 6, size=n)
             model = train_knn(vectors, labels, k=k)
             query = rng.normal(size=d).round(3)
-            assert knn_predict(model, query) == knn_oracle(vectors, labels, k, query)
+            assert label(model, query) == knn_oracle(vectors, labels, k, query)
 
 
 class TestLogReg:
     def test_zero_epochs_uniform(self):
         model = train_logreg(np.ones((4, 3)), np.array([0, 1, 2, 3]), epochs=0)
-        label, posterior = logreg_predict(model, np.array([9.0, -2.0, 1.0]))
-        assert label == "dk"
+        posterior = model.scores(np.array([[9.0, -2.0, 1.0]]))[0]
+        assert label(model, [9.0, -2.0, 1.0]) == "dk"
         assert np.allclose(posterior, 1 / 6)
 
     def test_separable_toy_set(self):
@@ -181,7 +184,7 @@ class TestLogReg:
         x = np.concatenate([rng.normal(-2, 0.3, (20, 2)), rng.normal(2, 0.3, (20, 2))])
         y = np.array([0] * 20 + [1] * 20)
         model = train_logreg(x, y, learning_rate=0.5, epochs=500)
-        predictions = [logreg_predict(model, row)[0] for row in x]
+        predictions = [label(model, row) for row in x]
         expected = [LABELS[c] for c in y]
         assert predictions == expected
 
@@ -205,7 +208,7 @@ class TestLogReg:
         rng = np.random.default_rng(3)
         model = LogRegModel(rng.normal(size=(6, 4)), 0.5, 0)
         for _ in range(20):
-            _, posterior = logreg_predict(model, rng.normal(size=3))
+            posterior = model.scores(rng.normal(size=(1, 3)))[0]
             assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_posterior_matches_external_softmax(self):
@@ -215,7 +218,7 @@ class TestLogReg:
         logits = theta @ np.append(x, 1.0)
         expected = np.exp(logits - logits.max())
         expected /= expected.sum()
-        _, posterior = logreg_predict(model, x)
+        posterior = model.scores(x[None])[0]
         assert np.allclose(posterior, expected, atol=1e-12)
 
     def test_permuting_training_order_changes_nothing(self):
@@ -265,7 +268,7 @@ class TestNaiveBayes:
         x = np.array([[2.0, 0.0], [0.0, 2.0]])
         y = np.array([0, 1])
         model = train_nb(x, y, alpha=0.0)
-        scores = nb_scores(model, np.array([0.0, 1.0]))
+        scores = nb_scores(model, np.array([[0.0, 1.0]]))[0]
         assert scores[0] == -np.inf
         assert np.isfinite(scores[1])
 
@@ -277,15 +280,14 @@ class TestNaiveBayes:
         x = np.ones((6, 3))
         y = np.arange(6)
         model = train_nb(x, y)
-        label, _ = nb_predict(model, np.array([1.0, 1.0, 1.0]))
-        assert label == "dk"
+        assert label(model, [1.0, 1.0, 1.0]) == "dk"
 
     def test_empty_vector_uses_priors_alone(self):
         x = np.vstack([np.ones((3, 2)), np.ones((1, 2))])
         y = np.array([0, 0, 0, 1])
         model = train_nb(x, y)
-        label, scores = nb_predict(model, np.zeros(2))
-        assert label == "dk"
+        scores = model.scores(np.zeros((1, 2)))[0]
+        assert label(model, np.zeros(2)) == "dk"
         assert np.allclose(scores[:2], model.log_priors[:2])
 
     def test_matches_exact_rational_oracle(self):
@@ -299,7 +301,7 @@ class TestNaiveBayes:
             x = rng.integers(0, 4, size=v).astype(float)
             model = train_nb(counts, labels, alpha=alpha)
             expected = nb_oracle_scores(counts, labels, alpha, x)
-            got = nb_scores(model, x)
+            got = nb_scores(model, x[None])[0]
             for a, b in zip(got, expected):
                 if math.isinf(b):
                     assert math.isinf(a)
@@ -323,7 +325,7 @@ class TestSvm:
         scaled = SvmModel(3.5 * weights, 3.5 * biases, 0.1, 1, 0)
         for _ in range(20):
             x = rng.normal(size=4)
-            assert svm_predict(model, x) == svm_predict(scaled, x)
+            assert label(model, x) == label(scaled, x)
 
     def test_objective_non_increasing_on_toy_set(self):
         rng = np.random.default_rng(7)
@@ -335,14 +337,14 @@ class TestSvm:
 
     def test_all_zero_model_predicts_dk(self):
         model = SvmModel(np.zeros((6, 3)), np.zeros(6), 0.1, 1, 0)
-        assert svm_predict(model, np.ones(3)) == "dk"
+        assert label(model, np.ones(3)) == "dk"
 
     def test_separable_training_points_classified(self):
         rng = np.random.default_rng(8)
         x = np.concatenate([rng.normal(-3, 0.2, (15, 2)), rng.normal(3, 0.2, (15, 2))])
         y = np.array([2] * 15 + [4] * 15)
         model = train_svm(x, y, lam=0.01, epochs=60, seed=2)
-        assert all(svm_predict(model, row) == LABELS[c] for row, c in zip(x, y))
+        assert all(label(model, row) == LABELS[c] for row, c in zip(x, y))
 
     def test_scores_match_external_dot_product(self):
         rng = np.random.default_rng(9)
@@ -351,7 +353,7 @@ class TestSvm:
         model = SvmModel(weights, biases, 0.1, 1, 0)
         x = rng.normal(size=5)
         expected = np.array([w @ x + b for w, b in zip(weights, biases)])
-        assert np.allclose(svm_scores(model, x), expected, atol=1e-12)
+        assert np.allclose(svm_scores(model, x[None])[0], expected, atol=1e-12)
 
     def test_determinism_per_seed(self):
         rng = np.random.default_rng(10)

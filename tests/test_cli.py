@@ -245,6 +245,12 @@ class TestTrainEvalPredict:
         ("svm", "char1", ["--epochs", "-1"]),
         ("logreg", "cbow", ["--embed-epochs", "-1"]),
         ("logreg", "cbow", ["--window", "0"]),
+        ("nb", "char2", ["--cap", "-5"]),
+        ("logreg", "bow", ["--cap", "-1"]),
+        ("mlp", "char1", ["--hidden", "0"]),
+        ("cnn", "char1", ["--filters", "0"]),
+        ("cnn", "char1", ["--embed-dim", "0"]),
+        ("cnn", "char2", ["--cap", "-3"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_bad_training_flag_exit_3(self, data_dir, tmp_path, capsys, model, features, flags):
         capsys.readouterr()
@@ -257,6 +263,23 @@ class TestTrainEvalPredict:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not (tmp_path / "m.ndsl").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--model", "mlp", "--features", "char1", "--hidden", "-1"],
+        ["reduce", "--method", "pca", "--cap", "0"],
+        ["sweep", "--filters", "0"],
+        ["sweep", "--embed-dim", "-2"],
+    ], ids=lambda v: " ".join(v))
+    def test_size_flag_below_one_is_named(self, data_dir, tmp_path, capsys, argv):
+        paths = {"train": ["--train", "train.tsv"], "reduce": ["--input", "train.tsv"],
+                 "sweep": ["--train", "train.tsv", "--test", "test.tsv"]}[argv[0]]
+        paths = [str(data_dir / p) if p.endswith(".tsv") else p for p in paths]
+        capsys.readouterr()
+        code = main([*argv, *paths, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == f"error: {argv[-2]} must be at least 1, got {argv[-1]}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("model,features,flags", [
         ("logreg", "bow", []),
         ("nb", "char3", []),
@@ -264,6 +287,7 @@ class TestTrainEvalPredict:
         ("svm", "char2", []),
         ("mlp", "bow", []),
         ("logreg", "char2", ["--cap", "0"]),
+        ("cnn", "char2", ["--cap", "0"]),
         ("logreg", "skipgram", []),
         ("logreg", "cbow", []),
         ("fasttext", "bow", []),
@@ -302,6 +326,26 @@ def edited_model(source, target):
     )
     head += b" " * (-(len(head) + 1) % 8) + b"\n"
     target.write_bytes(head + parts["section"])
+
+
+def array_descriptors(obj):
+    """Every array descriptor of a parsed model header, at any depth."""
+    if isinstance(obj, dict) and "offset" in obj:
+        yield obj
+    elif isinstance(obj, (dict, list)):
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            yield from array_descriptors(value)
+
+
+def drop_last_element(parts, descriptor):
+    """Drop the last 8-byte element of a 1-D array of ``edited_model``'s
+    parts, moving the arrays after it down."""
+    end = descriptor["offset"] + 8 * descriptor["shape"][0]
+    parts["section"] = parts["section"][: end - 8] + parts["section"][end:]
+    for other in array_descriptors(parts["header"]):
+        if other["offset"] >= end:
+            other["offset"] -= 8
+    descriptor["shape"][0] -= 1
 
 
 #: One model per kind, trained on the small synthetic split.
@@ -376,13 +420,33 @@ class TestInputErrors:
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
         self.assert_input_error(code, capsys, "array of shape [7]")
 
-    @pytest.mark.parametrize("entry", ["abcd", "a!", 5, "duplicate"])
+    @staticmethod
+    def ngram_vocab(parts, kind):
+        """The n-gram vocabulary of an svm file's feature or a cnn file's params."""
+        header = parts["header"]
+        return header["feature"]["ngram_vocab"] if kind == "svm" else header["params"]["vocab"]
+
+    @pytest.mark.parametrize("entry", ["BASE**n", "-1", "duplicate", "<f8", "2-D", "n=0", "n=12"])
     @pytest.mark.parametrize("kind", ["svm", "cnn"])
     def test_malformed_vocabulary_entry(self, kind, entry, request, tmp_path, capsys):
+        """The last code set past the order's range, negative or to the first
+        code; the code array declared float64 or 2-D; the order set outside 1..11."""
         with edited_model(request.getfixturevalue(f"{kind}_file"), tmp_path / "broken.ndsl") as parts:
-            header = parts["header"]
-            vocab = header["feature"]["vocab"] if kind == "svm" else header["params"]["vocab"]
-            vocab[-1] = vocab[0] if entry == "duplicate" else entry
+            vocab = self.ngram_vocab(parts, kind)
+            codes = vocab["codes"]
+            section = bytearray(parts["section"])
+            last = codes["offset"] + 8 * (codes["shape"][0] - 1)
+            if entry in ("BASE**n", "-1", "duplicate"):
+                first = struct.unpack_from("<q", section, codes["offset"])[0]
+                value = {"BASE**n": 40 ** vocab["n"], "-1": -1, "duplicate": first}[entry]
+                struct.pack_into("<q", section, last, value)
+            elif entry == "<f8":
+                codes["dtype"] = "<f8"
+            elif entry == "2-D":
+                codes["shape"] = [1, codes["shape"][0]]
+            else:
+                vocab["n"] = int(entry[2:])
+            parts["section"] = bytes(section)
         self.assert_input_error(self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys), capsys)
 
     @pytest.mark.parametrize("entry", [5, "duplicate"])
@@ -399,7 +463,7 @@ class TestInputErrors:
     ):
         broken = tmp_path / "broken.ndsl"
         with edited_model(svm_file, broken) as parts:
-            parts["header"]["feature"]["vocab"].pop()
+            drop_last_element(parts, self.ngram_vocab(parts, "svm")["codes"])
         if command == "predict":
             code = self.predict_with(broken, tmp_path, capsys)
         else:

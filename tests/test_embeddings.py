@@ -18,7 +18,6 @@ from nordlid.embeddings import (
     fnv1a,
     fnv1a_many,
     pair_score,
-    predict_fasttext,
     sentence_embedding,
     subword_ngrams,
     supervised_loss,
@@ -230,22 +229,26 @@ def disjoint_vocab_corpus(n=40):
     return dk + sv
 
 
+def fasttext_labels(model, texts):
+    """The label of each text, scored on its own as a one-text block."""
+    return [LABELS[int(model.scores([text])[0].argmax())] for text in texts]
+
+
 class TestFastTextSupervised:
     def test_disjoint_vocabulary_reaches_training_accuracy_one(self):
         corpus = disjoint_vocab_corpus()
         model = train_fasttext_supervised(
             corpus, SupervisedConfig(dim=16, epochs=10, seed=0), "words"
         )
-        predictions = [predict_fasttext(model, s.text)[0] for s in corpus]
-        assert predictions == [s.label for s in corpus]
+        assert fasttext_labels(model, [s.text for s in corpus]) == [s.label for s in corpus]
 
     def test_zero_epochs_uniform_posterior(self):
         corpus = disjoint_vocab_corpus()
         model = train_fasttext_supervised(
             corpus, SupervisedConfig(dim=16, epochs=0, seed=1), "words"
         )
-        label, posterior = predict_fasttext(model, "rød grød")
-        assert label == "dk"
+        posterior = model.scores(["rød grød"])[0]
+        assert fasttext_labels(model, ["rød grød"]) == ["dk"]
         assert np.allclose(posterior, 1 / 6)
 
     def test_same_seed_identical_predictions(self):
@@ -261,8 +264,8 @@ class TestFastTextSupervised:
         model = train_fasttext_supervised(
             corpus, SupervisedConfig(dim=8, epochs=5, seed=3), "words"
         )
-        label, posterior = predict_fasttext(model, "")
-        assert label == "dk"
+        posterior = model.scores([""])[0]
+        assert fasttext_labels(model, [""]) == ["dk"]
         assert np.allclose(posterior, 1 / 6)
 
     def test_posterior_sums_to_one(self):
@@ -274,7 +277,7 @@ class TestFastTextSupervised:
         words = model.features
         for _ in range(20):
             text = " ".join(rng.choice(words, size=3))
-            _, posterior = predict_fasttext(model, text)
+            posterior = model.scores([text])[0]
             assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_char_ngram_mode(self):
@@ -284,8 +287,7 @@ class TestFastTextSupervised:
             "char_ngrams", ngram_min=1, ngram_max=5,
         )
         assert model.feature_mode == "char_ngrams"
-        predictions = [predict_fasttext(model, s.text)[0] for s in corpus]
-        assert predictions == [s.label for s in corpus]
+        assert fasttext_labels(model, [s.text for s in corpus]) == [s.label for s in corpus]
 
     def test_gradient_matches_finite_differences(self):
         corpus = disjoint_vocab_corpus(6)
@@ -433,7 +435,7 @@ def test_lines_without_known_features_score_uniform(mode):
     for line, row in zip(lines, scores):
         assert row.tobytes() == reference_posterior(model, rows, line).tobytes()
     for k in (0, 1, 3):
-        assert np.all(scores[k] == 1 / 6) and predict_fasttext(model, lines[k])[0] == "dk"
+        assert np.all(scores[k] == 1 / 6) and fasttext_labels(model, [lines[k]]) == ["dk"]
     assert not np.all(scores[2] == 1 / 6)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nordlid.corpus import ALPHABET, LABELS, Sentence, clean_sentence
 from nordlid.features import (
+    BASE,
     CHARSET_INDEX,
     CODE_ORDER,
     CsrMatrix,
@@ -19,8 +20,8 @@ from nordlid.features import (
     char_codes,
     char_frequency_profile,
     KEY_START,
+    MAX_ORDER,
     count_matrix,
-    decode_grams,
     extract_char_ngrams,
     gram_codes,
     gram_keys,
@@ -90,11 +91,25 @@ def _sentences(texts: list[str], label: str = "dk") -> list[Sentence]:
     return [Sentence(t, label) for t in texts]
 
 
+def int64s(*values: int) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
+
+
+def gram_string(code: int, n: int) -> str:
+    """The n-gram of a code, read digit by digit as the module docstring defines it."""
+    return "".join(CODE_ORDER[code // BASE ** (n - 1 - i) % BASE] for i in range(n))
+
+
+def entries(vocab: NgramVocabulary) -> dict[str, int]:
+    """Each n-gram of ``vocab`` and its column."""
+    return {gram_string(code, vocab.n): j for j, code in enumerate(vocab.codes.tolist())}
+
+
 class TestNgramVocabulary:
     def test_single_entry(self):
         vocab = build_ngram_vocab(_sentences(["ab"]), 2)
         assert vocab.size == 1
-        assert vocab.entries == {"ab": 0}
+        assert entries(vocab) == {"ab": 0}
 
     def test_unigram_vocab_at_most_40(self):
         corpus = _sentences([GOLDEN_CLEAN, "þórður er maður", "aha"])
@@ -103,17 +118,17 @@ class TestNgramVocabulary:
     def test_frequency_then_lexicographic(self):
         # 'ab' occurs twice ('aab','aba'); 'aa' and 'ba' once each
         vocab = build_ngram_vocab(_sentences(["aab", "aba"]), 2)
-        assert vocab.entries == {"ab": 0, "aa": 1, "ba": 2}
+        assert entries(vocab) == {"ab": 0, "aa": 1, "ba": 2}
 
     def test_cap_keeps_most_frequent(self):
         vocab = build_ngram_vocab(_sentences(["aab", "aba"]), 2, cap=1)
-        assert vocab.entries == {"ab": 0}
+        assert entries(vocab) == {"ab": 0}
 
     @given(st.lists(clean_text, min_size=1, max_size=8))
     def test_deterministic(self, texts):
         a = build_ngram_vocab(_sentences(texts), 2)
         b = build_ngram_vocab(_sentences(texts), 2)
-        assert a.entries == b.entries
+        assert a.n == b.n and a.codes.tobytes() == b.codes.tobytes()
 
 
 class TestWordVocabulary:
@@ -161,14 +176,14 @@ class TestVectorize:
     def test_counts(self):
         vocab = build_ngram_vocab(_sentences(["ab", "ba"]), 2)
         dense = vectorize("aba", vocab)
-        assert dense[vocab.entries["ab"]] == 1
-        assert dense[vocab.entries["ba"]] == 1
+        assert dense[entries(vocab)["ab"]] == 1
+        assert dense[entries(vocab)["ba"]] == 1
 
     def test_normalized(self):
         vocab = build_ngram_vocab(_sentences(["ab", "ba"]), 2)
         dense = vectorize("aba", vocab, normalize=True)
-        assert dense[vocab.entries["ab"]] == pytest.approx(0.5)
-        assert dense[vocab.entries["ba"]] == pytest.approx(0.5)
+        assert dense[entries(vocab)["ab"]] == pytest.approx(0.5)
+        assert dense[entries(vocab)["ba"]] == pytest.approx(0.5)
 
     def test_oov_ignored(self):
         vocab = build_ngram_vocab(_sentences(["ab"]), 2)
@@ -179,7 +194,7 @@ class TestVectorize:
         corpus = _sentences([text or "ab", "hej med dig"])
         vocab = build_ngram_vocab(corpus, 2)
         dense = vectorize(text, vocab)
-        for gram, index in vocab.entries.items():
+        for gram, index in entries(vocab).items():
             expected = sum(
                 1 for i in range(len(text) - 1) if text[i : i + 2] == gram
             )
@@ -290,7 +305,7 @@ def test_count_matrix_matches_vectorize():
     corpus = _sentences(["hej med", "dig der", "hej hej"])
     vocab = build_ngram_vocab(corpus, 2)
     matrix = count_matrix(corpus, vocab, normalize=False)
-    expected = reference_csr([s.text for s in corpus], vocab.entries, 2, False)
+    expected = reference_csr([s.text for s in corpus], entries(vocab), 2, False)
     for got, want in zip(csr_arrays(matrix), expected):
         assert np.array_equal(got, want)
 
@@ -308,7 +323,7 @@ class TestArrayFeaturizer:
     @settings(max_examples=150, deadline=None)
     def test_vocab_order(self, texts, n, cap):
         vocab = build_ngram_vocab(_sentences(texts), n, cap=cap)
-        assert list(vocab.entries.items()) == list(reference_vocab(texts, n, cap).items())
+        assert list(entries(vocab).items()) == list(reference_vocab(texts, n, cap).items())
 
     @given(st.lists(st.one_of(tie_text, clean_text), max_size=10),
            st.lists(st.one_of(tie_text, clean_text), max_size=6),
@@ -318,7 +333,7 @@ class TestArrayFeaturizer:
         vocab = build_ngram_vocab(_sentences(train), n)
         x = count_matrix(queries, vocab, normalize)
         assert x.shape == (len(queries), vocab.size)
-        expected = reference_csr(queries, vocab.entries, n, normalize)
+        expected = reference_csr(queries, entries(vocab), n, normalize)
         for got, want in zip(csr_arrays(x), expected):
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
@@ -327,7 +342,7 @@ class TestArrayFeaturizer:
     def test_codes_sort_as_strings(self, texts, n):
         rows, grams = gram_codes(texts, n)
         expected = [(r, g) for r, t in enumerate(texts) for g in extract_char_ngrams(t, n)]
-        assert list(zip(rows.tolist(), decode_grams(grams, n))) == expected
+        assert [(r, gram_string(g, n)) for r, g in zip(rows.tolist(), grams.tolist())] == expected
         order = sorted(range(len(grams)), key=lambda i: grams[i])
         assert [expected[i][1] for i in order] == sorted(g for _, g in expected)
 
@@ -341,7 +356,7 @@ class TestArrayFeaturizer:
         grams = []
         for key in keys.tolist():
             n = max(m for m in range(1, 6) if KEY_START[m] <= key)
-            grams += decode_grams(np.array([key - KEY_START[n]]), n)
+            grams.append(gram_string(key - KEY_START[n], n))
         assert list(zip(rows.tolist(), grams)) == expected
         order = np.argsort(key_string_order(keys, nmax), kind="stable")
         assert [grams[i] for i in order] == sorted(grams)
@@ -365,21 +380,29 @@ class TestArrayFeaturizer:
     def test_high_orders_search_the_vocabulary(self, n):
         texts = ["hej med dig og så videre", "", "abc", "med dig"]
         vocab = build_ngram_vocab(_sentences(texts[:1]), n)
-        assert list(vocab.entries.items()) == list(reference_vocab(texts[:1], n).items())
-        expected = reference_csr(texts, vocab.entries, n, False)
+        assert list(entries(vocab).items()) == list(reference_vocab(texts[:1], n).items())
+        expected = reference_csr(texts, entries(vocab), n, False)
         for got, want in zip(csr_arrays(count_matrix(texts, vocab)), expected):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
-        "entries, error",
-        [({"ab": 0, "abc": 1}, ValueError), ({"ab": 0, "a": 1, "abc": 2}, ValueError),
-         ({"ab": 0, "a!": 1}, ValueError), ({"ab": 0, 5: 1}, TypeError),
-         ({"ab": 0, "ba": 2}, ValueError)],
-        ids=["wrong-width", "widths-adding-up", "off-alphabet", "not-a-string", "column-gap"],
+        "n, codes",
+        [(2, int64s(1, BASE**2)), (2, int64s(-1, 1)), (2, int64s(3, 1, 3)),
+         (2, np.array([1.0, 2.0])), (2, int64s(1, 2).reshape(1, 2)), (2, [1, 2]),
+         (0, int64s()), (MAX_ORDER + 1, int64s(1)), (2.0, int64s(1))],
+        ids=["wrong-width", "negative", "repeated", "float", "two-d", "list", "order-0",
+             "order-12", "order-float"],
     )
-    def test_malformed_vocabulary_rejected_on_construction(self, entries, error):
-        with pytest.raises(error):
-            NgramVocabulary(2, entries)
+    def test_malformed_vocabulary_rejected_on_construction(self, n, codes):
+        """Codes of a wider gram (BASE**n and up), negative or repeated codes,
+        codes that are not one 1-D int64 array, and orders outside 1..11."""
+        with pytest.raises(ValueError):
+            NgramVocabulary(n, codes)
+
+    def test_vocabulary_of_every_order_accepts_its_highest_code(self):
+        for n in range(1, MAX_ORDER + 1):
+            vocab = NgramVocabulary(n, np.array([BASE**n - 1, 0], dtype=np.int64))
+            assert vocab.columns(np.array([0, BASE**n - 1, 1])).tolist() == [1, 0, -1]
 
     @pytest.mark.parametrize("entries", [{"ab": 1, 5: 2}, {"ab": 1, "ba": 3}])
     def test_malformed_word_vocabulary_rejected_on_construction(self, entries):

@@ -14,6 +14,7 @@ from nordlid.features import (
     build_word_vocab,
     count_matrix,
     extract_char_ngrams,
+    gram_codes,
     label_indices,
     word_tokenize,
 )
@@ -121,7 +122,8 @@ def test_cnn_roundtrip(tmp_path, corpus):
     pipeline = PipelineModel("cnn", 4, model)
     loaded = roundtrip(pipeline, tmp_path, corpus)
     assert np.array_equal(loaded.model.filters, model.filters)
-    assert loaded.model.vocab == model.vocab
+    assert loaded.model.vocab.n == model.vocab.n
+    assert loaded.model.vocab.codes.tobytes() == model.vocab.codes.tobytes()
 
 
 def test_fasttext_roundtrip(tmp_path, corpus):
@@ -242,9 +244,7 @@ def reference_vector(text: str, feature: VectorFeature) -> np.ndarray:
         hits = [index[w] for w in word_tokenize(text) if w in index]
         return feature.embedding.composed[hits].mean(axis=0) if hits else np.zeros(feature.dim)
     if feature.ngram_vocab is not None:
-        entries = feature.ngram_vocab.entries
-        hits = [entries[g] for g in extract_char_ngrams(text, feature.ngram_vocab.n)
-                if g in entries]
+        hits = reference_columns(text, feature.ngram_vocab)
     else:
         hits = [feature.word_vocab.index(w) for w in word_tokenize(text)
                 if w in feature.word_vocab.entries]
@@ -254,31 +254,33 @@ def reference_vector(text: str, feature: VectorFeature) -> np.ndarray:
     return row
 
 
+def reference_columns(text: str, vocab: features.NgramVocabulary) -> list[int]:
+    """The column of each in-vocabulary n-gram of ``text``, left to right.
+
+    Each n-character text is one gram, so ``gram_codes`` gives one code per gram.
+    """
+    column = {code: j for j, code in enumerate(vocab.codes.tolist())}
+    codes = gram_codes(extract_char_ngrams(text, vocab.n), vocab.n)[1].tolist()
+    return [column[c] for c in codes if c in column]
+
+
 def reference_cnn_ids(model: neural.CnnModel, text: str) -> np.ndarray:
-    ids = [model.vocab[g] + 1 for g in extract_char_ngrams(text, model.gram) if g in model.vocab]
+    ids = [j + 1 for j in reference_columns(text, model.vocab)]
     padded = np.zeros(model.max_len, dtype=np.int64)
     padded[: min(len(ids), model.max_len)] = ids[: model.max_len]
     return padded
 
 
 def reference_label(pipeline: PipelineModel, raw: str) -> str:
-    """The label of one line, scored on its own by the single-vector predictors."""
+    """The label of one line, scored on its own as a one-row input."""
     text = clean_sentence(raw)
     model = pipeline.model
     if pipeline.kind == "cnn":
         return LABELS[int(np.argmax(neural.cnn_forward(model, reference_cnn_ids(model, text))))]
     if pipeline.kind == "fasttext":
-        return embeddings.predict_fasttext(model, text)[0]
+        return LABELS[int(np.argmax(model.scores([text])[0]))]
     x = reference_vector(text, pipeline.feature)
-    if pipeline.kind == "knn":
-        return classifiers.knn_predict(model, x)
-    if pipeline.kind == "logreg":
-        return classifiers.logreg_predict(model, x)[0]
-    if pipeline.kind == "nb":
-        return classifiers.nb_predict(model, x)[0]
-    if pipeline.kind == "svm":
-        return classifiers.svm_predict(model, x)
-    return LABELS[int(np.argmax(neural.mlp_forward(model, x)))]
+    return LABELS[int(np.argmax(model.scores(x[None])[0]))]
 
 
 def vector_pipeline(kind, corpus, feature, **train_args):
@@ -417,8 +419,8 @@ PARAMS_FORMAT = {
     "svm-char3": (["biases", "epochs", "lam", "seed", "weights"], ["weights", "biases"]),
     "mlp-char2": (["biases", "weights"], ["weights[0]", "weights[1]", "biases[0]", "biases[1]"]),
     "cnn-char2": (
-        ["conv_bias", "dense_b", "dense_w", "embeddings", "filters", "gram", "max_len", "vocab"],
-        ["embeddings", "filters", "conv_bias", "dense_w", "dense_b"],
+        ["conv_bias", "dense_b", "dense_w", "embeddings", "filters", "max_len", "vocab"],
+        ["vocab.codes", "embeddings", "filters", "conv_bias", "dense_w", "dense_b"],
     ),
     "fasttext-char1_5": (
         ["feature_mode", "features", "input_vectors", "keys", "ngram_max", "ngram_min",
@@ -459,3 +461,18 @@ def test_params_format_is_pinned(batch_pipelines, case, tmp_path):
     save_model(batch_pipelines[case], path)
     params = json.loads(path.read_bytes().split(b"\n")[1])["params"]
     assert (sorted(params), array_paths(params)) == PARAMS_FORMAT[case]
+
+
+@pytest.mark.parametrize("case", ["logreg-char2", "cnn-char2"])
+def test_ngram_vocabulary_saved_as_one_code_array(batch_pipelines, case, tmp_path):
+    path = tmp_path / "model.ndsl"
+    pipeline = batch_pipelines[case]
+    save_model(pipeline, path)
+    header = json.loads(path.read_bytes().split(b"\n")[1])
+    vocab = header["params"]["vocab"] if case.startswith("cnn") else header["feature"]["ngram_vocab"]
+    expected = pipeline.model.vocab if case.startswith("cnn") else pipeline.feature.ngram_vocab
+    assert sorted(vocab) == ["codes", "n"] and vocab["n"] == 2
+    assert vocab["codes"]["dtype"] == "<i8" and vocab["codes"]["shape"] == [expected.size]
+    loaded = load_model(path)
+    got = loaded.model.vocab if case.startswith("cnn") else loaded.feature.ngram_vocab
+    assert got.codes.tobytes() == expected.codes.tobytes()

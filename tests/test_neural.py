@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nordlid.corpus import Sentence
 from nordlid.errors import DimensionMismatch, SequenceTooShort
+from nordlid.features import NgramVocabulary, gram_codes
 from nordlid.neural import (
     MlpModel,
     TrainConfig,
@@ -156,8 +157,8 @@ class TestMlp:
 
 
 def tiny_cnn(seed=0, vocab_size=5, embed=3, filters=2, kernel=2, max_len=6):
-    vocab = {f"g{i}": i for i in range(vocab_size)}
-    return init_cnn(1, vocab, kernel, filters, embed, max_len, seed)
+    vocab = NgramVocabulary(1, np.arange(vocab_size, dtype=np.int64))
+    return init_cnn(vocab, kernel, filters, embed, max_len, seed)
 
 
 class TestCnn:
@@ -185,8 +186,7 @@ class TestCnn:
 
     def test_encode_pads_and_truncates(self):
         model = tiny_cnn()
-        model.vocab = {"a": 0, "b": 1}
-        model.gram = 1
+        model.vocab = NgramVocabulary(1, gram_codes(["ab"], 1)[1])
         ids = cnn_token_ids(model, ["ab"])[0]
         assert ids.tolist() == [1, 2, 0, 0, 0, 0]
         long_ids = cnn_token_ids(model, ["ab" * 20])[0]
@@ -194,8 +194,7 @@ class TestCnn:
 
     def test_encode_empty_raises(self):
         model = tiny_cnn()
-        model.vocab = {"a": 0}
-        model.gram = 1
+        model.vocab = NgramVocabulary(1, gram_codes(["a"], 1)[1])
         with pytest.raises(SequenceTooShort):
             _training_ids(model, ["zzz"])
 

@@ -18,6 +18,7 @@ from nordlid.features import (
     count_matrix,
     label_indices,
     extract_char_ngrams,
+    gram_codes,
     to_dense,
     word_tokenize,
 )
@@ -119,9 +120,11 @@ class TestCountMatrix:
         x3 = count_matrix(corpus, ngrams, normalize)
         xw = count_matrix(corpus, words, normalize)
         assert isinstance(xw, CsrMatrix)
+        column = {code: j for j, code in enumerate(ngrams.codes.tolist())}
         for i, sentence in enumerate(corpus):
-            grams = [ngrams.entries[g] for g in extract_char_ngrams(sentence.text, 3)
-                     if g in ngrams.entries]
+            # each 3-character text is one gram, so gram_codes gives one code per gram
+            codes = gram_codes(extract_char_ngrams(sentence.text, 3), 3)[1].tolist()
+            grams = [column[c] for c in codes if c in column]
             hits = [words.index(w) for w in word_tokenize(sentence.text) if w in words.entries]
             assert np.array_equal(x3[i], counter_row(grams, ngrams.size, normalize))
             assert np.array_equal(xw[i], counter_row(hits, words.size, normalize))
