@@ -58,6 +58,7 @@ from .features import (
     to_dense,
 )
 from .modelio import (
+    NGRAM_FEATURES,
     PipelineModel,
     QueryEmbedding,
     VectorFeature,
@@ -144,8 +145,6 @@ def cmd_corpus_tatoeba(args) -> int:
 # train / predict / eval
 # ---------------------------------------------------------------------------
 
-_NGRAM_FEATURES = {"char1": 1, "char2": 2, "char3": 3}
-
 
 def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeature:
     """The feature the flags ask for, fitted to ``dataset``.
@@ -153,8 +152,8 @@ def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeat
     Raises EmptyVocabulary when the dataset yields no n-gram or word.
     """
     normalize = model_kind != "nb" and not args.raw_counts
-    if args.features in _NGRAM_FEATURES:
-        vocab = build_ngram_vocab(dataset, _NGRAM_FEATURES[args.features], cap=args.cap)
+    if args.features in NGRAM_FEATURES:
+        vocab = build_ngram_vocab(dataset, NGRAM_FEATURES[args.features], cap=args.cap)
         feature = VectorFeature(args.features, normalize, ngram_vocab=vocab)
     elif args.features == "bow":
         vocab = build_word_vocab(dataset, cap=args.cap)
@@ -197,7 +196,7 @@ def cmd_train(args) -> int:
         model = neural.cnn_train(
             dataset.sentences,
             _train_config(args, learning_rate=0.05, epochs=5),
-            gram=_NGRAM_FEATURES[args.features],
+            gram=NGRAM_FEATURES[args.features],
             kernel=args.kernel,
             filters=args.filters,
             embed_dim=args.embed_dim,

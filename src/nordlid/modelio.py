@@ -23,8 +23,9 @@ File layout (``NDSL2``), after numpy's ``.npy`` format:
 Loading reads the file into one buffer and makes every array a view of
 it, writable and 8-byte aligned, so a save/load round trip reproduces
 predictions bit for bit. Files of the older ``NDSL1`` layout, which held
-the arrays as base64 inside the JSON, are refused; retrain to get an
-``NDSL2`` file.
+the arrays as base64 inside the JSON, are refused, and so are ``NDSL2``
+files whose n-gram vocabulary is a list of gram strings; retrain to get
+a current file.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ DTYPES = ("<f8", "<i8")
 ALIGN = 8
 
 VECTOR_FEATURES = ("char1", "char2", "char3", "bow", "cbow", "skipgram")
+#: n-gram order of each character feature.
+NGRAM_FEATURES = {"char1": 1, "char2": 2, "char3": 3}
 #: CNN consumes token sequences of these orders; others consume vectors.
 MODEL_FEATURES = {
     "knn": VECTOR_FEATURES,
@@ -257,10 +260,12 @@ def _feature_from_payload(section: _Section, payload: dict | None) -> VectorFeat
     if payload is None:
         return None
     kind = payload["type"]
-    if "ngram_vocab" in payload:
-        vocab = _dec_ngrams(section, payload["ngram_vocab"])
+    if kind in NGRAM_FEATURES:
+        vocab = _dec_ngrams(section, payload.get("ngram_vocab"))
+        if vocab.n != NGRAM_FEATURES[kind]:
+            raise ModelFormatError(f"{kind} feature holds n-grams of order {vocab.n}")
         return VectorFeature(kind, payload["normalize"], ngram_vocab=vocab)
-    if "vocab" in payload:
+    if kind == "bow":
         vocab = WordVocabulary.from_ranked(payload["vocab"])
         return VectorFeature(kind, payload["normalize"], word_vocab=vocab)
     emb = payload["embedding"]
@@ -333,8 +338,11 @@ def _enc_ngrams(arrays: list[np.ndarray], vocab: NgramVocabulary) -> dict:
     return {"n": vocab.n, "codes": _enc(arrays, vocab.codes)}
 
 
-def _dec_ngrams(section: _Section, obj: dict) -> NgramVocabulary:
+def _dec_ngrams(section: _Section, obj: dict | None) -> NgramVocabulary:
     """The vocabulary, which checks its order and codes on construction."""
+    if not isinstance(obj, dict):  # absent, or the older list of gram strings
+        raise ModelFormatError("n-gram vocabulary is not an {n, codes} array; "
+                               "a file that stores it as strings must be retrained")
     return NgramVocabulary(obj["n"], _dec(section, obj["codes"]))
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nordlid.cli import main
-from nordlid.corpus import LABELS, Sentence, save_dataset_tsv
+from nordlid.corpus import ALPHABET, LABELS, Sentence, save_dataset_tsv
 from nordlid.synth import generate_pools
 
 
@@ -337,15 +337,15 @@ def array_descriptors(obj):
             yield from array_descriptors(value)
 
 
-def drop_last_element(parts, descriptor):
-    """Drop the last 8-byte element of a 1-D array of ``edited_model``'s
-    parts, moving the arrays after it down."""
+def drop_last_element(parts, descriptor, count=1):
+    """Drop the last ``count`` 8-byte elements of a 1-D array of
+    ``edited_model``'s parts, moving the arrays after it down."""
     end = descriptor["offset"] + 8 * descriptor["shape"][0]
-    parts["section"] = parts["section"][: end - 8] + parts["section"][end:]
+    parts["section"] = parts["section"][: end - 8 * count] + parts["section"][end:]
     for other in array_descriptors(parts["header"]):
         if other["offset"] >= end:
-            other["offset"] -= 8
-    descriptor["shape"][0] -= 1
+            other["offset"] -= 8 * count
+    descriptor["shape"][0] -= count
 
 
 #: One model per kind, trained on the small synthetic split.
@@ -448,6 +448,36 @@ class TestInputErrors:
                 vocab["n"] = int(entry[2:])
             parts["section"] = bytes(section)
         self.assert_input_error(self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys), capsys)
+
+    def test_vocabulary_order_differs_from_feature(self, svm_file, tmp_path, capsys):
+        """Codes of a char3 feature are in range for order 4 too."""
+        with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
+            parts["header"]["feature"]["ngram_vocab"]["n"] = 4
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "char3 feature holds n-grams of order 4")
+
+    @pytest.mark.parametrize("kind", ["svm", "cnn"])
+    def test_string_vocabulary_of_older_files(self, kind, request, tmp_path, capsys):
+        """A file that stores its n-gram vocabulary as gram strings, as files
+        did before the code arrays: the vector feature's as ``{"ngram_n",
+        "vocab"}``, the CNN's as ``"gram"`` and a ``"vocab"`` list."""
+        with edited_model(request.getfixturevalue(f"{kind}_file"), tmp_path / "old.ndsl") as parts:
+            vocab = self.ngram_vocab(parts, kind)
+            codes = vocab["codes"]
+            values = struct.unpack_from(f"<{codes['shape'][0]}q", parts["section"], codes["offset"])
+            grams = [
+                "".join(ALPHABET[code // 40**k % 40] for k in reversed(range(vocab["n"])))
+                for code in values
+            ]
+            drop_last_element(parts, codes, codes["shape"][0])
+            if kind == "svm":
+                feature = parts["header"]["feature"]
+                del feature["ngram_vocab"]
+                feature.update(ngram_n=vocab["n"], vocab=grams)
+            else:
+                parts["header"]["params"].update(gram=vocab["n"], vocab=grams)
+        code = self.predict_with(tmp_path / "old.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, "must be retrained")
 
     @pytest.mark.parametrize("entry", [5, "duplicate"])
     def test_fasttext_bow_word(self, data_dir, entry, tmp_path, capsys):

@@ -401,6 +401,19 @@ def test_knn_search_is_cut_into_blocks(batch_pipelines, corpus, monkeypatch, per
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("per_block", [1, 7])
+def test_nb_dense_rows_are_cut_into_blocks(batch_pipelines, corpus, monkeypatch, per_block):
+    """With alpha 0 most lines hold an n-gram of log-likelihood -inf in some
+    class, and are scored as dense blocks of ``per_block`` rows."""
+    pipeline = batch_pipelines["nb-char2-alpha0"]
+    lines = [s.text for s in corpus] + EDGE_LINES
+    whole = pipeline.scores(lines)
+    assert np.isneginf(whole).any(axis=1).sum() > 7
+    d = pipeline.model.log_likelihoods.shape[1]
+    monkeypatch.setattr(classifiers, "KNN_BLOCK_BYTES", 8 * len(LABELS) * d * per_block)
+    assert pipeline.scores(lines).tobytes() == whole.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # The saved format of each kind
 # ---------------------------------------------------------------------------
