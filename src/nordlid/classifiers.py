@@ -249,8 +249,11 @@ def train_nb(
 
     p(feature i | class k) = (count(i,k) + alpha) / (total(k) + alpha * V);
     priors come from class frequencies. alpha = 0 is allowed: unseen
-    features then score -inf at prediction time.
+    features then score -inf at prediction time; a negative or
+    non-finite alpha raises ValueError.
     """
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and >= 0, got {alpha}")
     x = design_array(train_x)
     y = np.asarray(train_y, dtype=np.int64)
     if ((x.data if isinstance(x, CsrMatrix) else x) < 0).any():

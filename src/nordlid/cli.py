@@ -191,6 +191,8 @@ def cmd_train(args) -> int:
     check_compatibility(args.model, args.features)
     if args.lr is not None:  # checked for every model, also those that ignore it
         check_learning_rate(args.lr)
+    if not 0 <= args.alpha < float("inf"):  # nan fails both comparisons
+        raise ValueError(f"--alpha must be finite and >= 0, got {args.alpha}")
     dataset = load_dataset_tsv(args.train)
     if args.model == "cnn":
         model = neural.cnn_train(
@@ -467,8 +469,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_sizes(args) -> None:
     """Raise ValueError naming the first of the size flags ``--cap``,
-    ``--hidden``, ``--filters`` and ``--embed-dim`` given below 1."""
-    for name in ("cap", "hidden", "filters", "embed_dim"):
+    ``--hidden``, ``--filters``, ``--embed-dim``, ``--batch-size`` and
+    ``--max-len`` given below 1."""
+    for name in ("cap", "hidden", "filters", "embed_dim", "batch_size", "max_len"):
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")

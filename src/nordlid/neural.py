@@ -5,6 +5,10 @@ cross-entropy, in float64, with explicitly seeded initialization and
 shuffling so training is bit-reproducible. The backward passes are
 written out by hand and are checked against finite differences in the
 test suite.
+
+The CNN's max pooling keeps one window per (row, filter), so scoring adds
+the bias and ReLU to the pooled maxima only, and the backward pass
+gathers only the winning windows.
 """
 
 from __future__ import annotations
@@ -50,8 +54,9 @@ class TrainConfig:
     max_len: int = 128
 
     def __post_init__(self):
-        if min(self.epochs, self.batch_size, self.max_len) <= 0:
-            raise ValueError("all training config fields must be positive")
+        for name, least in (("epochs", 0), ("batch_size", 1), ("max_len", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         check_learning_rate(self.learning_rate)
 
 
@@ -166,8 +171,8 @@ def mlp_train(
 # ---------------------------------------------------------------------------
 
 PAD_INDEX = 0
-#: Rows per CNN forward pass at prediction time. Its windows take
-#: about 50 KB per row at the default 128 tokens and 16-wide embeddings.
+#: Rows per CNN forward pass at prediction time. At the CLI defaults a row's
+#: stacked windows take about 48 KB and its window products about 65 KB.
 PREDICT_BLOCK = 128
 
 
@@ -248,47 +253,40 @@ def _training_ids(model: CnnModel, texts: list[str]) -> np.ndarray:
     return ids
 
 
-def _cnn_batch_forward(model: CnnModel, ids: np.ndarray) -> dict:
+def _cnn_conv(model: CnnModel, ids: np.ndarray) -> np.ndarray:
+    """Every window's filter products before the bias, B x P x F, for 2-D token ids."""
     if ids.max(initial=0) >= model.embeddings.shape[0]:
         raise DimensionMismatch(model.embeddings.shape[0], int(ids.max()))
     emb = model.embeddings[ids]  # B x L x e
-    n_batch, seq_len, _ = emb.shape
     width = model.filters.shape[1]
-    positions = seq_len - width + 1
     windows = np.stack(
-        [emb[:, t : t + width, :] for t in range(positions)], axis=1
+        [emb[:, t : t + width, :] for t in range(ids.shape[1] - width + 1)], axis=1
     )  # B x P x h x e
-    pre = (
-        np.tensordot(windows, model.filters, axes=([2, 3], [1, 2])) + model.conv_bias
-    )  # B x P x F
-    act = np.maximum(0.0, pre)
-    pooled = act.max(axis=1)
-    pool_arg = act.argmax(axis=1)
-    logits = pooled @ model.dense_w + model.dense_b
-    posterior = softmax(logits)
-    return {
-        "emb": emb,
-        "windows": windows,
-        "pre": pre,
-        "act": act,
-        "pooled": pooled,
-        "pool_arg": pool_arg,
-        "posterior": posterior,
-    }
+    return np.tensordot(windows, model.filters, axes=([2, 3], [1, 2]))
+
+
+def _cnn_head(model: CnnModel, pooled_pre: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled activations and posterior from each (row, filter)'s largest window product."""
+    pooled = np.maximum(0.0, pooled_pre + model.conv_bias)
+    return pooled, softmax(pooled @ model.dense_w + model.dense_b)
 
 
 def cnn_forward(model: CnnModel, ids: np.ndarray) -> np.ndarray:
+    """Posterior of one token-id row, or of every row of a B x L array.
+
+    Pooling before the bias and ReLU gives ``max(relu(pre + bias))`` bit
+    for bit, as rounding is monotone: ``fl(max x + b) == max fl(x + b)``.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     squeeze = ids.ndim == 1
-    cache = _cnn_batch_forward(model, np.atleast_2d(ids))
-    posterior = cache["posterior"]
+    _, posterior = _cnn_head(model, _cnn_conv(model, np.atleast_2d(ids)).max(axis=1))
     return posterior[0] if squeeze else posterior
 
 
 def cnn_conv_activations(model: CnnModel, ids: np.ndarray) -> np.ndarray:
-    """Post-ReLU convolution stage, shape (L - h + 1) x F."""
-    cache = _cnn_batch_forward(model, np.atleast_2d(np.asarray(ids, dtype=np.int64)))
-    return cache["act"][0]
+    """Post-ReLU convolution stage of one token-id row, shape (L - h + 1) x F."""
+    pre = _cnn_conv(model, np.atleast_2d(np.asarray(ids, dtype=np.int64)))[0]
+    return np.maximum(0.0, pre + model.conv_bias)
 
 
 def cnn_loss(model: CnnModel, ids: np.ndarray, y: np.ndarray) -> float:
@@ -296,39 +294,34 @@ def cnn_loss(model: CnnModel, ids: np.ndarray, y: np.ndarray) -> float:
 
 
 def cnn_grads(model: CnnModel, ids: np.ndarray, y: np.ndarray) -> tuple[float, dict]:
-    """Mean batch loss and gradients for every parameter array."""
+    """Mean batch loss and gradients for every parameter array.
+
+    Max pooling passes gradient through one window per (row, filter),
+    the first of the largest, so only those B x F windows are gathered.
+    """
     ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
     y = np.asarray(y, dtype=np.int64)
-    cache = _cnn_batch_forward(model, ids)
-    n_batch, positions, n_filters = cache["pre"].shape
-    width = model.filters.shape[1]
-    loss = cce_loss(cache["posterior"], y)
+    pre = _cnn_conv(model, ids)
+    n_batch, width = len(ids), model.filters.shape[1]
+    arg = pre.argmax(axis=1)  # B x F
+    pooled, posterior = _cnn_head(model, np.take_along_axis(pre, arg[:, None], axis=1)[:, 0])
+    loss = cce_loss(posterior, y)
 
-    dlogits = (cache["posterior"] - one_hot(y)) / n_batch
+    dlogits = (posterior - one_hot(y)) / n_batch
+    dpre = (dlogits @ model.dense_w.T) * (pooled > 0)  # B x F, at the winning windows
+    tokens = ids[np.arange(n_batch)[:, None, None], arg[:, :, None] + np.arange(width)]  # B x F x h
+    # every winning window token's embedding-row gradient, B*F*h x e,
+    # summed per token one column at a time
+    rows = (dpre[:, :, None, None] * model.filters).reshape(-1, model.embeddings.shape[1])
     grads = {
-        "dense_w": cache["pooled"].T @ dlogits,
+        "dense_w": pooled.T @ dlogits,
         "dense_b": dlogits.sum(axis=0),
-        "conv_bias": None,
-        "filters": None,
-        "embeddings": np.zeros_like(model.embeddings),
+        "conv_bias": dpre.sum(axis=0),
+        "filters": np.einsum("bf,bfhe->fhe", dpre, model.embeddings[tokens]),
+        "embeddings": np.stack(
+            [np.bincount(tokens.ravel(), column, len(model.embeddings)) for column in rows.T], axis=1
+        ),
     }
-    dpooled = dlogits @ model.dense_w.T  # B x F
-    dact = np.zeros_like(cache["act"])
-    rows = np.arange(n_batch)[:, None]
-    cols = np.arange(n_filters)[None, :]
-    dact[rows, cache["pool_arg"], cols] = dpooled
-    dpre = dact * (cache["pre"] > 0)
-    grads["filters"] = np.tensordot(dpre, cache["windows"], axes=([0, 1], [0, 1]))
-    grads["conv_bias"] = dpre.sum(axis=(0, 1))
-    dwindows = np.tensordot(dpre, model.filters, axes=([2], [0]))  # B x P x h x e
-    demb = np.zeros_like(cache["emb"])
-    for t in range(positions):
-        demb[:, t : t + width, :] += dwindows[:, t]
-    np.add.at(
-        grads["embeddings"],
-        ids.ravel(),
-        demb.reshape(-1, model.embeddings.shape[1]),
-    )
     return loss, grads
 
 

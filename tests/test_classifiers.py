@@ -272,6 +272,11 @@ class TestNaiveBayes:
         assert scores[0] == -np.inf
         assert np.isfinite(scores[1])
 
+    @pytest.mark.parametrize("alpha", [-1.0, -1e-300, float("nan"), float("inf")])
+    def test_alpha_that_is_not_finite_and_non_negative_rejected(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            train_nb(np.ones((2, 2)), np.array([0, 1]), alpha=alpha)
+
     def test_negative_counts_rejected(self):
         with pytest.raises(NegativeCount):
             train_nb(np.array([[1.0, -1.0]]), np.array([0]))

@@ -251,6 +251,11 @@ class TestTrainEvalPredict:
         ("cnn", "char1", ["--filters", "0"]),
         ("cnn", "char1", ["--embed-dim", "0"]),
         ("cnn", "char2", ["--cap", "-3"]),
+        ("nb", "char2", ["--alpha=-1"]),
+        ("nb", "char2", ["--alpha", "nan"]),
+        ("nb", "char2", ["--alpha", "inf"]),
+        ("mlp", "char1", ["--epochs", "-1"]),
+        ("cnn", "char1", ["--epochs", "-1"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_bad_training_flag_exit_3(self, data_dir, tmp_path, capsys, model, features, flags):
         capsys.readouterr()
@@ -261,13 +266,32 @@ class TestTrainEvalPredict:
         err = capsys.readouterr().err
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        if flags[0].startswith("--alpha"):
+            assert "--alpha" in err
         assert not (tmp_path / "m.ndsl").exists()
+
+    @pytest.mark.parametrize("model,flags", [
+        ("nb", ["--alpha", "0"]),
+        ("mlp", ["--epochs", "0", "--hidden", "4"]),
+        ("cnn", ["--epochs", "0", "--filters", "2", "--embed-dim", "2"]),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_zero_alpha_and_zero_epochs_train(self, data_dir, tmp_path, model, flags):
+        assert main([
+            "train", "--model", model, "--features", "char2", *flags,
+            "--train", str(data_dir / "train.tsv"), "--out", str(tmp_path / "m.ndsl"),
+        ]) == 0
+        assert (tmp_path / "m.ndsl").exists()
 
     @pytest.mark.parametrize("argv", [
         ["train", "--model", "mlp", "--features", "char1", "--hidden", "-1"],
+        ["train", "--model", "mlp", "--features", "char1", "--batch-size", "0"],
+        ["train", "--model", "cnn", "--features", "char1", "--batch-size", "-4"],
+        ["train", "--model", "cnn", "--features", "char2", "--max-len", "0"],
         ["reduce", "--method", "pca", "--cap", "0"],
         ["sweep", "--filters", "0"],
         ["sweep", "--embed-dim", "-2"],
+        ["sweep", "--batch-size", "0"],
+        ["sweep", "--max-len", "0"],
     ], ids=lambda v: " ".join(v))
     def test_size_flag_below_one_is_named(self, data_dir, tmp_path, capsys, argv):
         paths = {"train": ["--train", "train.tsv"], "reduce": ["--input", "train.tsv"],

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nordlid.corpus import Sentence
 from nordlid.errors import DimensionMismatch, SequenceTooShort
-from nordlid.features import NgramVocabulary, gram_codes
+from nordlid.features import NgramVocabulary, gram_codes, one_hot
 from nordlid.neural import (
     MlpModel,
     TrainConfig,
@@ -161,6 +161,46 @@ def tiny_cnn(seed=0, vocab_size=5, embed=3, filters=2, kernel=2, max_len=6):
     return init_cnn(vocab, kernel, filters, embed, max_len, seed)
 
 
+def dense_cnn_forward(model, ids):
+    """Reference forward over every window: ReLU of each window's product
+    plus bias, then max pooling; returns the arrays a dense backward needs."""
+    emb = model.embeddings[ids]  # B x L x e
+    width = model.filters.shape[1]
+    positions = ids.shape[1] - width + 1
+    windows = np.stack([emb[:, t : t + width, :] for t in range(positions)], axis=1)
+    pre = np.tensordot(windows, model.filters, axes=([2, 3], [1, 2])) + model.conv_bias
+    act = np.maximum(0.0, pre)
+    pooled = act.max(axis=1)
+    posterior = softmax(pooled @ model.dense_w + model.dense_b)
+    return windows, pre, act, pooled, posterior
+
+
+def dense_cnn_grads(model, ids, y):
+    """Reference backward: a gradient for every window, scattered with np.add.at."""
+    windows, pre, act, pooled, posterior = dense_cnn_forward(model, ids)
+    n_batch, positions, n_filters = pre.shape
+    width = model.filters.shape[1]
+    dlogits = (posterior - one_hot(y)) / n_batch
+    dact = np.zeros_like(act)
+    dact[np.arange(n_batch)[:, None], act.argmax(axis=1), np.arange(n_filters)] = (
+        dlogits @ model.dense_w.T
+    )
+    dpre = dact * (pre > 0)
+    dwindows = np.tensordot(dpre, model.filters, axes=([2], [0]))  # B x P x h x e
+    demb = np.zeros(ids.shape + (model.embeddings.shape[1],))
+    for t in range(positions):
+        demb[:, t : t + width] += dwindows[:, t]
+    embeddings = np.zeros_like(model.embeddings)
+    np.add.at(embeddings, ids.ravel(), demb.reshape(-1, model.embeddings.shape[1]))
+    return {
+        "dense_w": pooled.T @ dlogits,
+        "dense_b": dlogits.sum(axis=0),
+        "conv_bias": dpre.sum(axis=(0, 1)),
+        "filters": np.tensordot(dpre, windows, axes=([0, 1], [0, 1])),
+        "embeddings": embeddings,
+    }
+
+
 class TestCnn:
     def test_conv_stage_shape(self):
         model = tiny_cnn(kernel=2, max_len=6)
@@ -239,6 +279,42 @@ class TestCnn:
         _, grads = cnn_grads(model, np.atleast_2d(ids), np.array([2]))
         assert np.all(grads["embeddings"][token] == 0.0)
 
+    @pytest.mark.parametrize("case", ["random", "all_padding", "all_negative", "kernel_is_max_len"])
+    def test_forward_equals_dense_max_of_relu(self, case):
+        kernel = 6 if case == "kernel_is_max_len" else 3
+        model = tiny_cnn(seed=3, vocab_size=9, embed=4, filters=5, kernel=kernel, max_len=6)
+        rng = np.random.default_rng(8)
+        model.conv_bias[:] = rng.normal(0, 0.3, size=5)
+        ids = rng.integers(0, 10, size=(7, 6))
+        if case == "all_padding":
+            ids[::2] = 0
+        if case == "all_negative":
+            model.conv_bias[:] = -100.0  # every window's pre-activation is below 0
+        expected = dense_cnn_forward(model, ids)[-1]
+        assert np.array_equal(cnn_forward(model, ids), expected)
+        # one 1-D row scores as the first row of the batch
+        assert np.array_equal(cnn_forward(model, ids[0]), expected[0])
+
+    def test_grads_equal_dense_backward_at_cli_shape(self):
+        vocab_size, max_len = 1400, 128
+        vocab = NgramVocabulary(2, np.arange(vocab_size, dtype=np.int64))
+        model = init_cnn(vocab, kernel=3, filters=64, embed_dim=16, max_len=max_len, seed=9)
+        rng = np.random.default_rng(10)
+        model.conv_bias[:] = rng.normal(0, 0.05, size=64)
+        ids = rng.integers(1, vocab_size + 1, size=(32, max_len))
+        ids[:, 90:] = 0  # padded tails
+        ids[0] = 7  # one token repeated: every window ties, the first must win
+        ids[1, :40] = np.tile([3, 3, 5, 5], 10)  # repeated windows inside a row
+        ids[2] = 0  # all padding
+        y = rng.integers(0, 6, size=32)
+        loss, grads = cnn_grads(model, ids, y)
+        expected = dense_cnn_grads(model, ids, y)
+        assert loss == cce_loss(dense_cnn_forward(model, ids)[-1], y)
+        for name, reference in expected.items():
+            scale = np.abs(reference).max()
+            assert scale > 0, name
+            assert np.abs(grads[name] - reference).max() <= 1e-12 * scale, name
+
     def test_determinism(self):
         sentences = [Sentence("abab", "dk"), Sentence("baba", "sv")] * 10
         cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=4, seed=3, max_len=8)
@@ -285,8 +361,13 @@ class TestSweep:
 def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
+    with pytest.raises(ValueError, match="epochs"):
+        TrainConfig(epochs=-1)
+    with pytest.raises(ValueError, match="batch_size"):
+        TrainConfig(batch_size=0)
+    with pytest.raises(ValueError, match="max_len"):
+        TrainConfig(max_len=0)
+    assert TrainConfig(epochs=0).epochs == 0  # zero epochs leave the initial model
 
 
 @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -0.1])
