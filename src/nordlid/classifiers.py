@@ -174,7 +174,9 @@ class LogRegModel:
     epochs: int
 
     def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
-        return logreg_posterior(self, x)
+        """Softmax posterior of each row."""
+        x = _features(x, self.theta.shape[1] - 1)
+        return softmax(x @ self.theta[:, :-1].T + self.theta[:, -1])
 
 
 def _augment(x: np.ndarray | CsrMatrix) -> np.ndarray | CsrMatrix:
@@ -222,11 +224,6 @@ def train_logreg(
     return LogRegModel(theta, learning_rate, epochs)
 
 
-def logreg_posterior(model: LogRegModel, x: np.ndarray | CsrMatrix) -> np.ndarray:
-    x = _features(x, model.theta.shape[1] - 1)
-    return softmax(x @ model.theta[:, :-1].T + model.theta[:, -1])
-
-
 # ---------------------------------------------------------------------------
 # Multinomial Naive Bayes
 # ---------------------------------------------------------------------------
@@ -239,7 +236,28 @@ class NbModel:
     alpha: float
 
     def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
-        return nb_scores(self, x)
+        """Log prior plus the count-weighted log-likelihoods of each row.
+
+        A product would turn 0 * log(0) into nan, so the rows that hold a
+        feature with a non-finite log-likelihood (alpha = 0, or a class
+        absent from training) are scored as dense blocks, in which an
+        absent feature contributes nothing; a block's m x 6 x d
+        contributions stay within KNN_BLOCK_BYTES.
+        """
+        x = _features(x, self.log_likelihoods.shape[1])
+        if ((x.data if isinstance(x, CsrMatrix) else x) < 0).any():
+            raise NegativeCount("feature counts must be non-negative")
+        finite = np.isfinite(self.log_likelihoods)
+        scores = x @ np.where(finite, self.log_likelihoods, 0.0).T + self.log_priors
+        touched = np.flatnonzero(x @ (~finite).any(axis=0).astype(np.float64) > 0)
+        step = max(1, KNN_BLOCK_BYTES // (8 * N_CLASSES * max(1, x.shape[1])))
+        for start in range(0, len(touched), step):
+            rows = touched[start : start + step]
+            dense = x[rows][:, None]  # m x 1 x d
+            with np.errstate(invalid="ignore"):
+                contributions = np.where(dense > 0, dense * self.log_likelihoods, 0.0)
+            scores[rows] = self.log_priors + contributions.sum(axis=2)
+        return scores
 
 
 def train_nb(
@@ -274,28 +292,6 @@ def train_nb(
     return NbModel(log_priors, log_likelihoods, alpha)
 
 
-def nb_scores(model: NbModel, x: np.ndarray | CsrMatrix) -> np.ndarray:
-    x = _features(x, model.log_likelihoods.shape[1])
-    if ((x.data if isinstance(x, CsrMatrix) else x) < 0).any():
-        raise NegativeCount("feature counts must be non-negative")
-    finite = np.isfinite(model.log_likelihoods)
-    scores = x @ np.where(finite, model.log_likelihoods, 0.0).T + model.log_priors
-    # A product would turn 0 * log(0) into nan, so the rows that hold a
-    # feature with a non-finite log-likelihood (alpha = 0, or a class
-    # absent from training) are scored as dense blocks, in which an absent
-    # feature contributes nothing; a block's m x 6 x d contributions stay
-    # within KNN_BLOCK_BYTES.
-    touched = np.flatnonzero(x @ (~finite).any(axis=0).astype(np.float64) > 0)
-    step = max(1, KNN_BLOCK_BYTES // (8 * N_CLASSES * max(1, x.shape[1])))
-    for start in range(0, len(touched), step):
-        rows = touched[start : start + step]
-        dense = x[rows][:, None]  # m x 1 x d
-        with np.errstate(invalid="ignore"):
-            contributions = np.where(dense > 0, dense * model.log_likelihoods, 0.0)
-        scores[rows] = model.log_priors + contributions.sum(axis=2)
-    return scores
-
-
 # ---------------------------------------------------------------------------
 # Linear SVM (one-vs-rest, Pegasos-style subgradient training)
 # ---------------------------------------------------------------------------
@@ -311,7 +307,8 @@ class SvmModel:
     objective_history: list[float] = field(default_factory=list)
 
     def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
-        return svm_scores(self, x)
+        """Each class's margin w.x + b for each row."""
+        return _features(x, self.weights.shape[1]) @ self.weights.T + self.biases
 
 
 def svm_objective(
@@ -343,8 +340,8 @@ def train_svm(
     the mean of the iterates from the second half of training, which
     smooths the noisy tail of the 1/(lam*t) schedule.
     """
-    if not lam > 0 or epochs < 0:
-        raise ValueError(f"need lam > 0 and epochs >= 0, got {lam} and {epochs}")
+    if not (np.isfinite(lam) and lam > 0) or epochs < 0:
+        raise ValueError(f"need a finite lam > 0 and epochs >= 0, got {lam} and {epochs}")
     x = design_array(train_x)  # x[i] is a dense row either way
     y = np.asarray(train_y, dtype=np.int64)
     n, dim = x.shape
@@ -379,7 +376,3 @@ def train_svm(
         biases = b_sum / averaged
         history.append(svm_objective(weights, biases, lam, x, y_signs))
     return SvmModel(weights, biases, lam, epochs, seed, history)
-
-
-def svm_scores(model: SvmModel, x: np.ndarray | CsrMatrix) -> np.ndarray:
-    return _features(x, model.weights.shape[1]) @ model.weights.T + model.biases

@@ -58,9 +58,9 @@ from .features import (
     to_dense,
 )
 from .modelio import (
+    EMBEDDING_FEATURES,
     NGRAM_FEATURES,
     PipelineModel,
-    QueryEmbedding,
     VectorFeature,
     check_compatibility,
     load_model,
@@ -146,19 +146,19 @@ def cmd_corpus_tatoeba(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _count_vocab(features: str, dataset: Dataset, cap: int | None):
+    """bow's word vocabulary or a character feature's n-gram vocabulary of ``dataset``."""
+    if features == "bow":
+        return build_word_vocab(dataset, cap=cap)
+    return build_ngram_vocab(dataset, NGRAM_FEATURES[features], cap=cap)
+
+
 def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeature:
     """The feature the flags ask for, fitted to ``dataset``.
 
     Raises EmptyVocabulary when the dataset yields no n-gram or word.
     """
-    normalize = model_kind != "nb" and not args.raw_counts
-    if args.features in NGRAM_FEATURES:
-        vocab = build_ngram_vocab(dataset, NGRAM_FEATURES[args.features], cap=args.cap)
-        feature = VectorFeature(args.features, normalize, ngram_vocab=vocab)
-    elif args.features == "bow":
-        vocab = build_word_vocab(dataset, cap=args.cap)
-        feature = VectorFeature(args.features, normalize, word_vocab=vocab)
-    else:
+    if args.features in EMBEDDING_FEATURES:
         cfg = embeddings.EmbeddingConfig(
             mode=args.features,
             dim=args.dim,
@@ -169,8 +169,10 @@ def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeat
             seed=args.seed,
         )
         trainer = embeddings.train_cbow if args.features == "cbow" else embeddings.train_skipgram
-        matrix = trainer(dataset, cfg)
-        return VectorFeature(args.features, False, embedding=QueryEmbedding.from_matrix(matrix))
+        return VectorFeature.of_embedding(trainer(dataset, cfg))
+    normalize = model_kind != "nb" and not args.raw_counts
+    vocab = _count_vocab(args.features, dataset, args.cap)
+    feature = VectorFeature(args.features, normalize, vocab)
     if not feature.dim:
         raise EmptyVocabulary(f"corpus contains no {args.features} features")
     return feature
@@ -193,12 +195,14 @@ def cmd_train(args) -> int:
         check_learning_rate(args.lr)
     if not 0 <= args.alpha < float("inf"):  # nan fails both comparisons
         raise ValueError(f"--alpha must be finite and >= 0, got {args.alpha}")
+    if not 0 < args.lam < float("inf"):
+        raise ValueError(f"--lam must be finite and > 0, got {args.lam}")
     dataset = load_dataset_tsv(args.train)
     if args.model == "cnn":
         model = neural.cnn_train(
             dataset.sentences,
             _train_config(args, learning_rate=0.05, epochs=5),
-            gram=NGRAM_FEATURES[args.features],
+            gram=NGRAM_FEATURES[args.features][0],
             kernel=args.kernel,
             filters=args.filters,
             embed_dim=args.embed_dim,
@@ -212,8 +216,8 @@ def cmd_train(args) -> int:
             learning_rate=args.lr if args.lr is not None else 0.1,
             seed=args.seed,
         )
-        mode = "words" if args.features == "bow" else "char_ngrams"
-        model = embeddings.train_fasttext_supervised(dataset, cfg, feature_mode=mode)
+        vocab = _count_vocab(args.features, dataset, None)  # --cap does not apply to fastText
+        model = embeddings.train_fasttext_supervised(dataset, cfg, vocab)
         pipeline = PipelineModel("fasttext", args.seed, model)
     else:
         feature = _build_vector_feature(args, dataset, args.model)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -29,17 +28,14 @@ import numpy as np
 from .corpus import Sentence
 from .errors import EmptyVocabulary
 from .features import (
-    KEY_START,
     N_CLASSES,
-    CodeIndex,
-    WordVocabulary,
+    Vocabulary,
     check_learning_rate,
-    gram_keys,
-    key_string_order,
     label_indices,
     ngram_hits,
     rank_words,
     softmax,
+    texts_of,
     word_tokenize,
 )
 
@@ -402,49 +398,17 @@ def sentence_embedding(text: str, emb: EmbeddingMatrix) -> np.ndarray:
 class FastTextClassifier:
     """Softmax over a mean feature embedding times a linear output layer.
 
-    Word mode keys each row of ``input_vectors`` by a word (``features``);
-    character mode keys it by an n-gram key of orders ngram_min..ngram_max
-    (``keys``, see :data:`features.KEY_START`). Both list the rows in rank
-    order, and the other mode's field is empty. The output bias is kept at
+    Row j of ``input_vectors`` embeds column j of ``vocab``: a word, or an
+    n-gram of orders 1..5 (Joulin et al. 2017). The output bias is kept at
     zero so that inputs with no known features always yield a uniform
     posterior.
     """
 
-    feature_mode: str  # "words" or "char_ngrams"
-    ngram_min: int
-    ngram_max: int
-    features: list[str]  # words mode: the word of each row
-    keys: np.ndarray  # char_ngrams mode: the n-gram key of each row, int64
+    vocab: Vocabulary
     input_vectors: np.ndarray  # V x d
     output_weights: np.ndarray  # d x 6
     output_bias: np.ndarray  # 6
     epoch_losses: list[float] = field(default_factory=list)
-
-    @cached_property
-    def word_vocab(self) -> WordVocabulary:
-        """The words as a vocabulary, rank i + 1 for row i, built on first use.
-
-        ``features`` must not change after that.
-        """
-        return WordVocabulary.from_ranked(self.features)
-
-    @cached_property
-    def key_index(self) -> CodeIndex:
-        """The row of each n-gram key, built on first use.
-
-        Raises ValueError if two keys are equal. ``keys`` must not change
-        after that.
-        """
-        return CodeIndex.build(self.keys, np.arange(len(self.keys)), KEY_START[self.ngram_max + 1])
-
-    def _hits(self, texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
-        """(text index, row) of every known word or n-gram of cleaned
-        ``texts``, text by text in the order training reads them."""
-        if self.feature_mode == "words":
-            return ngram_hits(texts, self.word_vocab)
-        lines, keys = gram_keys(texts, self.ngram_min, self.ngram_max)
-        rows = self.key_index.rows_of(keys)
-        return lines[rows >= 0], rows[rows >= 0]
 
     def scores(self, texts: list[str]) -> np.ndarray:
         """Posterior of every cleaned text, n x 6.
@@ -455,7 +419,7 @@ class FastTextClassifier:
         batched product rounds differently), plus the bias, through the
         softmax.
         """
-        means = _line_means(self.input_vectors, *self._hits(texts), len(texts))
+        means = _line_means(self.input_vectors, *ngram_hits(texts, self.vocab), len(texts))
         logits = np.array([mean @ self.output_weights for mean in means])
         return softmax(logits.reshape(len(texts), N_CLASSES) + self.output_bias)
 
@@ -502,56 +466,27 @@ class SupervisedConfig:
         check_learning_rate(self.learning_rate)
 
 
-def _word_rows(texts: list[str]) -> tuple[list[str], list[np.ndarray]]:
-    """The words ranked by (-count, word), and each text's word rows in order."""
-    docs = [word_tokenize(text) for text in texts]
-    counts = Counter(chain.from_iterable(docs))
-    words = rank_words(counts)
-    index = {w: i for i, w in enumerate(words)}
-    return words, [np.array([index[w] for w in doc], dtype=np.int64) for doc in docs]
-
-
-def _gram_rows(texts: list[str], nmin: int, nmax: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The n-gram keys ranked by (-count, string), and each text's n-gram
-    rows in :func:`features.gram_keys` order."""
-    lines, keys = gram_keys(texts, nmin, nmax)
-    unique, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    ranked = np.lexsort((key_string_order(unique, nmax), -counts))
-    rank = np.empty_like(ranked)
-    rank[ranked] = np.arange(len(ranked))
-    ends = np.cumsum(np.bincount(lines, minlength=len(texts)))
-    return unique[ranked], np.split(rank[inverse], ends[:-1])
-
-
 def train_fasttext_supervised(
-    train: Iterable[Sentence],
-    cfg: SupervisedConfig = SupervisedConfig(),
-    feature_mode: str = "words",
-    ngram_min: int = 1,
-    ngram_max: int = 5,
+    train: Iterable[Sentence], cfg: SupervisedConfig, vocab: Vocabulary
 ) -> FastTextClassifier:
-    if feature_mode not in ("words", "char_ngrams"):
-        raise ValueError(f"unknown feature mode {feature_mode!r}")
+    """Per-document SGD, one row of ``input_vectors`` per column of ``vocab``.
+
+    A document's rows are its :func:`features.ngram_hits` columns, in that
+    order. Raises EmptyVocabulary when ``vocab`` is empty.
+    """
     train = list(train)
-    texts = [sentence.text for sentence in train]
-    if feature_mode == "words":
-        features, doc_ids = _word_rows(texts)
-        keys = np.zeros(0, dtype=np.int64)
-    else:
-        keys, doc_ids = _gram_rows(texts, ngram_min, ngram_max)
-        features = []
-    n_rows = len(features) + len(keys)
-    if not n_rows:
+    if not vocab.size:
         raise EmptyVocabulary("training corpus contains no features")
+    lines, columns = ngram_hits(texts_of(train), vocab)
+    doc_ids = np.split(columns, np.cumsum(np.bincount(lines, minlength=len(train)))[:-1])
     rng = np.random.default_rng(cfg.seed)
-    input_vectors = rng.uniform(-1.0 / cfg.dim, 1.0 / cfg.dim, size=(n_rows, cfg.dim))
+    input_vectors = rng.uniform(-1.0 / cfg.dim, 1.0 / cfg.dim, size=(vocab.size, cfg.dim))
     model = FastTextClassifier(
-        feature_mode, ngram_min, ngram_max, features, keys,
-        input_vectors, np.zeros((cfg.dim, N_CLASSES)), np.zeros(N_CLASSES),
+        vocab, input_vectors, np.zeros((cfg.dim, N_CLASSES)), np.zeros(N_CLASSES)
     )
     label_arr = label_indices(train)
     order_rng = np.random.default_rng(cfg.seed + 1)
-    n = len(doc_ids)
+    n = len(train)
     total = max(cfg.epochs * n, 1)
     step = 0
     for _ in range(cfg.epochs):
@@ -570,7 +505,7 @@ def train_fasttext_supervised(
             dmean = model.output_weights @ g
             model.output_weights -= lr * np.outer(mean, g)
             model.input_vectors[ids] -= lr * dmean / len(ids)
-        model.epoch_losses.append(epoch_loss / n)
+        model.epoch_losses.append(epoch_loss / max(n, 1))
     return model
 
 

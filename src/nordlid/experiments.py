@@ -56,9 +56,9 @@ def run_mini_experiment(
     out_test = stratified_sample(out_pools, n_out_domain, seed + 1)
 
     result = MiniExperimentResult()
-    char1 = VectorFeature("char1", False, ngram_vocab=build_ngram_vocab(train, 1))
-    char2 = VectorFeature("char2", False, ngram_vocab=build_ngram_vocab(train, 2))
-    char2_freq = VectorFeature("char2", True, ngram_vocab=char2.ngram_vocab)
+    char1 = VectorFeature("char1", False, build_ngram_vocab(train, (1, 1)))
+    char2 = VectorFeature("char2", False, build_ngram_vocab(train, (2, 2)))
+    char2_freq = VectorFeature("char2", True, char2.vocab)
     y_train = label_indices(train)
 
     def fit(trainer, feature: VectorFeature, **kwargs) -> tuple:

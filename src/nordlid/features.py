@@ -5,10 +5,12 @@ of cleaned text maps to its rank in the alphabet sorted by code point
 (the space first), and an n-gram to ``sum(c[i] * 40**(n-1-i))``, so for
 a fixed n the numeric order of n-gram codes equals their string order.
 Vocabularies, design matrices and the CNN's token ids are built from
-these codes with numpy, with no Python step per n-gram, and an n-gram
-vocabulary is kept, and saved, as the array of its codes. fastText keys
-the grams of several orders in one space: an n-gram's key is
-``KEY_START[n]`` (the number of grams of orders 1..n-1) plus its code.
+these codes with numpy, with no Python step per n-gram. The grams of
+every order share one key space: an n-gram's key is ``KEY_START[n]`` (the
+number of grams of orders 1..n-1) plus its code, and an n-gram vocabulary
+of orders nmin..nmax, one or several, is kept, and saved, as the array of
+its keys. Every model reads text through one vocabulary, n-gram or word,
+and :func:`ngram_hits` alone maps a block of texts to its columns.
 
 The label-space helpers every classifier family shares live here too:
 ``N_CLASSES``, :func:`one_hot`, :func:`softmax` and the trainers' check
@@ -37,11 +39,11 @@ CODE_ORDER = "".join(sorted(ALPHABET))
 BASE = len(CODE_ORDER)
 #: Highest n-gram order whose codes (below BASE**n) fit in an int64.
 MAX_ORDER = 11
-#: Highest n-gram order whose codes and keys a :class:`CodeIndex` looks
-#: up in a table indexed by them (0.5 MB up to order 3, 20 MB at order 4).
+#: Highest n-gram order whose keys a :class:`CodeIndex` looks up in a
+#: table indexed by them (0.5 MB up to order 3, 20 MB at order 4).
 #: On a 1024-line block of chat text against a 1356-gram char2 vocabulary
 #: (47k grams, 2-vCPU x86 machine) the table takes 0.08 ms and a binary
-#: search of the sorted codes 5 ms; the search serves the orders above.
+#: search of the sorted keys 5 ms; the search serves the orders above.
 TABLE_MAX_ORDER = 3
 #: First key of each n-gram order n, at index n (1..MAX_ORDER + 1):
 #: sum(BASE**m for m in 1..n-1), so the keys of order n fill
@@ -98,9 +100,13 @@ def gram_keys(texts: list[str], nmin: int, nmax: int) -> tuple[np.ndarray, np.nd
     """
     orders = range(nmin, nmax + 1)
     parts = [gram_codes(texts, n) for n in orders]
+    for n, (_, grams) in zip(orders, parts):
+        grams += KEY_START[n]
+    if nmin == nmax:  # already text by text: no merge of orders to sort
+        return parts[0]
     rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [r for r, _ in parts])
-    keys = np.concatenate([np.zeros(0, dtype=np.int64)]
-                          + [g + KEY_START[n] for n, (_, g) in zip(orders, parts)])
+    keys = np.concatenate([np.zeros(0, dtype=np.int64)] + [g for _, g in parts])
+    del parts  # the per-order copies, freed before the sort
     by_text = np.argsort(rows, kind="stable")
     return rows[by_text], keys[by_text]
 
@@ -124,11 +130,11 @@ def key_string_order(keys: np.ndarray, width: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CodeIndex:
-    """The row of each of a set of distinct n-gram codes or keys in 0..size-1.
+    """The row of each of a set of distinct n-gram keys in 0..size-1.
 
-    Codes below ``KEY_START[TABLE_MAX_ORDER + 1]`` (every gram of orders up
+    Keys below ``KEY_START[TABLE_MAX_ORDER + 1]`` (every gram of orders up
     to ``TABLE_MAX_ORDER``) index ``table``; the others binary-search
-    ``ordered``, the sorted codes above them, whose rows are ``rows``.
+    ``ordered``, the sorted keys above them, whose rows are ``rows``.
     """
 
     size: int
@@ -137,30 +143,30 @@ class CodeIndex:
     rows: np.ndarray
 
     @classmethod
-    def build(cls, codes: np.ndarray, rows: np.ndarray, size: int) -> "CodeIndex":
-        """Index of ``codes`` in 0..size-1, code i at row ``rows[i]``.
+    def build(cls, keys: np.ndarray, size: int) -> "CodeIndex":
+        """Index of ``keys`` in 0..size-1, key i at row i.
 
-        Raises ValueError if two codes are equal.
+        Raises ValueError if two keys are equal.
         """
-        order = np.argsort(codes)
-        codes, rows = codes[order], rows[order]
-        if (codes[1:] == codes[:-1]).any():
-            raise ValueError("codes are not distinct")
+        rows = np.argsort(keys)
+        keys = keys[rows]
+        if (keys[1:] == keys[:-1]).any():
+            raise ValueError("n-gram keys are not distinct")
         table = np.full(min(size, KEY_START[TABLE_MAX_ORDER + 1]), -1, dtype=np.int64)
-        split = int(np.searchsorted(codes, len(table)))
-        table[codes[:split]] = rows[:split]
-        return cls(size, table, codes[split:], rows[split:])
+        split = int(np.searchsorted(keys, len(table)))
+        table[keys[:split]] = rows[:split]
+        return cls(size, table, keys[split:], rows[split:])
 
-    def rows_of(self, codes: np.ndarray) -> np.ndarray:
-        """The row of each code in 0..size-1, -1 for a code not indexed."""
-        if len(self.table) == self.size:  # the table holds every code
-            return self.table[codes]
-        out = np.full(len(codes), -1, dtype=np.int64)
-        low = codes < len(self.table)
-        out[low] = self.table[codes[low]]
-        high = codes[~low]
+    def rows_of(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each key in 0..size-1, -1 for a key not indexed."""
+        if len(self.table) == self.size:  # the table holds every key
+            return self.table[keys]
+        out = np.full(len(keys), -1, dtype=np.int64)
+        low = keys < len(self.table)
+        out[low] = self.table[keys[low]]
+        high = keys[~low]
         if len(self.ordered):
-            # Searched in ascending order, the codes walk ``ordered`` from one
+            # Searched in ascending order, the keys walk ``ordered`` from one
             # end to the other: on 228k order-4/5 keys against 542k fastText
             # keys (2-vCPU x86 machine) 23 ms with the sort instead of 73 ms.
             order = np.argsort(high)
@@ -185,40 +191,45 @@ def word_tokenize(text: str) -> list[str]:
 
 @dataclass(frozen=True, eq=False)
 class NgramVocabulary:
-    """The n-grams of one order a feature or model knows, by their codes.
+    """The n-grams of orders nmin..nmax a feature or model knows, by their keys.
 
-    ``codes[j]`` is the :func:`gram_codes` code of column j's n-gram. Built
-    from a corpus, the columns go by descending frequency, ties in code
-    (and so string) order, so construction is a pure function of the
-    corpus. Construction checks that 1 <= n <= ``MAX_ORDER`` and that
-    ``codes`` is one 1-D int64 array of distinct codes in 0..BASE**n - 1,
-    and raises ValueError otherwise.
+    ``orders`` is (nmin, nmax) and ``keys[j]`` the :func:`gram_keys` key of
+    column j's n-gram. Built from a corpus, the columns go by descending
+    frequency, ties in the grams' string order, so construction is a pure
+    function of the corpus. Construction checks that 1 <= nmin <= nmax <=
+    ``MAX_ORDER`` and that ``keys`` is one 1-D int64 array of distinct keys
+    of those orders, and raises ValueError otherwise.
     """
 
-    n: int
-    codes: np.ndarray
+    orders: tuple[int, int]
+    keys: np.ndarray
 
     def __post_init__(self):
-        if type(self.n) is not int or not 1 <= self.n <= MAX_ORDER:
-            raise ValueError(f"n-gram order {self.n!r} is not an integer in 1..{MAX_ORDER}")
-        codes = self.codes
-        if not isinstance(codes, np.ndarray) or codes.dtype != np.int64 or codes.ndim != 1:
-            raise ValueError("vocabulary codes are not one 1-D int64 array")
-        if codes.size and not 0 <= codes.min() <= codes.max() < BASE**self.n:
-            raise ValueError(f"vocabulary codes are not codes of order {self.n}")
-        self._index  # indexes, and so checks that no code repeats, once
+        orders = self.orders
+        if not (isinstance(orders, tuple) and len(orders) == 2
+                and all(type(n) is int for n in orders)
+                and 1 <= orders[0] <= orders[1] <= MAX_ORDER):
+            raise ValueError(f"n-gram orders {orders!r} are not integers with "
+                             f"1 <= nmin <= nmax <= {MAX_ORDER}")
+        nmin, nmax = orders
+        keys = self.keys
+        if not isinstance(keys, np.ndarray) or keys.dtype != np.int64 or keys.ndim != 1:
+            raise ValueError("n-gram keys are not one int64 array of rank 1")
+        if keys.size and not KEY_START[nmin] <= keys.min() <= keys.max() < KEY_START[nmax + 1]:
+            raise ValueError(f"n-gram keys are not keys of orders {nmin}..{nmax}")
+        self._index  # indexes, and so checks that no key repeats, once
 
     @property
     def size(self) -> int:
-        return len(self.codes)
+        return len(self.keys)
 
     @cached_property
     def _index(self) -> CodeIndex:
-        return CodeIndex.build(self.codes, np.arange(self.size), BASE**self.n)
+        return CodeIndex.build(self.keys, KEY_START[self.orders[1] + 1])
 
-    def columns(self, grams: np.ndarray) -> np.ndarray:
-        """Column of each n-gram code, -1 out of vocabulary."""
-        return self._index.rows_of(grams)
+    def columns(self, keys: np.ndarray) -> np.ndarray:
+        """Column of each n-gram key, -1 out of vocabulary."""
+        return self._index.rows_of(keys)
 
 
 @dataclass(frozen=True)
@@ -262,17 +273,24 @@ class WordVocabulary:
         return None if rank is None else rank - 1
 
 
+#: What every feature and model reads its text through.
+Vocabulary = NgramVocabulary | WordVocabulary
+
+
 def texts_of(items: Iterable[Sentence | str]) -> list[str]:
     """The text of each sentence; strings pass as they are."""
     return [item if isinstance(item, str) else item.text for item in items]
 
 
 def build_ngram_vocab(
-    corpus: Iterable[Sentence], n: int, cap: int | None = None
+    corpus: Iterable[Sentence], orders: tuple[int, int], cap: int | None = None
 ) -> NgramVocabulary:
-    _, grams = gram_codes(texts_of(corpus), n)
-    unique, counts = np.unique(grams, return_counts=True)
-    return NgramVocabulary(n, unique[np.lexsort((unique, -counts))][:cap])
+    """The first ``cap`` n-grams of orders nmin..nmax of ``corpus`` by
+    descending count, ties in string order."""
+    _, keys = gram_keys(texts_of(corpus), *orders)
+    unique, counts = np.unique(keys, return_counts=True)
+    ranked = np.lexsort((key_string_order(unique, orders[1]), -counts))
+    return NgramVocabulary(orders, unique[ranked][:cap])
 
 
 def build_word_vocab(
@@ -291,13 +309,12 @@ def rank_words(counts: Counter) -> list[str]:
     return words
 
 
-def ngram_hits(
-    texts: list[str], vocab: NgramVocabulary | WordVocabulary
-) -> tuple[np.ndarray, np.ndarray]:
-    """(text index, column) of every in-vocabulary n-gram or word, in text order."""
+def ngram_hits(texts: list[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """(text index, column) of every in-vocabulary n-gram or word, text by
+    text in :func:`gram_keys` or word order."""
     if isinstance(vocab, NgramVocabulary):
-        rows, grams = gram_codes(texts, vocab.n)
-        columns = vocab.columns(grams)
+        rows, keys = gram_keys(texts, *vocab.orders)
+        columns = vocab.columns(keys)
         found = columns >= 0
         return rows[found], columns[found]
     entries = vocab.entries
@@ -465,7 +482,7 @@ def to_dense(x) -> np.ndarray:
 
 def count_matrix(
     sentences: Iterable[Sentence | str],
-    vocab: NgramVocabulary | WordVocabulary,
+    vocab: Vocabulary,
     normalize: bool = False,
     sparse: bool = False,
 ) -> np.ndarray | CsrMatrix:

@@ -1,18 +1,21 @@
 """Versioned model container: save and load every trained model kind.
 
-File layout (``NDSL2``), after numpy's ``.npy`` format:
+File layout (``NDSL3``), after numpy's ``.npy`` format:
 
-- line 1: the magic ``NDSL2``;
+- line 1: the magic ``NDSL3``;
 - line 2: the header, one JSON object with sorted keys. It holds the
-  model kind, the feature pipeline (vocabulary or embedding) and the
-  model's ``params``: the fields of its class (``MODEL_CLASSES``) that
-  have no default. An array field is saved as one ``{"dtype", "shape",
-  "offset"}`` descriptor, a list of arrays as a list of them, a
-  ``CsrMatrix`` (KNN's training vectors) as ``{"shape", "indptr",
-  "indices", "data"}`` with one descriptor for each of its three arrays,
-  an ``NgramVocabulary`` (a vector feature's, or the CNN's) as ``{"n",
-  "codes"}`` with one ``<i8`` descriptor of its n-gram codes in column
-  order, and a scalar or string list (a word vocabulary) as itself.
+  model kind, the feature pipeline (``VectorFeature``, or null for the CNN
+  and fastText) and the model's ``params``. The feature and the params
+  are the fields of their classes (``MODEL_CLASSES`` for a model) but the
+  training records, the fields with a default factory. An array field is
+  saved as one ``{"dtype", "shape", "offset"}`` descriptor (null for an
+  absent one), a list of arrays as a list of them, a ``CsrMatrix`` (KNN's
+  training vectors) as ``{"shape", "indptr", "indices", "data"}`` with one
+  descriptor for each of its three arrays, and a scalar as itself. Every
+  ``vocab``, a feature's, the CNN's or fastText's, has one codec: an
+  ``NgramVocabulary`` is an ``{"orders", "keys"}`` object, ``[nmin,
+  nmax]`` and one ``<i8`` descriptor of its n-gram keys in column order,
+  and a ``WordVocabulary`` the list of its words in column order.
   Spaces pad the header before its LF so that the array section starts
   at a multiple of 8 bytes;
 - the array section: each array's raw little-endian ``<f8`` or ``<i8``
@@ -22,10 +25,8 @@ File layout (``NDSL2``), after numpy's ``.npy`` format:
 
 Loading reads the file into one buffer and makes every array a view of
 it, writable and 8-byte aligned, so a save/load round trip reproduces
-predictions bit for bit. Files of the older ``NDSL1`` layout, which held
-the arrays as base64 inside the JSON, are refused, and so are ``NDSL2``
-files whose n-gram vocabulary is a list of gram strings; retrain to get
-a current file.
+predictions bit for bit. Files of the older ``NDSL1`` and ``NDSL2``
+layouts are refused; retrain to get a current file.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import math
 import os
 from collections.abc import Iterable, Sequence
 from dataclasses import MISSING, dataclass, fields
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -44,25 +44,26 @@ from . import classifiers, embeddings, neural
 from .corpus import LABELS, Sentence, clean_sentence
 from .errors import IncompatibleSpec, ModelFormatError
 from .features import (
-    KEY_START,
-    MAX_ORDER,
     CsrMatrix,
     NgramVocabulary,
+    Vocabulary,
     WordVocabulary,
     count_matrix,
     ngram_hits,
     texts_of,
 )
 
-MAGIC = "NDSL2"
+MAGIC = "NDSL3"
 #: Array element types; both are 8 bytes wide.
 DTYPES = ("<f8", "<i8")
 #: Alignment of the array section and of every array in it, in bytes.
 ALIGN = 8
 
 VECTOR_FEATURES = ("char1", "char2", "char3", "bow", "cbow", "skipgram")
-#: n-gram order of each character feature.
-NGRAM_FEATURES = {"char1": 1, "char2": 2, "char3": 3}
+#: n-gram orders (nmin, nmax) of each character feature; the others read words.
+NGRAM_FEATURES = {"char1": (1, 1), "char2": (2, 2), "char3": (3, 3), "char1_5": (1, 5)}
+#: Features that give each text the mean of its words' trained vectors.
+EMBEDDING_FEATURES = ("cbow", "skipgram")
 #: CNN consumes token sequences of these orders; others consume vectors.
 MODEL_FEATURES = {
     "knn": VECTOR_FEATURES,
@@ -125,47 +126,27 @@ def _dec(section: _Section, obj: dict) -> np.ndarray:
 
 
 @dataclass
-class QueryEmbedding:
-    """Composed per-word vectors, the query-time face of an EmbeddingMatrix.
+class VectorFeature:
+    """Text -> feature vector transform bundled with vector classifiers.
 
-    Word ``words[i]`` owns row i of ``composed``.
+    A count feature (char1-3, bow) counts the columns of ``vocab``; an
+    embedding feature (cbow, skipgram) holds the composed vector of each
+    word of ``vocab`` in ``vectors``, row j for column j.
     """
 
-    mode: str
-    dim: int
-    words: list[str]
-    composed: np.ndarray
+    type: str
+    normalize: bool
+    vocab: Vocabulary
+    vectors: np.ndarray | None = None
 
     @classmethod
-    def from_matrix(cls, emb: embeddings.EmbeddingMatrix) -> "QueryEmbedding":
-        return cls(emb.mode, emb.dim, list(emb.words), emb.composed.copy())
-
-    @cached_property
-    def word_vocab(self) -> WordVocabulary:
-        """The words as a vocabulary, rank i + 1 for row i, built on first use.
-
-        ``words`` must not change after that.
-        """
-        return WordVocabulary.from_ranked(self.words)
-
-
-@dataclass
-class VectorFeature:
-    """Text -> feature vector transform bundled with vector classifiers."""
-
-    type: str
-    normalize: bool = True
-    ngram_vocab: NgramVocabulary | None = None
-    word_vocab: WordVocabulary | None = None
-    embedding: QueryEmbedding | None = None
+    def of_embedding(cls, emb: embeddings.EmbeddingMatrix) -> "VectorFeature":
+        """The feature of a trained embedding: its words and composed vectors."""
+        return cls(emb.mode, False, WordVocabulary.from_ranked(emb.words), emb.composed)
 
     @property
     def dim(self) -> int:
-        if self.ngram_vocab is not None:
-            return self.ngram_vocab.size
-        if self.word_vocab is not None:
-            return self.word_vocab.size
-        return self.embedding.dim
+        return self.vocab.size if self.vectors is None else self.vectors.shape[1]
 
     def matrix(self, texts: Iterable[Sentence | str], sparse: bool = False) -> np.ndarray | CsrMatrix:
         """Design matrix of sentences or cleaned strings, one row each.
@@ -175,12 +156,10 @@ class VectorFeature:
         its dense sentence vector, the mean of its known words' vectors,
         equal bit for bit to :func:`embeddings.sentence_embedding`.
         """
-        vocab = self.ngram_vocab if self.ngram_vocab is not None else self.word_vocab
-        if vocab is not None:
-            return count_matrix(texts, vocab, self.normalize, sparse)
+        if self.vectors is None:
+            return count_matrix(texts, self.vocab, self.normalize, sparse)
         texts = texts_of(texts)
-        hits = ngram_hits(texts, self.embedding.word_vocab)
-        return embeddings._line_means(self.embedding.composed, *hits, len(texts))
+        return embeddings._line_means(self.vectors, *ngram_hits(texts, self.vocab), len(texts))
 
 
 #: Lines scored per block, so that design matrices and CNN activations
@@ -235,47 +214,6 @@ def check_compatibility(kind: str, feature_type: str) -> None:
             f"model {kind!r} cannot use features {feature_type!r}; "
             f"allowed: {', '.join(allowed)}"
         )
-
-
-def _feature_payload(arrays: list[np.ndarray], feature: VectorFeature | None) -> dict | None:
-    if feature is None:
-        return None
-    payload = {"type": feature.type, "normalize": feature.normalize}
-    if feature.ngram_vocab is not None:
-        payload["ngram_vocab"] = _enc_ngrams(arrays, feature.ngram_vocab)
-    elif feature.word_vocab is not None:
-        ordered = sorted(feature.word_vocab.entries, key=feature.word_vocab.entries.get)
-        payload["vocab"] = ordered
-    else:
-        payload["embedding"] = {
-            "mode": feature.embedding.mode,
-            "dim": feature.embedding.dim,
-            "words": feature.embedding.words,
-            "composed": _enc(arrays, feature.embedding.composed),
-        }
-    return payload
-
-
-def _feature_from_payload(section: _Section, payload: dict | None) -> VectorFeature | None:
-    if payload is None:
-        return None
-    kind = payload["type"]
-    if kind in NGRAM_FEATURES:
-        vocab = _dec_ngrams(section, payload.get("ngram_vocab"))
-        if vocab.n != NGRAM_FEATURES[kind]:
-            raise ModelFormatError(f"{kind} feature holds n-grams of order {vocab.n}")
-        return VectorFeature(kind, payload["normalize"], ngram_vocab=vocab)
-    if kind == "bow":
-        vocab = WordVocabulary.from_ranked(payload["vocab"])
-        return VectorFeature(kind, payload["normalize"], word_vocab=vocab)
-    emb = payload["embedding"]
-    query = QueryEmbedding(emb["mode"], emb["dim"], list(emb["words"]),
-                           _dec(section, emb["composed"]))
-    if query.composed.shape != (len(query.words), query.dim):
-        raise ModelFormatError(f"embedding vectors of shape {query.composed.shape} do not fit "
-                               f"{len(query.words)} words of dimension {query.dim}")
-    query.word_vocab  # checks that the words are distinct strings
-    return VectorFeature(kind, payload["normalize"], embedding=query)
 
 
 #: The model class of each kind.
@@ -334,56 +272,62 @@ def _dec_csr(section: _Section, obj: dict) -> CsrMatrix:
     return CsrMatrix((n, d), indptr, indices, data)
 
 
-def _enc_ngrams(arrays: list[np.ndarray], vocab: NgramVocabulary) -> dict:
-    return {"n": vocab.n, "codes": _enc(arrays, vocab.codes)}
+def _enc_optional(arrays: list[np.ndarray], array: np.ndarray | None) -> dict | None:
+    return None if array is None else _enc(arrays, array)
 
 
-def _dec_ngrams(section: _Section, obj: dict | None) -> NgramVocabulary:
-    """The vocabulary, which checks its order and codes on construction."""
-    if not isinstance(obj, dict):  # absent, or the older list of gram strings
-        raise ModelFormatError("n-gram vocabulary is not an {n, codes} array; "
-                               "a file that stores it as strings must be retrained")
-    return NgramVocabulary(obj["n"], _dec(section, obj["codes"]))
+def _dec_optional(section: _Section, obj: dict | None) -> np.ndarray | None:
+    return None if obj is None else _dec(section, obj)
 
 
-#: (encode, decode) of a model field, by its annotation as written. An
+def _enc_vocab(arrays: list[np.ndarray], vocab: Vocabulary) -> dict | list[str]:
+    if isinstance(vocab, WordVocabulary):
+        return sorted(vocab.entries, key=vocab.entries.get)
+    return {"orders": list(vocab.orders), "keys": _enc(arrays, vocab.keys)}
+
+
+def _dec_vocab(section: _Section, obj: dict | list) -> Vocabulary:
+    """The vocabulary, which checks its orders, keys or words on construction."""
+    if isinstance(obj, list):
+        return WordVocabulary.from_ranked(obj)
+    if not isinstance(obj, dict):
+        raise ModelFormatError("vocabulary is neither an {orders, keys} object nor a word list")
+    return NgramVocabulary(tuple(obj["orders"]), _dec(section, obj["keys"]))
+
+
+#: (encode, decode) of a saved field, by its annotation as written. An
 #: annotation missing here fails at import, not in a saved file.
 _FIELD_CODECS = {
     "int": (_as_is, _as_is),
     "float": (_as_is, _as_is),
+    "bool": (_as_is, _as_is),
     "str": (_as_is, _as_is),
-    "list[str]": (_as_is, _as_is),
     "np.ndarray": (_enc, _dec),
+    "np.ndarray | None": (_enc_optional, _dec_optional),
     "list[np.ndarray]": (_enc_list, _dec_list),
     "CsrMatrix": (_enc_csr, _dec_csr),
-    "NgramVocabulary": (_enc_ngrams, _dec_ngrams),
-}
-
-#: kind -> (name, encode, decode) of each saved field, in declaration
-#: order: the fields without a default. Built once, here, so that loading
-#: a model inspects no class.
-_PARAM_FIELDS = {
-    kind: [
-        (f.name, *_FIELD_CODECS[f.type])
-        for f in fields(cls)
-        if f.default is MISSING and f.default_factory is MISSING
-    ]
-    for kind, cls in MODEL_CLASSES.items()
+    "Vocabulary": (_enc_vocab, _dec_vocab),
 }
 
 
-def _params_payload(arrays: list[np.ndarray], kind: str, model: object) -> dict:
-    if kind not in _PARAM_FIELDS:
-        raise ModelFormatError(f"cannot serialize model kind {kind!r}")
-    return {name: encode(arrays, getattr(model, name)) for name, encode, _ in _PARAM_FIELDS[kind]}
+def _saved_fields(cls: type) -> list[tuple]:
+    """(name, encode, decode) of each saved field of ``cls``, in declaration
+    order: every field but the training records (a default factory)."""
+    return [(f.name, *_FIELD_CODECS[f.type]) for f in fields(cls) if f.default_factory is MISSING]
 
 
-def _model_from_params(section: _Section, kind: str, params: dict) -> object:
-    if kind not in _PARAM_FIELDS:
-        raise ModelFormatError(f"cannot load model kind {kind!r}")
-    return MODEL_CLASSES[kind](
-        **{name: decode(section, params[name]) for name, _, decode in _PARAM_FIELDS[kind]}
-    )
+#: The saved fields of each model kind and of a feature, listed once, here,
+#: so that loading a model inspects no class.
+_PARAM_FIELDS = {kind: _saved_fields(cls) for kind, cls in MODEL_CLASSES.items()}
+_FEATURE_FIELDS = _saved_fields(VectorFeature)
+
+
+def _payload(arrays: list[np.ndarray], saved: list[tuple], obj: object) -> dict:
+    return {name: encode(arrays, getattr(obj, name)) for name, encode, _ in saved}
+
+
+def _construct(section: _Section, saved: list[tuple], cls: type, payload: dict) -> object:
+    return cls(**{name: decode(section, payload[name]) for name, _, decode in saved})
 
 
 #: Width of the feature vectors each vector model kind takes.
@@ -396,53 +340,53 @@ _INPUT_WIDTH = {
 }
 
 
-def _fasttext_rows(model: embeddings.FastTextClassifier) -> int:
-    """The number of rows a fastText model's words or n-gram keys call for.
+def _check_vocab(what: str, vocab: Vocabulary, features: Sequence[str]) -> None:
+    """Raise ModelFormatError unless ``vocab`` holds the n-gram orders of one
+    of ``features``, or words when one of them is not a character feature."""
+    def holding(orders):
+        return "words" if orders is None else f"n-grams of orders {orders[0]}..{orders[1]}"
 
-    Raises ModelFormatError unless the feature mode is known, the n-gram
-    orders are integers with 1 <= ngram_min <= ngram_max <= MAX_ORDER, the
-    output layer fits the rows' width and the six labels, and the mode's
-    own field holds the rows' features while the other is empty: distinct
-    words, or distinct int64 keys of orders ngram_min..ngram_max.
-    """
-    mode, nmin, nmax, keys = model.feature_mode, model.ngram_min, model.ngram_max, model.keys
-    if mode not in ("words", "char_ngrams"):
-        raise ModelFormatError(f"fasttext feature_mode {mode!r} is unknown")
-    if not (_is_count(nmin) and _is_count(nmax) and 1 <= nmin <= nmax <= MAX_ORDER):
-        raise ModelFormatError(f"fasttext n-gram orders {nmin!r}..{nmax!r} are not integers "
-                               f"with 1 <= ngram_min <= ngram_max <= {MAX_ORDER}")
-    if (model.output_weights.shape != (model.input_vectors.shape[1], len(LABELS))
-            or model.output_bias.shape != (len(LABELS),)):
-        raise ModelFormatError("fasttext output layer does not fit its input vectors")
-    if mode == "words":
-        if not isinstance(model.features, list) or keys.size:
-            raise ModelFormatError("fasttext words model holds n-gram keys or no word list")
-        model.word_vocab  # checks that the words are distinct strings
-        return len(model.features)
-    if model.features:
-        raise ModelFormatError("fasttext char_ngrams model holds words")
-    if keys.dtype.kind != "i" or keys.ndim != 1:
-        raise ModelFormatError("fasttext n-gram keys are not one int64 array")
-    if keys.size and not KEY_START[nmin] <= keys.min() <= keys.max() < KEY_START[nmax + 1]:
-        raise ModelFormatError(f"fasttext n-gram keys are not keys of orders {nmin}..{nmax}")
-    try:
-        model.key_index
-    except ValueError as exc:
-        raise ModelFormatError("fasttext n-gram keys are not distinct") from exc
-    return keys.size
+    allowed = [NGRAM_FEATURES.get(name) for name in features]
+    have = vocab.orders if isinstance(vocab, NgramVocabulary) else None
+    if have not in allowed:
+        raise ModelFormatError(f"{what} holds {holding(have)}, "
+                               f"not {' or '.join(map(holding, allowed))}")
+
+
+def _check_feature(feature: VectorFeature) -> None:
+    """Raise ModelFormatError unless the feature's type is known, its
+    vocabulary holds the type's n-gram orders (words for bow and the
+    embeddings), and it holds one vector per word just when it embeds."""
+    kind, vectors = feature.type, feature.vectors
+    if kind not in VECTOR_FEATURES:
+        raise ModelFormatError(f"feature type {kind!r} is unknown")
+    _check_vocab(f"{kind} feature", feature.vocab, [kind])
+    if (vectors is None) == (kind in EMBEDDING_FEATURES):
+        what = "lacks" if vectors is None else "holds"
+        raise ModelFormatError(f"{kind} feature {what} word vectors")
+    if vectors is not None and (vectors.ndim != 2 or len(vectors) != feature.vocab.size):
+        raise ModelFormatError(f"{kind} vectors of shape {vectors.shape} do not fit "
+                               f"its {feature.vocab.size} words")
 
 
 def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
     """Raise ModelFormatError unless the model's parameters fit its features.
 
-    A vector model must take vectors as wide as its feature's; a CNN or
-    fastText model must hold one embedding row per vocabulary entry, word
-    or n-gram key (plus the CNN's padding row), a CNN's sequences must be
-    as long as its filters at least, and a fastText model must pass the
-    checks of :func:`_fasttext_rows`. A KNN model must hold one label
-    index per training vector, and every training vector's squared norm
-    must be finite.
+    A vector model must have a feature that passes :func:`_check_feature`
+    and take vectors as wide as its feature's; a CNN or fastText model
+    reads text itself and must have none. A CNN or fastText model must
+    hold one embedding row per column of its vocabulary (plus the CNN's
+    padding row). A CNN's vocabulary holds n-grams and its sequences are
+    as long as its filters at least; a fastText vocabulary holds bow's
+    words or char1_5's n-grams, and its output layer maps its rows' width
+    to the six labels. A KNN model must hold one label index per training
+    vector, and every training vector's squared norm must be finite.
     """
+    if (feature is None) != (kind in ("cnn", "fasttext")):
+        raise ModelFormatError(f"{kind} model {'lacks' if feature is None else 'holds'} "
+                               "a feature transform")
+    if feature is not None:
+        _check_feature(feature)
     if kind == "knn":
         labels = model.labels
         if labels.dtype.kind != "i" or labels.shape != model.vectors.shape[:1]:
@@ -454,13 +398,17 @@ def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
         if not np.isfinite(model.vectors.row_sq_norms()).all():
             raise ModelFormatError("knn training vectors have a squared norm that is not finite")
     if kind == "cnn":
+        if isinstance(model.vocab, WordVocabulary):
+            raise ModelFormatError("cnn vocabulary holds words, not n-grams")
         if not _is_count(model.max_len) or model.max_len < model.filters.shape[1]:
             raise ModelFormatError(f"cnn max_len {model.max_len!r} is shorter than its filters")
         have, want = model.embeddings.shape[0], model.vocab.size + 1
     elif kind == "fasttext":
-        have, want = model.input_vectors.shape[0], _fasttext_rows(model)
-    elif feature is None:
-        raise ModelFormatError(f"{kind} model lacks its feature transform")
+        _check_vocab("fasttext vocabulary", model.vocab, MODEL_FEATURES["fasttext"])
+        if (model.output_weights.shape != (model.input_vectors.shape[1], len(LABELS))
+                or model.output_bias.shape != (len(LABELS),)):
+            raise ModelFormatError("fasttext output layer does not fit its input vectors")
+        have, want = model.input_vectors.shape[0], model.vocab.size
     else:
         have, want = _INPUT_WIDTH[kind](model), feature.dim
     if have != want:
@@ -468,13 +416,16 @@ def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
 
 
 def save_model(pipeline: PipelineModel, path: str | Path) -> None:
+    if pipeline.kind not in _PARAM_FIELDS:
+        raise ModelFormatError(f"cannot serialize model kind {pipeline.kind!r}")
     arrays: list[np.ndarray] = []
     payload = {
         "kind": pipeline.kind,
         "seed": pipeline.seed,
         "labels": list(LABELS),
-        "feature": _feature_payload(arrays, pipeline.feature),
-        "params": _params_payload(arrays, pipeline.kind, pipeline.model),
+        "feature": None if pipeline.feature is None else _payload(
+            arrays, _FEATURE_FIELDS, pipeline.feature),
+        "params": _payload(arrays, _PARAM_FIELDS[pipeline.kind], pipeline.model),
     }
     header = json.dumps(payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
     head = f"{MAGIC}\n{header}".encode("utf-8")
@@ -489,9 +440,9 @@ def _read_container(data: bytearray) -> tuple[dict, _Section]:
     """The JSON header and the array section of a model file's bytes."""
     magic = f"{MAGIC}\n".encode("ascii")
     if not data.startswith(magic):
-        if data.startswith(b"NDSL1\n"):
+        if data[:6] in (b"NDSL1\n", b"NDSL2\n"):
             raise ModelFormatError(
-                "NDSL1 model files are no longer read; retrain with this version"
+                f"{data[:5].decode()} model files are no longer read; retrain with this version"
             )
         raise ModelFormatError(f"not an {MAGIC} model file")
     end = data.find(b"\n", len(magic))
@@ -520,11 +471,15 @@ def load_model(path: str | Path) -> PipelineModel:
         payload, section = _read_container(data)
         if payload.get("labels") != list(LABELS):
             raise ModelFormatError("label set does not match this build")
-        feature = _feature_from_payload(section, payload["feature"])
-        model = _model_from_params(section, payload["kind"], payload["params"])
+        kind, features = payload["kind"], payload["feature"]
+        if kind not in MODEL_CLASSES:
+            raise ModelFormatError(f"cannot load model kind {kind!r}")
+        feature = None if features is None else _construct(
+            section, _FEATURE_FIELDS, VectorFeature, features)
+        model = _construct(section, _PARAM_FIELDS[kind], MODEL_CLASSES[kind], payload["params"])
         section.check_used()
-        _check_fit(payload["kind"], model, feature)
-        return PipelineModel(payload["kind"], payload["seed"], model, feature)
+        _check_fit(kind, model, feature)
+        return PipelineModel(kind, payload["seed"], model, feature)
     except KeyError as exc:
         raise ModelFormatError(f"{path}: model payload lacks key {exc}") from exc
     except ModelFormatError as exc:

@@ -23,6 +23,7 @@ from .errors import DimensionMismatch, SequenceTooShort
 from .features import (
     N_CLASSES,
     NgramVocabulary,
+    Vocabulary,
     build_ngram_vocab,
     check_learning_rate,
     design_array,
@@ -36,11 +37,9 @@ def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.asarray(z, dtype=np.float64))
 
 
-def cce_loss(pred: np.ndarray, y: int | np.ndarray) -> float:
-    """-ln pred[y], averaged over a batch; predictions clamped at 1e-12."""
+def cce_loss(pred: np.ndarray, y: np.ndarray) -> float:
+    """-ln pred[i, y[i]], averaged over the rows; predictions clamped at 1e-12."""
     pred = np.asarray(pred, dtype=np.float64)
-    if pred.ndim == 1:
-        return float(-np.log(max(pred[y], 1e-12)))
     picked = np.clip(pred[np.arange(pred.shape[0]), y], 1e-12, None)
     return float(-np.log(picked).mean())
 
@@ -77,10 +76,6 @@ class MlpModel:
     weights: list[np.ndarray]  # per layer, shape (out, in)
     biases: list[np.ndarray]
 
-    @property
-    def layer_sizes(self) -> list[int]:
-        return [self.weights[0].shape[1]] + [w.shape[0] for w in self.weights]
-
     def scores(self, x) -> np.ndarray:
         return mlp_forward(self, x)
 
@@ -97,16 +92,13 @@ def init_mlp(layer_sizes: Sequence[int], seed: int) -> MlpModel:
 
 
 def mlp_forward(model: MlpModel, x) -> np.ndarray:
-    """Posterior of one vector, or of every row of a design matrix (dense or CSR)."""
-    x = design_array(x)
-    squeeze = x.ndim == 1
-    h = x[None] if squeeze else x
-    if h.shape[1] != model.weights[0].shape[1]:
-        raise DimensionMismatch(model.weights[0].shape[1], h.shape[1])
+    """Posterior of every row of a design matrix (dense or CSR)."""
+    h = design_array(x)
+    if h.ndim != 2 or h.shape[1] != model.weights[0].shape[1]:
+        raise DimensionMismatch(model.weights[0].shape[1], h.shape[-1] if h.ndim else 0)
     for w, b in zip(model.weights[:-1], model.biases[:-1]):
         h = relu(h @ w.T + b)
-    posterior = softmax(h @ model.weights[-1].T + model.biases[-1])
-    return posterior[0] if squeeze else posterior
+    return softmax(h @ model.weights[-1].T + model.biases[-1])
 
 
 def mlp_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
@@ -117,7 +109,7 @@ def mlp_grads(
     model: MlpModel, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
     """Mean batch loss plus gradients for every weight matrix and bias."""
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     activations = [x]
     pre_acts = []
@@ -183,7 +175,7 @@ class CnnModel:
     Token index 0 is reserved for padding; real tokens are 1-based.
     """
 
-    vocab: NgramVocabulary  # column j is token id j + 1
+    vocab: Vocabulary  # n-grams; column j is token id j + 1
     embeddings: np.ndarray  # (V+1) x e, row 0 = pad
     filters: np.ndarray  # F x h x e
     conv_bias: np.ndarray  # F
@@ -249,7 +241,7 @@ def _training_ids(model: CnnModel, texts: list[str]) -> np.ndarray:
     """Token ids as :func:`cnn_token_ids`; a text without any is an error."""
     ids = cnn_token_ids(model, texts)
     if not ids[:, 0].all():
-        raise SequenceTooShort(f"no in-vocabulary tokens of order {model.vocab.n}")
+        raise SequenceTooShort(f"no in-vocabulary tokens of orders {model.vocab.orders}")
     return ids
 
 
@@ -272,21 +264,13 @@ def _cnn_head(model: CnnModel, pooled_pre: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def cnn_forward(model: CnnModel, ids: np.ndarray) -> np.ndarray:
-    """Posterior of one token-id row, or of every row of a B x L array.
+    """Posterior of every row of a B x L array of token ids.
 
     Pooling before the bias and ReLU gives ``max(relu(pre + bias))`` bit
     for bit, as rounding is monotone: ``fl(max x + b) == max fl(x + b)``.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    squeeze = ids.ndim == 1
-    _, posterior = _cnn_head(model, _cnn_conv(model, np.atleast_2d(ids)).max(axis=1))
-    return posterior[0] if squeeze else posterior
-
-
-def cnn_conv_activations(model: CnnModel, ids: np.ndarray) -> np.ndarray:
-    """Post-ReLU convolution stage of one token-id row, shape (L - h + 1) x F."""
-    pre = _cnn_conv(model, np.atleast_2d(np.asarray(ids, dtype=np.int64)))[0]
-    return np.maximum(0.0, pre + model.conv_bias)
+    _, posterior = _cnn_head(model, _cnn_conv(model, np.asarray(ids, dtype=np.int64)).max(axis=1))
+    return posterior
 
 
 def cnn_loss(model: CnnModel, ids: np.ndarray, y: np.ndarray) -> float:
@@ -299,7 +283,7 @@ def cnn_grads(model: CnnModel, ids: np.ndarray, y: np.ndarray) -> tuple[float, d
     Max pooling passes gradient through one window per (row, filter),
     the first of the largest, so only those B x F windows are gathered.
     """
-    ids = np.atleast_2d(np.asarray(ids, dtype=np.int64))
+    ids = np.asarray(ids, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
     pre = _cnn_conv(model, ids)
     n_batch, width = len(ids), model.filters.shape[1]
@@ -335,7 +319,7 @@ def cnn_train(
     vocab_cap: int | None = None,
 ) -> CnnModel:
     train = list(train)
-    vocab = build_ngram_vocab(train, gram, cap=vocab_cap)
+    vocab = build_ngram_vocab(train, (gram, gram), cap=vocab_cap)
     model = init_cnn(vocab, kernel, filters, embed_dim, cfg.max_len, cfg.seed)
     ids = _training_ids(model, [s.text for s in train])
     labels = np.array([LABEL_INDEX[s.label] for s in train], dtype=np.int64)

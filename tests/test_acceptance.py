@@ -23,7 +23,7 @@ from nordlid.corpus import (
     train_test_split,
 )
 from nordlid.experiments import run_mini_experiment
-from nordlid.features import NgramVocabulary
+from nordlid.features import NgramVocabulary, build_word_vocab
 from nordlid.modelio import load_model
 from nordlid.synth import generate_pools
 
@@ -137,7 +137,7 @@ def test_criterion_2_oracle_equivalence():
         alpha = float(rng.choice([0.5, 1.0, 2.0]))
         x = rng.integers(0, 4, size=v).astype(float)
         model = classifiers.train_nb(counts, labels, alpha=alpha)
-        got = classifiers.nb_scores(model, x[None])[0]
+        got = model.scores(x[None])[0]
         for a, b in zip(got, nb_oracle_scores(counts, labels, alpha, x)):
             if math.isinf(b):
                 assert math.isinf(a)
@@ -179,9 +179,9 @@ def test_criterion_3_gradient_checks():
     corpus = [Sentence("ab cd", "dk"), Sentence("ef gh", "sv")] * 3
     for i in range(20):  # supervised fasttext: output and input gradients
         model = embeddings.train_fasttext_supervised(
-            corpus, embeddings.SupervisedConfig(dim=4, epochs=1, seed=i), "words"
+            corpus, embeddings.SupervisedConfig(dim=4, epochs=1, seed=i), build_word_vocab(corpus)
         )
-        ids = rng.integers(0, len(model.features), size=3)
+        ids = rng.integers(0, model.vocab.size, size=3)
         label = int(rng.integers(6))
         mean = model.input_vectors[ids].mean(axis=0)
         posterior = np.exp(mean @ model.output_weights)
@@ -229,7 +229,7 @@ def test_criterion_3_gradient_checks():
                 model.biases[layer][index] += step
                 assert relative_error(b_grads[layer][index], (up - down) / (2 * step)) < 1e-4
 
-    vocab = NgramVocabulary(1, np.arange(5, dtype=np.int64))
+    vocab = NgramVocabulary((1, 1), np.arange(5, dtype=np.int64))
     for i in range(20):  # CNN, all parameter tensors (V=5, e=3, F=2, h=2, L=6)
         model = neural.init_cnn(vocab, kernel=2, filters=2, embed_dim=3, max_len=6, seed=i)
         ids = rng.integers(0, 6, size=(2, 6))

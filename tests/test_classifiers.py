@@ -18,9 +18,7 @@ from nordlid.classifiers import (
     _augment,
     logreg_gradient,
     logreg_loss,
-    nb_scores,
     svm_objective,
-    svm_scores,
     train_knn,
     train_logreg,
     train_nb,
@@ -268,7 +266,7 @@ class TestNaiveBayes:
         x = np.array([[2.0, 0.0], [0.0, 2.0]])
         y = np.array([0, 1])
         model = train_nb(x, y, alpha=0.0)
-        scores = nb_scores(model, np.array([[0.0, 1.0]]))[0]
+        scores = model.scores(np.array([[0.0, 1.0]]))[0]
         assert scores[0] == -np.inf
         assert np.isfinite(scores[1])
 
@@ -306,7 +304,7 @@ class TestNaiveBayes:
             x = rng.integers(0, 4, size=v).astype(float)
             model = train_nb(counts, labels, alpha=alpha)
             expected = nb_oracle_scores(counts, labels, alpha, x)
-            got = nb_scores(model, x[None])[0]
+            got = model.scores(x[None])[0]
             for a, b in zip(got, expected):
                 if math.isinf(b):
                     assert math.isinf(a)
@@ -358,7 +356,13 @@ class TestSvm:
         model = SvmModel(weights, biases, 0.1, 1, 0)
         x = rng.normal(size=5)
         expected = np.array([w @ x + b for w, b in zip(weights, biases)])
-        assert np.allclose(svm_scores(model, x[None])[0], expected, atol=1e-12)
+        assert np.allclose(model.scores(x[None])[0], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    def test_lam_that_is_not_finite_and_positive_rejected(self, lam):
+        """An infinite lam once trained all-NaN weights: 1/(inf*t) * inf is NaN."""
+        with pytest.raises(ValueError, match="lam"):
+            train_svm(np.ones((2, 2)), np.array([0, 1]), lam=lam)
 
     def test_determinism_per_seed(self):
         rng = np.random.default_rng(10)

@@ -256,6 +256,10 @@ class TestTrainEvalPredict:
         ("nb", "char2", ["--alpha", "inf"]),
         ("mlp", "char1", ["--epochs", "-1"]),
         ("cnn", "char1", ["--epochs", "-1"]),
+        ("svm", "char2", ["--lam", "inf"]),
+        ("svm", "char2", ["--lam", "nan"]),
+        ("svm", "char2", ["--lam=-1"]),
+        ("logreg", "char1", ["--lam", "0"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_bad_training_flag_exit_3(self, data_dir, tmp_path, capsys, model, features, flags):
         capsys.readouterr()
@@ -266,8 +270,9 @@ class TestTrainEvalPredict:
         err = capsys.readouterr().err
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
-        if flags[0].startswith("--alpha"):
-            assert "--alpha" in err
+        flag = flags[0].split("=")[0]
+        if flag in ("--alpha", "--lam"):
+            assert flag in err
         assert not (tmp_path / "m.ndsl").exists()
 
     @pytest.mark.parametrize("model,flags", [
@@ -410,6 +415,15 @@ class TestInputErrors:
         return train_small("knn", data_dir, tmp_path_factory.mktemp("knn") / "knn.ndsl")
 
     @pytest.fixture(scope="class")
+    def logreg_file(self, data_dir, tmp_path_factory):
+        model_file = tmp_path_factory.mktemp("logreg") / "logreg.ndsl"
+        assert main([
+            "train", "--model", "logreg", "--features", "char3", "--epochs", "1",
+            "--train", str(data_dir / "train.tsv"), "--out", str(model_file),
+        ]) == 0
+        return model_file
+
+    @pytest.fixture(scope="class")
     def char_fasttext_file(self, data_dir, tmp_path_factory):
         model_file = tmp_path_factory.mktemp("fasttext") / "fasttext.ndsl"
         assert main([
@@ -446,68 +460,69 @@ class TestInputErrors:
 
     @staticmethod
     def ngram_vocab(parts, kind):
-        """The n-gram vocabulary of an svm file's feature or a cnn file's params."""
+        """The n-gram vocabulary of a vector model's feature or a cnn or fasttext file's params."""
         header = parts["header"]
-        return header["feature"]["ngram_vocab"] if kind == "svm" else header["params"]["vocab"]
+        return header["params" if kind in ("cnn", "fasttext") else "feature"]["vocab"]
 
     @pytest.mark.parametrize("entry", ["BASE**n", "-1", "duplicate", "<f8", "2-D", "n=0", "n=12"])
     @pytest.mark.parametrize("kind", ["svm", "cnn"])
     def test_malformed_vocabulary_entry(self, kind, entry, request, tmp_path, capsys):
-        """The last code set past the order's range, negative or to the first
-        code; the code array declared float64 or 2-D; the order set outside 1..11."""
+        """The last key set past the order's range, negative or to the first
+        key; the key array declared float64 or 2-D; the orders set outside 1..11."""
         with edited_model(request.getfixturevalue(f"{kind}_file"), tmp_path / "broken.ndsl") as parts:
             vocab = self.ngram_vocab(parts, kind)
-            codes = vocab["codes"]
+            keys = vocab["keys"]
             section = bytearray(parts["section"])
-            last = codes["offset"] + 8 * (codes["shape"][0] - 1)
+            last = keys["offset"] + 8 * (keys["shape"][0] - 1)
             if entry in ("BASE**n", "-1", "duplicate"):
-                first = struct.unpack_from("<q", section, codes["offset"])[0]
-                value = {"BASE**n": 40 ** vocab["n"], "-1": -1, "duplicate": first}[entry]
+                first = struct.unpack_from("<q", section, keys["offset"])[0]
+                above = sum(40**m for m in range(1, vocab["orders"][1] + 1))
+                value = {"BASE**n": above, "-1": -1, "duplicate": first}[entry]
                 struct.pack_into("<q", section, last, value)
             elif entry == "<f8":
-                codes["dtype"] = "<f8"
+                keys["dtype"] = "<f8"
             elif entry == "2-D":
-                codes["shape"] = [1, codes["shape"][0]]
+                keys["shape"] = [1, keys["shape"][0]]
             else:
-                vocab["n"] = int(entry[2:])
+                vocab["orders"] = [int(entry[2:])] * 2
             parts["section"] = bytes(section)
         self.assert_input_error(self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys), capsys)
 
     def test_vocabulary_order_differs_from_feature(self, svm_file, tmp_path, capsys):
-        """Codes of a char3 feature are in range for order 4 too."""
+        """Keys of order 3, a char3 feature's, are keys of orders 1..3 too."""
         with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
-            parts["header"]["feature"]["ngram_vocab"]["n"] = 4
+            parts["header"]["feature"]["vocab"]["orders"] = [1, 3]
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
-        self.assert_input_error(code, capsys, "char3 feature holds n-grams of order 4")
+        self.assert_input_error(code, capsys, "char3 feature holds n-grams of orders 1..3")
 
     @pytest.mark.parametrize("kind", ["svm", "cnn"])
     def test_string_vocabulary_of_older_files(self, kind, request, tmp_path, capsys):
         """A file that stores its n-gram vocabulary as gram strings, as files
-        did before the code arrays: the vector feature's as ``{"ngram_n",
-        "vocab"}``, the CNN's as ``"gram"`` and a ``"vocab"`` list."""
+        did before the key arrays: the vector feature's as ``{"ngram_n",
+        "vocab"}``, the CNN's as ``"gram"`` and a ``"vocab"`` list. The
+        strings now read as words, which no character feature or CNN holds."""
         with edited_model(request.getfixturevalue(f"{kind}_file"), tmp_path / "old.ndsl") as parts:
             vocab = self.ngram_vocab(parts, kind)
-            codes = vocab["codes"]
-            values = struct.unpack_from(f"<{codes['shape'][0]}q", parts["section"], codes["offset"])
+            keys, n = vocab["keys"], vocab["orders"][0]
+            values = struct.unpack_from(f"<{keys['shape'][0]}q", parts["section"], keys["offset"])
+            start = sum(40**m for m in range(1, n))
             grams = [
-                "".join(ALPHABET[code // 40**k % 40] for k in reversed(range(vocab["n"])))
-                for code in values
+                "".join(ALPHABET[(key - start) // 40**k % 40] for k in reversed(range(n)))
+                for key in values
             ]
-            drop_last_element(parts, codes, codes["shape"][0])
+            drop_last_element(parts, keys, keys["shape"][0])
             if kind == "svm":
-                feature = parts["header"]["feature"]
-                del feature["ngram_vocab"]
-                feature.update(ngram_n=vocab["n"], vocab=grams)
+                parts["header"]["feature"].update(ngram_n=n, vocab=grams)
             else:
-                parts["header"]["params"].update(gram=vocab["n"], vocab=grams)
+                parts["header"]["params"].update(gram=n, vocab=grams)
         code = self.predict_with(tmp_path / "old.ndsl", tmp_path, capsys)
-        self.assert_input_error(code, capsys, "must be retrained")
+        self.assert_input_error(code, capsys, "holds words, not n-grams")
 
     @pytest.mark.parametrize("entry", [5, "duplicate"])
     def test_fasttext_bow_word(self, data_dir, entry, tmp_path, capsys):
         source = train_small("fasttext", data_dir, tmp_path / "fasttext.ndsl")
         with edited_model(source, tmp_path / "broken.ndsl") as parts:
-            words = parts["header"]["params"]["features"]
+            words = parts["header"]["params"]["vocab"]
             words[-1] = words[0] if entry == "duplicate" else entry
         self.assert_input_error(self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys), capsys)
 
@@ -517,7 +532,7 @@ class TestInputErrors:
     ):
         broken = tmp_path / "broken.ndsl"
         with edited_model(svm_file, broken) as parts:
-            drop_last_element(parts, self.ngram_vocab(parts, "svm")["codes"])
+            drop_last_element(parts, self.ngram_vocab(parts, "svm")["keys"])
         if command == "predict":
             code = self.predict_with(broken, tmp_path, capsys)
         else:
@@ -529,20 +544,32 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("edit", ["drop last word", "duplicate word", "dim"])
     def test_embedding_words_must_fit_vectors(self, data_dir, tmp_path, capsys, edit):
+        """A word dropped or repeated, or the vectors' shape transposed, so
+        that their dimension reads as their number."""
         model_file = tmp_path / "cbow.ndsl"
         assert main(["train", "--model", "logreg", "--features", "cbow", "--dim", "4",
                      "--embed-epochs", "1", "--epochs", "2",
                      "--train", str(data_dir / "train.tsv"), "--out", str(model_file)]) == 0
         with edited_model(model_file, tmp_path / "broken.ndsl") as parts:
-            embedding = parts["header"]["feature"]["embedding"]
+            feature = parts["header"]["feature"]
             if edit == "drop last word":
-                embedding["words"].pop()
+                feature["vocab"].pop()
             elif edit == "duplicate word":
-                embedding["words"][-1] = embedding["words"][0]
+                feature["vocab"][-1] = feature["vocab"][0]
             else:
-                embedding["dim"] = 5
+                feature["vectors"]["shape"].reverse()
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
         self.assert_input_error(code, capsys)
+
+    @pytest.mark.parametrize("kind", ["cnn", "fasttext"])
+    def test_text_model_holding_a_feature(self, kind, data_dir, tmp_path, capsys):
+        """A CNN or fastText file given a vector model's feature, which it cannot read."""
+        source = train_small(kind, data_dir, tmp_path / f"{kind}.ndsl")
+        with edited_model(source, tmp_path / "broken.ndsl") as parts:
+            parts["header"]["feature"] = {"type": "bow", "normalize": True, "vocab": ["hej"],
+                                          "vectors": None}
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, f"{kind} model holds a feature transform")
 
     def test_non_utf8_model_file(self, svm_file, tmp_path, capsys):
         with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
@@ -556,6 +583,15 @@ class TestInputErrors:
         code = self.predict_with(old, tmp_path, capsys)
         self.assert_input_error(
             code, capsys, f"error: {old}: NDSL1 model files are no longer read; retrain with this version\n"
+        )
+
+    def test_ndsl2_model_file(self, svm_file, tmp_path, capsys):
+        """The layout before one vocabulary codec served every model."""
+        old = tmp_path / "old.ndsl"
+        old.write_bytes(b"NDSL2" + svm_file.read_bytes()[5:])
+        code = self.predict_with(old, tmp_path, capsys)
+        self.assert_input_error(
+            code, capsys, f"error: {old}: NDSL2 model files are no longer read; retrain with this version\n"
         )
 
     def test_truncated_array_section(self, svm_file, tmp_path, capsys):
@@ -659,17 +695,32 @@ class TestInputErrors:
         ((1, "5"), "n-gram orders"),
         ((0, 5), "n-gram orders"),
         ((4, 3), "n-gram orders"),
-        ("bytes", "feature_mode 'bytes' is unknown"),
+        ("bytes", "vocabulary is neither"),
     ])
     def test_fasttext_header_fields(self, char_fasttext_file, orders, expect, tmp_path, capsys):
         with edited_model(char_fasttext_file, tmp_path / "broken.ndsl") as parts:
             params = parts["header"]["params"]
             if orders == "bytes":
-                params["feature_mode"] = orders
+                params["vocab"] = orders
             else:
-                params["ngram_min"], params["ngram_max"] = orders
+                params["vocab"]["orders"] = list(orders)
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
         self.assert_input_error(code, capsys, expect)
+
+    @classmethod
+    def break_ngram_vocab(cls, parts, vocab, edit):
+        """Make one of the malformed n-gram vocabularies every model must refuse."""
+        keys, (nmin, nmax) = vocab["keys"], vocab["orders"]
+        if edit == "float-keys":
+            keys["dtype"] = "<f8"
+        elif edit == "duplicate-key":
+            cls.put(parts, keys, 1, cls.get(parts, keys, 0))
+        elif edit == "key-below-orders":
+            cls.put(parts, keys, 3, sum(40**m for m in range(1, nmin)) - 1)
+        elif edit == "key-above-orders":
+            cls.put(parts, keys, 3, sum(40**m for m in range(1, nmax + 1)))
+        else:  # orders above MAX_ORDER
+            vocab["orders"] = [nmin, 12]
 
     @pytest.mark.parametrize("edit,expect", [
         ("float-keys", "keys are not one int64 array"),
@@ -678,32 +729,48 @@ class TestInputErrors:
         ("key-above-orders", "keys are not keys of orders 1..5"),
         ("raised-ngram-min", "keys are not keys of orders 2..5"),
         ("ngram-max-over-max-order", "n-gram orders"),
-        ("words-in-char-model", "char_ngrams model holds words"),
-        ("keys-in-words-model", "words model holds n-gram keys"),
+        ("words-in-char-model", "parameters are sized for"),
+        ("keys-in-words-model", "entry that is not a string"),
         ("output-layer", "output layer does not fit"),
     ])
     def test_fasttext_keys(self, char_fasttext_file, edit, expect, tmp_path, capsys):
         with edited_model(char_fasttext_file, tmp_path / "broken.ndsl") as parts:
             params = parts["header"]["params"]
-            keys = params["keys"]
-            if edit == "float-keys":
-                keys["dtype"] = "<f8"
-            elif edit == "duplicate-key":
-                self.put(parts, keys, 1, self.get(parts, keys, 0))
-            elif edit == "key-below-orders":
-                self.put(parts, keys, 3, -1)
-            elif edit == "key-above-orders":
-                self.put(parts, keys, 3, sum(40**m for m in range(1, 6)))
-            elif edit == "raised-ngram-min":
-                params["ngram_min"] = 2
-            elif edit == "ngram-max-over-max-order":
-                params["ngram_max"] = 12
-            elif edit == "words-in-char-model":
-                params["features"] = ["hej"]
-            elif edit == "keys-in-words-model":
-                params["feature_mode"] = "words"
-            else:
+            vocab = params["vocab"]
+            if edit == "raised-ngram-min":
+                vocab["orders"][0] = 2
+            elif edit in ("words-in-char-model", "keys-in-words-model"):
+                # a word list, of one word or of the keys themselves, in place of the keys
+                keys = vocab["keys"]
+                values = [self.get(parts, keys, i) for i in range(keys["shape"][0])]
+                drop_last_element(parts, keys, keys["shape"][0])
+                params["vocab"] = ["hej"] if edit == "words-in-char-model" else values
+            elif edit == "output-layer":
                 params["output_weights"]["shape"] = params["output_weights"]["shape"][::-1]
+            else:
+                self.break_ngram_vocab(parts, vocab, edit)
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys, expect)
+
+    @pytest.mark.parametrize("edit", [
+        "float-keys", "duplicate-key", "key-below-orders", "key-above-orders",
+        "ngram-max-over-max-order",
+    ])
+    @pytest.mark.parametrize("kind,order", [("cnn", 2), ("logreg", 3)])
+    def test_malformed_ngram_vocabulary(self, kind, order, edit, request, tmp_path, capsys):
+        """The vocabulary edits of ``test_fasttext_keys``, made to a char2 CNN
+        and a char3 logistic regression: the one codec refuses them alike."""
+        expect = {
+            "float-keys": "keys are not one int64 array",
+            "duplicate-key": "keys are not distinct",
+            "key-below-orders": f"keys are not keys of orders {order}..{order}",
+            "key-above-orders": f"keys are not keys of orders {order}..{order}",
+            "ngram-max-over-max-order": "n-gram orders",
+        }[edit]
+        with edited_model(request.getfixturevalue(f"{kind}_file"), tmp_path / "broken.ndsl") as parts:
+            vocab = self.ngram_vocab(parts, kind)
+            assert vocab["orders"] == [order, order]
+            self.break_ngram_vocab(parts, vocab, edit)
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
         self.assert_input_error(code, capsys, expect)
 

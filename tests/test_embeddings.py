@@ -26,7 +26,7 @@ from nordlid.embeddings import (
     train_skipgram,
 )
 from nordlid.errors import EmptyVocabulary
-from nordlid.features import word_tokenize
+from nordlid.features import WordVocabulary, build_ngram_vocab, build_word_vocab, word_tokenize
 from nordlid.synth import generate_pools
 
 
@@ -238,14 +238,14 @@ class TestFastTextSupervised:
     def test_disjoint_vocabulary_reaches_training_accuracy_one(self):
         corpus = disjoint_vocab_corpus()
         model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=16, epochs=10, seed=0), "words"
+            corpus, SupervisedConfig(dim=16, epochs=10, seed=0), build_word_vocab(corpus)
         )
         assert fasttext_labels(model, [s.text for s in corpus]) == [s.label for s in corpus]
 
     def test_zero_epochs_uniform_posterior(self):
         corpus = disjoint_vocab_corpus()
         model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=16, epochs=0, seed=1), "words"
+            corpus, SupervisedConfig(dim=16, epochs=0, seed=1), build_word_vocab(corpus)
         )
         posterior = model.scores(["rød grød"])[0]
         assert fasttext_labels(model, ["rød grød"]) == ["dk"]
@@ -254,15 +254,15 @@ class TestFastTextSupervised:
     def test_same_seed_identical_predictions(self):
         corpus = disjoint_vocab_corpus()
         cfg = SupervisedConfig(dim=8, epochs=3, seed=2)
-        a = train_fasttext_supervised(corpus, cfg, "words")
-        b = train_fasttext_supervised(corpus, cfg, "words")
+        a = train_fasttext_supervised(corpus, cfg, build_word_vocab(corpus))
+        b = train_fasttext_supervised(corpus, cfg, build_word_vocab(corpus))
         assert np.array_equal(a.input_vectors, b.input_vectors)
         assert np.array_equal(a.output_weights, b.output_weights)
 
     def test_empty_text_uniform_posterior_dk(self):
         corpus = disjoint_vocab_corpus()
         model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=8, epochs=5, seed=3), "words"
+            corpus, SupervisedConfig(dim=8, epochs=5, seed=3), build_word_vocab(corpus)
         )
         posterior = model.scores([""])[0]
         assert fasttext_labels(model, [""]) == ["dk"]
@@ -271,10 +271,10 @@ class TestFastTextSupervised:
     def test_posterior_sums_to_one(self):
         corpus = disjoint_vocab_corpus()
         model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=8, epochs=2, seed=4), "words"
+            corpus, SupervisedConfig(dim=8, epochs=2, seed=4), build_word_vocab(corpus)
         )
         rng = np.random.default_rng(0)
-        words = model.features
+        words = list(model.vocab.entries)
         for _ in range(20):
             text = " ".join(rng.choice(words, size=3))
             posterior = model.scores([text])[0]
@@ -283,16 +283,15 @@ class TestFastTextSupervised:
     def test_char_ngram_mode(self):
         corpus = disjoint_vocab_corpus()
         model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=16, epochs=10, seed=5),
-            "char_ngrams", ngram_min=1, ngram_max=5,
+            corpus, SupervisedConfig(dim=16, epochs=10, seed=5), build_ngram_vocab(corpus, (1, 5))
         )
-        assert model.feature_mode == "char_ngrams"
+        assert model.vocab.orders == (1, 5)
         assert fasttext_labels(model, [s.text for s in corpus]) == [s.label for s in corpus]
 
     def test_gradient_matches_finite_differences(self):
         corpus = disjoint_vocab_corpus(6)
         model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=5, epochs=1, seed=6), "words"
+            corpus, SupervisedConfig(dim=5, epochs=1, seed=6), build_word_vocab(corpus)
         )
         rng = np.random.default_rng(7)
         ids = np.array([0, 1, 2])
@@ -316,7 +315,7 @@ class TestFastTextSupervised:
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyVocabulary):
-            train_fasttext_supervised([], SupervisedConfig(epochs=1), "words")
+            train_fasttext_supervised([], SupervisedConfig(epochs=1), build_word_vocab([]))
 
 
 def test_embedding_config_validation():
@@ -366,17 +365,18 @@ def decode_key(key: int) -> str:
 
 def reference_rows(model) -> dict[str, int]:
     """feature string -> row of ``input_vectors``, from the model's own fields."""
-    if model.feature_mode == "words":
-        return {w: i for i, w in enumerate(model.features)}
-    return {decode_key(int(k)): i for i, k in enumerate(model.keys)}
+    if isinstance(model.vocab, WordVocabulary):
+        return {w: rank - 1 for w, rank in model.vocab.entries.items()}
+    return {decode_key(int(k)): i for i, k in enumerate(model.vocab.keys)}
 
 
 def reference_posterior(model, rows: dict[str, int], text: str) -> np.ndarray:
     """One line scored on its own with strings, as the model once was."""
-    if model.feature_mode == "words":
+    if isinstance(model.vocab, WordVocabulary):
         feats = [w for w in text.split(" ") if w]
     else:
-        feats = [text[i : i + n] for n in range(model.ngram_min, model.ngram_max + 1)
+        nmin, nmax = model.vocab.orders
+        feats = [text[i : i + n] for n in range(nmin, nmax + 1)
                  for i in range(len(text) - n + 1)]
     ids = [rows[f] for f in feats if f in rows]
     if ids:
@@ -392,6 +392,11 @@ def reference_posterior(model, rows: dict[str, int], text: str) -> np.ndarray:
 def synth_corpus():
     pools = generate_pools(10, "wiki", seed=1)
     return [s for code in sorted(pools) for s in pools[code]]
+
+
+def vocab_of(corpus, mode, orders=(1, 5)):
+    """fastText's vocabulary of ``corpus``: its words, or its n-grams of ``orders``."""
+    return build_word_vocab(corpus) if mode == "words" else build_ngram_vocab(corpus, orders)
 
 
 def scoring_lines(corpus, seed):
@@ -412,9 +417,8 @@ def scoring_lines(corpus, seed):
 ])
 def test_scores_equal_per_line_string_reference(synth_corpus, mode, dim):
     train = synth_corpus + [Sentence("rød grød", "dk")] * 3
-    kwargs = {"ngram_min": 2, "ngram_max": 4} if dim == 2 else {}
     model = train_fasttext_supervised(train, SupervisedConfig(dim=dim, epochs=2, seed=dim),
-                                      mode, **kwargs)
+                                      vocab_of(train, mode, (2, 4) if dim == 2 else (1, 5)))
     lines = scoring_lines(synth_corpus, dim)
     scores = model.scores(lines)
     rows = reference_rows(model)
@@ -426,8 +430,9 @@ def test_scores_equal_per_line_string_reference(synth_corpus, mode, dim):
 
 @pytest.mark.parametrize("mode", ["char_ngrams", "words"])
 def test_lines_without_known_features_score_uniform(mode):
+    corpus = disjoint_vocab_corpus()
     model = train_fasttext_supervised(
-        disjoint_vocab_corpus(), SupervisedConfig(dim=8, epochs=3, seed=0), mode
+        corpus, SupervisedConfig(dim=8, epochs=3, seed=0), vocab_of(corpus, mode)
     )
     lines = ["", "zzzxxx", "rød grød", "qq"]  # z, x and q are not in the corpus
     scores = model.scores(lines)
@@ -439,24 +444,23 @@ def test_lines_without_known_features_score_uniform(mode):
     assert not np.all(scores[2] == 1 / 6)
 
 
-@pytest.mark.parametrize("orders", [(1, 5), (2, 3), (3, 3)])
+@pytest.mark.parametrize("orders", [(1, 5), (2, 3), (3, 3), (1, 1), (2, 2)])
 def test_trained_keys_follow_count_then_string_ranking(synth_corpus, orders):
     nmin, nmax = orders
-    model = train_fasttext_supervised(
-        synth_corpus, SupervisedConfig(dim=3, epochs=0), "char_ngrams", nmin, nmax
-    )
+    vocab = build_ngram_vocab(synth_corpus, orders)
+    model = train_fasttext_supervised(synth_corpus, SupervisedConfig(dim=3, epochs=0), vocab)
     counts = Counter(s.text[i : i + n] for s in synth_corpus for n in range(nmin, nmax + 1)
                      for i in range(len(s.text) - n + 1))
     ranked = [g for g, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
-    assert model.keys.dtype == np.int64 and model.features == []
-    assert [decode_key(int(k)) for k in model.keys] == ranked
+    assert vocab.orders == orders and vocab.keys.dtype == np.int64
+    assert [decode_key(int(k)) for k in vocab.keys] == ranked
     assert model.input_vectors.shape == (len(ranked), 3)
 
 
 def test_char_training_equals_string_training(synth_corpus):
     """Per-document SGD over string features, run here, gives the same arrays."""
     cfg = SupervisedConfig(dim=4, epochs=2, seed=3)
-    model = train_fasttext_supervised(synth_corpus, cfg, "char_ngrams")
+    model = train_fasttext_supervised(synth_corpus, cfg, build_ngram_vocab(synth_corpus, (1, 5)))
     rows = reference_rows(model)
     docs = [np.array([rows[s.text[i : i + n]] for n in range(1, 6)
                       for i in range(len(s.text) - n + 1)], dtype=np.int64)

@@ -101,34 +101,35 @@ def gram_string(code: int, n: int) -> str:
 
 
 def entries(vocab: NgramVocabulary) -> dict[str, int]:
-    """Each n-gram of ``vocab`` and its column."""
-    return {gram_string(code, vocab.n): j for j, code in enumerate(vocab.codes.tolist())}
+    """Each n-gram of a single-order ``vocab`` and its column."""
+    n = vocab.orders[0]
+    return {gram_string(key - KEY_START[n], n): j for j, key in enumerate(vocab.keys.tolist())}
 
 
 class TestNgramVocabulary:
     def test_single_entry(self):
-        vocab = build_ngram_vocab(_sentences(["ab"]), 2)
+        vocab = build_ngram_vocab(_sentences(["ab"]), (2, 2))
         assert vocab.size == 1
         assert entries(vocab) == {"ab": 0}
 
     def test_unigram_vocab_at_most_40(self):
         corpus = _sentences([GOLDEN_CLEAN, "þórður er maður", "aha"])
-        assert build_ngram_vocab(corpus, 1).size <= 40
+        assert build_ngram_vocab(corpus, (1, 1)).size <= 40
 
     def test_frequency_then_lexicographic(self):
         # 'ab' occurs twice ('aab','aba'); 'aa' and 'ba' once each
-        vocab = build_ngram_vocab(_sentences(["aab", "aba"]), 2)
+        vocab = build_ngram_vocab(_sentences(["aab", "aba"]), (2, 2))
         assert entries(vocab) == {"ab": 0, "aa": 1, "ba": 2}
 
     def test_cap_keeps_most_frequent(self):
-        vocab = build_ngram_vocab(_sentences(["aab", "aba"]), 2, cap=1)
+        vocab = build_ngram_vocab(_sentences(["aab", "aba"]), (2, 2), cap=1)
         assert entries(vocab) == {"ab": 0}
 
     @given(st.lists(clean_text, min_size=1, max_size=8))
     def test_deterministic(self, texts):
-        a = build_ngram_vocab(_sentences(texts), 2)
-        b = build_ngram_vocab(_sentences(texts), 2)
-        assert a.n == b.n and a.codes.tobytes() == b.codes.tobytes()
+        a = build_ngram_vocab(_sentences(texts), (2, 2))
+        b = build_ngram_vocab(_sentences(texts), (2, 2))
+        assert a.orders == b.orders and a.keys.tobytes() == b.keys.tobytes()
 
 
 class TestWordVocabulary:
@@ -170,29 +171,29 @@ def vectorize(text, vocab, normalize=False) -> np.ndarray:
 
 class TestVectorize:
     def test_empty_text_zero_vector(self):
-        vocab = build_ngram_vocab(_sentences(["ab"]), 2)
+        vocab = build_ngram_vocab(_sentences(["ab"]), (2, 2))
         assert not vectorize("", vocab).any()
 
     def test_counts(self):
-        vocab = build_ngram_vocab(_sentences(["ab", "ba"]), 2)
+        vocab = build_ngram_vocab(_sentences(["ab", "ba"]), (2, 2))
         dense = vectorize("aba", vocab)
         assert dense[entries(vocab)["ab"]] == 1
         assert dense[entries(vocab)["ba"]] == 1
 
     def test_normalized(self):
-        vocab = build_ngram_vocab(_sentences(["ab", "ba"]), 2)
+        vocab = build_ngram_vocab(_sentences(["ab", "ba"]), (2, 2))
         dense = vectorize("aba", vocab, normalize=True)
         assert dense[entries(vocab)["ab"]] == pytest.approx(0.5)
         assert dense[entries(vocab)["ba"]] == pytest.approx(0.5)
 
     def test_oov_ignored(self):
-        vocab = build_ngram_vocab(_sentences(["ab"]), 2)
+        vocab = build_ngram_vocab(_sentences(["ab"]), (2, 2))
         assert vectorize("xyz ab", vocab).sum() == 1
 
     @given(clean_text)
     def test_counts_match_brute_force(self, text):
         corpus = _sentences([text or "ab", "hej med dig"])
-        vocab = build_ngram_vocab(corpus, 2)
+        vocab = build_ngram_vocab(corpus, (2, 2))
         dense = vectorize(text, vocab)
         for gram, index in entries(vocab).items():
             expected = sum(
@@ -203,13 +204,13 @@ class TestVectorize:
     @given(clean_text)
     def test_normalized_sums_to_one(self, text):
         corpus = _sentences([text or "ab", "hej"])
-        vocab = build_ngram_vocab(corpus, 2)
+        vocab = build_ngram_vocab(corpus, (2, 2))
         dense = vectorize(text, vocab, normalize=True)
         if dense.any():
             assert dense.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_all_indices_below_dim(self):
-        vocab = build_ngram_vocab(_sentences(["hej med dig"]), 2)
+        vocab = build_ngram_vocab(_sentences(["hej med dig"]), (2, 2))
         assert vectorize("hej", vocab).shape == (vocab.size,)
 
 
@@ -293,7 +294,7 @@ def csr_arrays(x):
 @pytest.mark.parametrize("n", [1, 2])
 def test_count_matrix_sparse_on_request(n):
     corpus = _sentences(["hej med", "dig der", "hej hej", ""])
-    vocab = build_ngram_vocab(corpus, n)
+    vocab = build_ngram_vocab(corpus, (n, n))
     dense = count_matrix(corpus, vocab, normalize=True)
     sparse = count_matrix(corpus, vocab, normalize=True, sparse=True)
     assert not isinstance(dense, CsrMatrix) and isinstance(sparse, CsrMatrix)
@@ -303,7 +304,7 @@ def test_count_matrix_sparse_on_request(n):
 
 def test_count_matrix_matches_vectorize():
     corpus = _sentences(["hej med", "dig der", "hej hej"])
-    vocab = build_ngram_vocab(corpus, 2)
+    vocab = build_ngram_vocab(corpus, (2, 2))
     matrix = count_matrix(corpus, vocab, normalize=False)
     expected = reference_csr([s.text for s in corpus], entries(vocab), 2, False)
     for got, want in zip(csr_arrays(matrix), expected):
@@ -322,7 +323,7 @@ class TestArrayFeaturizer:
            st.sampled_from([None, 0, 3]))
     @settings(max_examples=150, deadline=None)
     def test_vocab_order(self, texts, n, cap):
-        vocab = build_ngram_vocab(_sentences(texts), n, cap=cap)
+        vocab = build_ngram_vocab(_sentences(texts), (n, n), cap=cap)
         assert list(entries(vocab).items()) == list(reference_vocab(texts, n, cap).items())
 
     @given(st.lists(st.one_of(tie_text, clean_text), max_size=10),
@@ -330,7 +331,7 @@ class TestArrayFeaturizer:
            st.integers(1, 3), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_csr_arrays_bit_for_bit(self, train, queries, n, normalize):
-        vocab = build_ngram_vocab(_sentences(train), n)
+        vocab = build_ngram_vocab(_sentences(train), (n, n))
         x = count_matrix(queries, vocab, normalize)
         assert x.shape == (len(queries), vocab.size)
         expected = reference_csr(queries, entries(vocab), n, normalize)
@@ -374,35 +375,38 @@ class TestArrayFeaturizer:
         with pytest.raises(ValueError):
             char_codes(text)
         with pytest.raises(ValueError):
-            count_matrix([text], build_ngram_vocab(_sentences(["hej"]), 1))
+            count_matrix([text], build_ngram_vocab(_sentences(["hej"]), (1, 1)))
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_high_orders_search_the_vocabulary(self, n):
         texts = ["hej med dig og så videre", "", "abc", "med dig"]
-        vocab = build_ngram_vocab(_sentences(texts[:1]), n)
+        vocab = build_ngram_vocab(_sentences(texts[:1]), (n, n))
         assert list(entries(vocab).items()) == list(reference_vocab(texts[:1], n).items())
         expected = reference_csr(texts, entries(vocab), n, False)
         for got, want in zip(csr_arrays(count_matrix(texts, vocab)), expected):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize(
-        "n, codes",
-        [(2, int64s(1, BASE**2)), (2, int64s(-1, 1)), (2, int64s(3, 1, 3)),
-         (2, np.array([1.0, 2.0])), (2, int64s(1, 2).reshape(1, 2)), (2, [1, 2]),
-         (0, int64s()), (MAX_ORDER + 1, int64s(1)), (2.0, int64s(1))],
+        "orders, keys",
+        [((2, 2), int64s(40, KEY_START[3])), ((2, 2), int64s(-1, 40)), ((2, 2), int64s(43, 41, 43)),
+         ((2, 2), np.array([40.0, 41.0])), ((2, 2), int64s(40, 41).reshape(1, 2)),
+         ((2, 2), [40, 41]), ((0, 0), int64s()), ((MAX_ORDER + 1,) * 2, int64s(1)),
+         ((2.0, 2.0), int64s(40))],
         ids=["wrong-width", "negative", "repeated", "float", "two-d", "list", "order-0",
              "order-12", "order-float"],
     )
-    def test_malformed_vocabulary_rejected_on_construction(self, n, codes):
-        """Codes of a wider gram (BASE**n and up), negative or repeated codes,
-        codes that are not one 1-D int64 array, and orders outside 1..11."""
+    def test_malformed_vocabulary_rejected_on_construction(self, orders, keys):
+        """Keys of a wider gram (KEY_START[n + 1] and up), negative or
+        repeated keys, keys that are not one 1-D int64 array, and orders
+        outside 1..11."""
         with pytest.raises(ValueError):
-            NgramVocabulary(n, codes)
+            NgramVocabulary(orders, keys)
 
     def test_vocabulary_of_every_order_accepts_its_highest_code(self):
         for n in range(1, MAX_ORDER + 1):
-            vocab = NgramVocabulary(n, np.array([BASE**n - 1, 0], dtype=np.int64))
-            assert vocab.columns(np.array([0, BASE**n - 1, 1])).tolist() == [1, 0, -1]
+            first, last = KEY_START[n], KEY_START[n + 1] - 1
+            vocab = NgramVocabulary((n, n), np.array([last, first], dtype=np.int64))
+            assert vocab.columns(np.array([first, last, first + 1])).tolist() == [1, 0, -1]
 
     @pytest.mark.parametrize("entries", [{"ab": 1, 5: 2}, {"ab": 1, "ba": 3}])
     def test_malformed_word_vocabulary_rejected_on_construction(self, entries):

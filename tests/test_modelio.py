@@ -14,14 +14,13 @@ from nordlid.features import (
     build_word_vocab,
     count_matrix,
     extract_char_ngrams,
-    gram_codes,
+    gram_keys,
     label_indices,
     word_tokenize,
 )
 from nordlid.modelio import (
     MAGIC,
     PipelineModel,
-    QueryEmbedding,
     VectorFeature,
     check_compatibility,
     load_model,
@@ -38,8 +37,7 @@ def corpus():
 
 @pytest.fixture(scope="module")
 def ngram_feature(corpus):
-    vocab = build_ngram_vocab(corpus, 2)
-    return VectorFeature("char2", True, ngram_vocab=vocab)
+    return VectorFeature("char2", True, build_ngram_vocab(corpus, (2, 2)))
 
 
 def parameter_arrays(obj):
@@ -72,7 +70,7 @@ def roundtrip(pipeline, tmp_path, corpus):
 
 
 def test_knn_roundtrip(tmp_path, corpus, ngram_feature):
-    x = count_matrix(corpus, ngram_feature.ngram_vocab, normalize=True)
+    x = count_matrix(corpus, ngram_feature.vocab, normalize=True)
     model = classifiers.train_knn(x, label_indices(corpus), k=3)
     pipeline = PipelineModel("knn", 1, model, ngram_feature)
     loaded = roundtrip(pipeline, tmp_path, corpus)
@@ -82,7 +80,7 @@ def test_knn_roundtrip(tmp_path, corpus, ngram_feature):
 
 
 def test_logreg_roundtrip(tmp_path, corpus, ngram_feature):
-    x = count_matrix(corpus, ngram_feature.ngram_vocab, normalize=True)
+    x = count_matrix(corpus, ngram_feature.vocab, normalize=True)
     model = classifiers.train_logreg(x, label_indices(corpus), epochs=20)
     pipeline = PipelineModel("logreg", 1, model, ngram_feature)
     loaded = roundtrip(pipeline, tmp_path, corpus)
@@ -90,8 +88,8 @@ def test_logreg_roundtrip(tmp_path, corpus, ngram_feature):
 
 
 def test_nb_roundtrip(tmp_path, corpus):
-    vocab = build_ngram_vocab(corpus, 2)
-    feature = VectorFeature("char2", False, ngram_vocab=vocab)
+    vocab = build_ngram_vocab(corpus, (2, 2))
+    feature = VectorFeature("char2", False, vocab)
     x = count_matrix(corpus, vocab, normalize=False)
     model = classifiers.train_nb(x, label_indices(corpus))
     pipeline = PipelineModel("nb", 1, model, feature)
@@ -100,7 +98,7 @@ def test_nb_roundtrip(tmp_path, corpus):
 
 
 def test_svm_roundtrip(tmp_path, corpus, ngram_feature):
-    x = count_matrix(corpus, ngram_feature.ngram_vocab, normalize=True)
+    x = count_matrix(corpus, ngram_feature.vocab, normalize=True)
     model = classifiers.train_svm(x, label_indices(corpus), epochs=3, seed=2)
     pipeline = PipelineModel("svm", 2, model, ngram_feature)
     loaded = roundtrip(pipeline, tmp_path, corpus)
@@ -108,7 +106,7 @@ def test_svm_roundtrip(tmp_path, corpus, ngram_feature):
 
 
 def test_mlp_roundtrip(tmp_path, corpus, ngram_feature):
-    x = count_matrix(corpus, ngram_feature.ngram_vocab, normalize=True)
+    x = count_matrix(corpus, ngram_feature.vocab, normalize=True)
     cfg = neural.TrainConfig(epochs=2, seed=3)
     model = neural.mlp_train(x, label_indices(corpus), hidden=(16,), cfg=cfg)
     pipeline = PipelineModel("mlp", 3, model, ngram_feature)
@@ -122,13 +120,13 @@ def test_cnn_roundtrip(tmp_path, corpus):
     pipeline = PipelineModel("cnn", 4, model)
     loaded = roundtrip(pipeline, tmp_path, corpus)
     assert np.array_equal(loaded.model.filters, model.filters)
-    assert loaded.model.vocab.n == model.vocab.n
-    assert loaded.model.vocab.codes.tobytes() == model.vocab.codes.tobytes()
+    assert loaded.model.vocab.orders == model.vocab.orders
+    assert loaded.model.vocab.keys.tobytes() == model.vocab.keys.tobytes()
 
 
 def test_fasttext_roundtrip(tmp_path, corpus):
     cfg = embeddings.SupervisedConfig(dim=8, epochs=3, seed=5)
-    model = embeddings.train_fasttext_supervised(corpus, cfg, "char_ngrams")
+    model = embeddings.train_fasttext_supervised(corpus, cfg, build_ngram_vocab(corpus, (1, 5)))
     pipeline = PipelineModel("fasttext", 5, model)
     loaded = roundtrip(pipeline, tmp_path, corpus)
     assert np.array_equal(loaded.model.input_vectors, model.input_vectors)
@@ -136,23 +134,26 @@ def test_fasttext_roundtrip(tmp_path, corpus):
 
 def test_fasttext_char_header_holds_no_ngram_strings(tmp_path, corpus):
     cfg = embeddings.SupervisedConfig(dim=4, epochs=1, seed=5)
-    model = embeddings.train_fasttext_supervised(corpus, cfg, "char_ngrams")
+    model = embeddings.train_fasttext_supervised(corpus, cfg, build_ngram_vocab(corpus, (1, 5)))
     path = tmp_path / "model.ndsl"
     save_model(PipelineModel("fasttext", 5, model), path)
-    params = json.loads(path.read_bytes().split(b"\n")[1])["params"]
-    assert params["features"] == []
-    assert params["keys"]["dtype"] == "<i8" and params["keys"]["shape"] == [len(model.keys)]
-    assert params["input_vectors"]["shape"] == [len(model.keys), 4]
+    vocab = json.loads(path.read_bytes().split(b"\n")[1])["params"]["vocab"]
+    assert sorted(vocab) == ["keys", "orders"] and vocab["orders"] == [1, 5]
+    assert vocab["keys"]["dtype"] == "<i8" and vocab["keys"]["shape"] == [model.vocab.size]
+    assert model.input_vectors.shape == (model.vocab.size, 4)
 
 
 @pytest.mark.parametrize("mode", ["char_ngrams", "words"])
 def test_fasttext_rows_must_match_features(tmp_path, corpus, mode):
     cfg = embeddings.SupervisedConfig(dim=4, epochs=1, seed=5)
-    model = embeddings.train_fasttext_supervised(corpus, cfg, mode)
     if mode == "words":
-        model.features = model.features[:-1]
+        vocab = build_word_vocab(corpus)
+        model = embeddings.train_fasttext_supervised(corpus, cfg, vocab)
+        words = sorted(vocab.entries, key=vocab.entries.get)
+        model.vocab = features.WordVocabulary.from_ranked(words[:-1])
     else:
-        model.keys = model.keys[:-1]
+        model = embeddings.train_fasttext_supervised(corpus, cfg, build_ngram_vocab(corpus, (1, 5)))
+        model.vocab = features.NgramVocabulary((1, 5), model.vocab.keys[:-1])
     path = tmp_path / "model.ndsl"
     save_model(PipelineModel("fasttext", 5, model), path)
     with pytest.raises(ModelFormatError, match="fasttext parameters are sized for"):
@@ -162,22 +163,23 @@ def test_fasttext_rows_must_match_features(tmp_path, corpus, mode):
 def test_embedding_feature_roundtrip(tmp_path, corpus):
     emb_cfg = embeddings.EmbeddingConfig(mode="cbow", dim=8, epochs=1, seed=6)
     matrix = embeddings.train_cbow(corpus, emb_cfg)
-    feature = VectorFeature("cbow", False, embedding=QueryEmbedding.from_matrix(matrix))
+    feature = VectorFeature.of_embedding(matrix)
     x = feature.matrix(corpus)
     model = classifiers.train_logreg(x, label_indices(corpus), epochs=10)
     pipeline = PipelineModel("logreg", 6, model, feature)
     loaded = roundtrip(pipeline, tmp_path, corpus)
-    assert np.array_equal(loaded.feature.embedding.composed, matrix.composed)
+    assert np.array_equal(loaded.feature.vectors, matrix.composed)
+    assert loaded.feature.vocab.entries == {w: i + 1 for i, w in enumerate(matrix.words)}
 
 
 def test_bow_feature_roundtrip(tmp_path, corpus):
     vocab = build_word_vocab(corpus)
-    feature = VectorFeature("bow", True, word_vocab=vocab)
+    feature = VectorFeature("bow", True, vocab)
     x = count_matrix(corpus, vocab, normalize=True)
     model = classifiers.train_logreg(x, label_indices(corpus), epochs=10)
     pipeline = PipelineModel("logreg", 7, model, feature)
     loaded = roundtrip(pipeline, tmp_path, corpus)
-    assert loaded.feature.word_vocab.entries == vocab.entries
+    assert loaded.feature.vocab.entries == vocab.entries
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -195,7 +197,7 @@ def test_corrupt_payload_rejected(tmp_path):
 
 
 def test_save_is_deterministic(tmp_path, corpus, ngram_feature):
-    x = count_matrix(corpus, ngram_feature.ngram_vocab, normalize=True)
+    x = count_matrix(corpus, ngram_feature.vocab, normalize=True)
     model = classifiers.train_logreg(x, label_indices(corpus), epochs=5)
     pipeline = PipelineModel("logreg", 8, model, ngram_feature)
     a, b = tmp_path / "a.ndsl", tmp_path / "b.ndsl"
@@ -239,15 +241,12 @@ EDGE_LINES = ["", "!!! 123", "xq", "Hej med dig, Þór!", "qz" * 3, "abc " * 20]
 
 def reference_vector(text: str, feature: VectorFeature) -> np.ndarray:
     """The feature vector of one cleaned text, counted with a Counter."""
-    if feature.embedding is not None:
-        index = {w: i for i, w in enumerate(feature.embedding.words)}
-        hits = [index[w] for w in word_tokenize(text) if w in index]
-        return feature.embedding.composed[hits].mean(axis=0) if hits else np.zeros(feature.dim)
-    if feature.ngram_vocab is not None:
-        hits = reference_columns(text, feature.ngram_vocab)
+    if isinstance(feature.vocab, features.NgramVocabulary):
+        hits = reference_columns(text, feature.vocab)
     else:
-        hits = [feature.word_vocab.index(w) for w in word_tokenize(text)
-                if w in feature.word_vocab.entries]
+        hits = [feature.vocab.index(w) for w in word_tokenize(text) if w in feature.vocab.entries]
+    if feature.vectors is not None:
+        return feature.vectors[hits].mean(axis=0) if hits else np.zeros(feature.dim)
     row = np.zeros(feature.dim)
     for column, count in Counter(hits).items():
         row[column] = count / len(hits) if feature.normalize else count
@@ -257,11 +256,12 @@ def reference_vector(text: str, feature: VectorFeature) -> np.ndarray:
 def reference_columns(text: str, vocab: features.NgramVocabulary) -> list[int]:
     """The column of each in-vocabulary n-gram of ``text``, left to right.
 
-    Each n-character text is one gram, so ``gram_codes`` gives one code per gram.
+    Each n-character text is one gram, so ``gram_keys`` gives one key per gram.
     """
-    column = {code: j for j, code in enumerate(vocab.codes.tolist())}
-    codes = gram_codes(extract_char_ngrams(text, vocab.n), vocab.n)[1].tolist()
-    return [column[c] for c in codes if c in column]
+    n = vocab.orders[0]
+    column = {key: j for j, key in enumerate(vocab.keys.tolist())}
+    keys = gram_keys(extract_char_ngrams(text, n), n, n)[1].tolist()
+    return [column[k] for k in keys if k in column]
 
 
 def reference_cnn_ids(model: neural.CnnModel, text: str) -> np.ndarray:
@@ -276,7 +276,8 @@ def reference_label(pipeline: PipelineModel, raw: str) -> str:
     text = clean_sentence(raw)
     model = pipeline.model
     if pipeline.kind == "cnn":
-        return LABELS[int(np.argmax(neural.cnn_forward(model, reference_cnn_ids(model, text))))]
+        ids = reference_cnn_ids(model, text)[None]
+        return LABELS[int(np.argmax(neural.cnn_forward(model, ids)))]
     if pipeline.kind == "fasttext":
         return LABELS[int(np.argmax(model.scores([text])[0]))]
     x = reference_vector(text, pipeline.feature)
@@ -297,15 +298,15 @@ def vector_pipeline(kind, corpus, feature, **train_args):
 
 
 def batch_cases(corpus):
-    char2 = VectorFeature("char2", True, ngram_vocab=build_ngram_vocab(corpus, 2))
-    char3 = VectorFeature("char3", True, ngram_vocab=build_ngram_vocab(corpus, 3))
-    raw2 = VectorFeature("char2", False, ngram_vocab=char2.ngram_vocab)
-    raw3 = VectorFeature("char3", False, ngram_vocab=char3.ngram_vocab)
-    bow = VectorFeature("bow", True, word_vocab=build_word_vocab(corpus))
-    cbow = VectorFeature("cbow", False, embedding=QueryEmbedding.from_matrix(
-        embeddings.train_cbow(corpus, embeddings.EmbeddingConfig(mode="cbow", dim=8, epochs=1))))
-    skipgram = VectorFeature("skipgram", False, embedding=QueryEmbedding.from_matrix(
-        embeddings.train_skipgram(corpus, embeddings.EmbeddingConfig(dim=8, epochs=1))))
+    char2 = VectorFeature("char2", True, build_ngram_vocab(corpus, (2, 2)))
+    char3 = VectorFeature("char3", True, build_ngram_vocab(corpus, (3, 3)))
+    raw2 = VectorFeature("char2", False, char2.vocab)
+    raw3 = VectorFeature("char3", False, char3.vocab)
+    bow = VectorFeature("bow", True, build_word_vocab(corpus))
+    cbow = VectorFeature.of_embedding(
+        embeddings.train_cbow(corpus, embeddings.EmbeddingConfig(mode="cbow", dim=8, epochs=1)))
+    skipgram = VectorFeature.of_embedding(
+        embeddings.train_skipgram(corpus, embeddings.EmbeddingConfig(dim=8, epochs=1)))
     cnn_cfg = neural.TrainConfig(learning_rate=0.05, epochs=2, seed=4, max_len=16)
     return {
         "knn-char2": vector_pipeline("knn", corpus, char2, k=3),
@@ -324,9 +325,11 @@ def batch_cases(corpus):
         "cnn-char2": PipelineModel("cnn", 4, neural.cnn_train(
             corpus, cnn_cfg, gram=2, kernel=2, filters=4, embed_dim=4)),
         "fasttext-char1_5": PipelineModel("fasttext", 5, embeddings.train_fasttext_supervised(
-            corpus, embeddings.SupervisedConfig(dim=8, epochs=2, seed=5), "char_ngrams")),
+            corpus, embeddings.SupervisedConfig(dim=8, epochs=2, seed=5),
+            build_ngram_vocab(corpus, (1, 5)))),
         "fasttext-bow": PipelineModel("fasttext", 5, embeddings.train_fasttext_supervised(
-            corpus, embeddings.SupervisedConfig(dim=8, epochs=2, seed=5), "words")),
+            corpus, embeddings.SupervisedConfig(dim=8, epochs=2, seed=5),
+            build_word_vocab(corpus))),
     }
 
 
@@ -358,7 +361,7 @@ def test_embedding_design_equals_per_line_sentence_embedding(corpus, mode, dim):
     single column pairwise, which the batch path must match too."""
     train = embeddings.train_cbow if mode == "cbow" else embeddings.train_skipgram
     emb = train(corpus, embeddings.EmbeddingConfig(mode=mode, dim=dim, epochs=1, seed=dim))
-    feature = VectorFeature(mode, False, embedding=QueryEmbedding.from_matrix(emb))
+    feature = VectorFeature.of_embedding(emb)
     texts = [s.text for s in corpus]
     lines = ["", "qqq zzz", " "] + [
         " ".join(texts[i % len(texts)].split()[i % 3 :] + ["xq"] * (i % 2))
@@ -433,17 +436,15 @@ PARAMS_FORMAT = {
     "mlp-char2": (["biases", "weights"], ["weights[0]", "weights[1]", "biases[0]", "biases[1]"]),
     "cnn-char2": (
         ["conv_bias", "dense_b", "dense_w", "embeddings", "filters", "max_len", "vocab"],
-        ["vocab.codes", "embeddings", "filters", "conv_bias", "dense_w", "dense_b"],
+        ["vocab.keys", "embeddings", "filters", "conv_bias", "dense_w", "dense_b"],
     ),
     "fasttext-char1_5": (
-        ["feature_mode", "features", "input_vectors", "keys", "ngram_max", "ngram_min",
-         "output_bias", "output_weights"],
-        ["keys", "input_vectors", "output_weights", "output_bias"],
+        ["input_vectors", "output_bias", "output_weights", "vocab"],
+        ["vocab.keys", "input_vectors", "output_weights", "output_bias"],
     ),
     "fasttext-bow": (
-        ["feature_mode", "features", "input_vectors", "keys", "ngram_max", "ngram_min",
-         "output_bias", "output_weights"],
-        ["input_vectors", "keys", "output_weights", "output_bias"],
+        ["input_vectors", "output_bias", "output_weights", "vocab"],
+        ["input_vectors", "output_weights", "output_bias"],
     ),
 }
 
@@ -482,10 +483,11 @@ def test_ngram_vocabulary_saved_as_one_code_array(batch_pipelines, case, tmp_pat
     pipeline = batch_pipelines[case]
     save_model(pipeline, path)
     header = json.loads(path.read_bytes().split(b"\n")[1])
-    vocab = header["params"]["vocab"] if case.startswith("cnn") else header["feature"]["ngram_vocab"]
-    expected = pipeline.model.vocab if case.startswith("cnn") else pipeline.feature.ngram_vocab
-    assert sorted(vocab) == ["codes", "n"] and vocab["n"] == 2
-    assert vocab["codes"]["dtype"] == "<i8" and vocab["codes"]["shape"] == [expected.size]
+    owner = "params" if case.startswith("cnn") else "feature"
+    vocab = header[owner]["vocab"]
+    expected = getattr(pipeline, owner.replace("params", "model")).vocab
+    assert sorted(vocab) == ["keys", "orders"] and vocab["orders"] == [2, 2]
+    assert vocab["keys"]["dtype"] == "<i8" and vocab["keys"]["shape"] == [expected.size]
     loaded = load_model(path)
-    got = loaded.model.vocab if case.startswith("cnn") else loaded.feature.ngram_vocab
-    assert got.codes.tobytes() == expected.codes.tobytes()
+    got = getattr(loaded, owner.replace("params", "model")).vocab
+    assert got.keys.tobytes() == expected.keys.tobytes()

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 
 from nordlid.corpus import Sentence
 from nordlid.errors import DimensionMismatch, SequenceTooShort
-from nordlid.features import NgramVocabulary, gram_codes, one_hot
+from nordlid.features import KEY_START, NgramVocabulary, gram_keys, one_hot
 from nordlid.neural import (
     MlpModel,
     TrainConfig,
     _training_ids,
     cce_loss,
     cnn_accuracy,
-    cnn_conv_activations,
     cnn_forward,
     cnn_grads,
     cnn_loss,
@@ -67,12 +66,13 @@ class TestActivations:
 
 class TestLosses:
     def test_cce_perfect_prediction(self):
-        pred = np.zeros(6)
-        pred[2] = 1.0
-        assert cce_loss(pred, 2) == pytest.approx(0.0, abs=1e-11)
+        pred = np.zeros((1, 6))
+        pred[0, 2] = 1.0
+        assert cce_loss(pred, np.array([2])) == pytest.approx(0.0, abs=1e-11)
 
     def test_cce_uniform(self):
-        assert cce_loss(np.full(6, 1 / 6), 3) == pytest.approx(math.log(6), abs=1e-12)
+        loss = cce_loss(np.full((1, 6), 1 / 6), np.array([3]))
+        assert loss == pytest.approx(math.log(6), abs=1e-12)
 
     def test_cce_matches_two_sample_hand_computation(self):
         pred = np.array([[0.7, 0.1, 0.05, 0.05, 0.05, 0.05],
@@ -84,8 +84,8 @@ class TestLosses:
     def test_cce_never_negative(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
-            p = softmax(rng.normal(size=6))
-            assert cce_loss(p, int(rng.integers(6))) >= 0.0
+            p = softmax(rng.normal(size=(1, 6)))
+            assert cce_loss(p, rng.integers(6, size=1)) >= 0.0
 
 
 def relative_error(a: float, b: float) -> float:
@@ -97,7 +97,7 @@ class TestMlp:
         model = MlpModel(
             [np.zeros((8, 5)), np.zeros((6, 8))], [np.zeros(8), np.zeros(6)]
         )
-        posterior = mlp_forward(model, np.ones(5))
+        posterior = mlp_forward(model, np.ones((1, 5)))
         assert np.allclose(posterior, 1 / 6)
 
     def test_requires_three_layers(self):
@@ -107,7 +107,7 @@ class TestMlp:
     def test_dimension_mismatch(self):
         model = init_mlp([4, 8, 6], seed=0)
         with pytest.raises(DimensionMismatch):
-            mlp_forward(model, np.ones(5))
+            mlp_forward(model, np.ones((1, 5)))
 
     def test_gradients_match_finite_differences(self):
         rng = np.random.default_rng(2)
@@ -157,8 +157,13 @@ class TestMlp:
 
 
 def tiny_cnn(seed=0, vocab_size=5, embed=3, filters=2, kernel=2, max_len=6):
-    vocab = NgramVocabulary(1, np.arange(vocab_size, dtype=np.int64))
+    vocab = NgramVocabulary((1, 1), np.arange(vocab_size, dtype=np.int64))
     return init_cnn(vocab, kernel, filters, embed, max_len, seed)
+
+
+def conv_activations(model, ids):
+    """Post-ReLU convolution stage of one token-id row, shape (L - h + 1) x F."""
+    return dense_cnn_forward(model, np.asarray(ids)[None])[2][0]
 
 
 def dense_cnn_forward(model, ids):
@@ -205,7 +210,7 @@ class TestCnn:
     def test_conv_stage_shape(self):
         model = tiny_cnn(kernel=2, max_len=6)
         ids = np.array([1, 2, 3, 0, 0, 0])
-        act = cnn_conv_activations(model, ids)
+        act = conv_activations(model, ids)
         assert act.shape == (6 - 2 + 1, 2)
 
     def test_kernel_one_locality(self):
@@ -213,20 +218,20 @@ class TestCnn:
         base = np.array([1, 2, 3, 4, 5, 0])
         changed = base.copy()
         changed[2] = 1
-        act_base = cnn_conv_activations(model, base)
-        act_changed = cnn_conv_activations(model, changed)
+        act_base = conv_activations(model, base)
+        act_changed = conv_activations(model, changed)
         # only position 2 may differ when token 2 is perturbed
         differs = np.any(act_base != act_changed, axis=1)
         assert not differs[np.arange(6) != 2].any()
 
     def test_posterior_sums_to_one(self):
         model = tiny_cnn()
-        posterior = cnn_forward(model, np.array([1, 2, 3, 4, 0, 0]))
+        posterior = cnn_forward(model, np.array([[1, 2, 3, 4, 0, 0]]))[0]
         assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_encode_pads_and_truncates(self):
         model = tiny_cnn()
-        model.vocab = NgramVocabulary(1, gram_codes(["ab"], 1)[1])
+        model.vocab = NgramVocabulary((1, 1), gram_keys(["ab"], 1, 1)[1])
         ids = cnn_token_ids(model, ["ab"])[0]
         assert ids.tolist() == [1, 2, 0, 0, 0, 0]
         long_ids = cnn_token_ids(model, ["ab" * 20])[0]
@@ -234,7 +239,7 @@ class TestCnn:
 
     def test_encode_empty_raises(self):
         model = tiny_cnn()
-        model.vocab = NgramVocabulary(1, gram_codes(["a"], 1)[1])
+        model.vocab = NgramVocabulary((1, 1), gram_keys(["a"], 1, 1)[1])
         with pytest.raises(SequenceTooShort):
             _training_ids(model, ["zzz"])
 
@@ -260,8 +265,8 @@ class TestCnn:
 
     def test_max_pool_routes_gradient_only_to_argmax(self):
         model = tiny_cnn(seed=7, kernel=1)
-        ids = np.array([1, 2, 3, 4, 5, 0])
-        act = cnn_conv_activations(model, ids)
+        ids = np.array([[1, 2, 3, 4, 5, 0]])
+        act = conv_activations(model, ids[0])
         argmax_positions = set(act.argmax(axis=0).tolist())
         runner_up = np.partition(act, -2, axis=0)[-2]
         pooling_gap = float((act.max(axis=0) - runner_up).min())
@@ -270,13 +275,13 @@ class TestCnn:
         # nudging a token seen only at non-argmax positions, by less than
         # the pooling gap, must leave the pooled output untouched
         non_argmax = [t for t in range(6) if t not in argmax_positions]
-        token = ids[non_argmax[0]]
+        token = ids[0, non_argmax[0]]
         nudge = pooling_gap / (10 * (abs(model.filters).max() + 1))
         model.embeddings[token] += nudge
         assert np.array_equal(cnn_forward(model, ids), base)
         model.embeddings[token] -= nudge
         # and the analytic gradient for that token's embedding is zero
-        _, grads = cnn_grads(model, np.atleast_2d(ids), np.array([2]))
+        _, grads = cnn_grads(model, ids, np.array([2]))
         assert np.all(grads["embeddings"][token] == 0.0)
 
     @pytest.mark.parametrize("case", ["random", "all_padding", "all_negative", "kernel_is_max_len"])
@@ -292,12 +297,12 @@ class TestCnn:
             model.conv_bias[:] = -100.0  # every window's pre-activation is below 0
         expected = dense_cnn_forward(model, ids)[-1]
         assert np.array_equal(cnn_forward(model, ids), expected)
-        # one 1-D row scores as the first row of the batch
-        assert np.array_equal(cnn_forward(model, ids[0]), expected[0])
+        # one row scores as the first row of the batch
+        assert np.array_equal(cnn_forward(model, ids[:1]), expected[:1])
 
     def test_grads_equal_dense_backward_at_cli_shape(self):
         vocab_size, max_len = 1400, 128
-        vocab = NgramVocabulary(2, np.arange(vocab_size, dtype=np.int64))
+        vocab = NgramVocabulary((2, 2), np.arange(vocab_size, dtype=np.int64) + KEY_START[2])
         model = init_cnn(vocab, kernel=3, filters=64, embed_dim=16, max_len=max_len, seed=9)
         rng = np.random.default_rng(10)
         model.conv_bias[:] = rng.normal(0, 0.05, size=64)

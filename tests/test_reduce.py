@@ -191,7 +191,7 @@ class TestPcaProject:
     def test_char3_csr_allocates_no_d_by_d_array(self):
         pools = generate_pools(30, "wiki", seed=16)
         sentences = [s for code in LABELS for s in pools[code]]
-        x = count_matrix(sentences, build_ngram_vocab(sentences, 3), normalize=True)
+        x = count_matrix(sentences, build_ngram_vocab(sentences, (3, 3)), normalize=True)
         assert isinstance(x, CsrMatrix)
         d = x.shape[1]
         tracemalloc.start()

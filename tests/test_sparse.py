@@ -18,7 +18,7 @@ from nordlid.features import (
     count_matrix,
     label_indices,
     extract_char_ngrams,
-    gram_codes,
+    gram_keys,
     to_dense,
     word_tokenize,
 )
@@ -102,29 +102,29 @@ class TestCsrMatrix:
 
 class TestCountMatrix:
     def test_char3_is_csr_within_its_byte_bound(self, corpus):
-        vocab = build_ngram_vocab(corpus, 3)
+        vocab = build_ngram_vocab(corpus, (3, 3))
         x = count_matrix(corpus, vocab, normalize=True)
         assert isinstance(x, CsrMatrix)
         assert x.nnz / x.size < SPARSE_DENSITY
         assert x.nbytes <= 16 * x.nnz + 8 * (len(corpus) + 1) + 1024
 
     def test_char2_stays_dense(self, corpus):
-        x = count_matrix(corpus, build_ngram_vocab(corpus, 2))
+        x = count_matrix(corpus, build_ngram_vocab(corpus, (2, 2)))
         assert isinstance(x, np.ndarray)
         assert np.count_nonzero(x) / x.size >= SPARSE_DENSITY
 
     @pytest.mark.parametrize("normalize", [False, True])
     def test_csr_rows_equal_vectorize(self, corpus, normalize):
-        ngrams = build_ngram_vocab(corpus, 3)
+        ngrams = build_ngram_vocab(corpus, (3, 3))
         words = build_word_vocab(corpus)
         x3 = count_matrix(corpus, ngrams, normalize)
         xw = count_matrix(corpus, words, normalize)
         assert isinstance(xw, CsrMatrix)
-        column = {code: j for j, code in enumerate(ngrams.codes.tolist())}
+        column = {key: j for j, key in enumerate(ngrams.keys.tolist())}
         for i, sentence in enumerate(corpus):
-            # each 3-character text is one gram, so gram_codes gives one code per gram
-            codes = gram_codes(extract_char_ngrams(sentence.text, 3), 3)[1].tolist()
-            grams = [column[c] for c in codes if c in column]
+            # each 3-character text is one gram, so gram_keys gives one key per gram
+            keys = gram_keys(extract_char_ngrams(sentence.text, 3), 3, 3)[1].tolist()
+            grams = [column[k] for k in keys if k in column]
             hits = [words.index(w) for w in word_tokenize(sentence.text) if w in words.entries]
             assert np.array_equal(x3[i], counter_row(grams, ngrams.size, normalize))
             assert np.array_equal(xw[i], counter_row(hits, words.size, normalize))
@@ -133,7 +133,7 @@ class TestCountMatrix:
 class TestTrainersOnCsr:
     @pytest.fixture(scope="class")
     def design(self, corpus):
-        vocab = build_ngram_vocab(corpus, 3)
+        vocab = build_ngram_vocab(corpus, (3, 3))
         raw = count_matrix(corpus, vocab)
         normalized = count_matrix(corpus, vocab, normalize=True)
         assert isinstance(raw, CsrMatrix) and isinstance(normalized, CsrMatrix)
