@@ -160,7 +160,6 @@ def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeat
     """
     if args.features in EMBEDDING_FEATURES:
         cfg = embeddings.EmbeddingConfig(
-            mode=args.features,
             dim=args.dim,
             window=args.window,
             negatives=args.negatives,
@@ -216,7 +215,7 @@ def cmd_train(args) -> int:
             learning_rate=args.lr if args.lr is not None else 0.1,
             seed=args.seed,
         )
-        vocab = _count_vocab(args.features, dataset, None)  # --cap does not apply to fastText
+        vocab = _count_vocab(args.features, dataset, args.cap)
         model = embeddings.train_fasttext_supervised(dataset, cfg, vocab)
         pipeline = PipelineModel("fasttext", args.seed, model)
     else:
@@ -471,14 +470,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The least value of each size flag.
+_SIZE_FLOORS = {
+    "cap": 1, "hidden": 1, "filters": 1, "embed_dim": 1, "batch_size": 1, "max_len": 1,
+    "dim": 1, "window": 1, "negatives": 1, "embed_epochs": 0,
+}
+
+
 def _check_sizes(args) -> None:
-    """Raise ValueError naming the first of the size flags ``--cap``,
-    ``--hidden``, ``--filters``, ``--embed-dim``, ``--batch-size`` and
-    ``--max-len`` given below 1."""
-    for name in ("cap", "hidden", "filters", "embed_dim", "batch_size", "max_len"):
+    """Raise ValueError naming the first size flag of ``_SIZE_FLOORS``
+    given below its least value."""
+    for name, least in _SIZE_FLOORS.items():
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise ValueError(f"--{name.replace('_', '-')} must be at least 1, got {value}")
+        if value is not None and value < least:
+            raise ValueError(f"--{name.replace('_', '-')} must be at least {least}, got {value}")
 
 
 def main(argv=None) -> int:

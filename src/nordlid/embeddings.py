@@ -1,27 +1,29 @@
 """Word and subword embeddings plus a supervised bag-of-features classifier.
 
 Skip-gram and CBOW are trained with negative sampling (binary logistic
-loss over observed vs sampled word pairs). Skip-gram composes each word
-vector as the mean of the word's own row and its hashed subword rows;
-CBOW uses plain word rows. Training is single-threaded and seeded, so
-repeated runs produce bit-identical matrices.
+loss over observed vs sampled word pairs). They read text as every other
+feature does: the words and their ranks come from
+:func:`features.build_word_vocab` and each sentence's word ids from
+:func:`features.ngram_hits`, so the text must be cleaned. Skip-gram
+composes each word vector as the mean of the word's own row and its
+hashed subword rows; CBOW uses plain word rows. Training is
+single-threaded and seeded, so repeated runs produce bit-identical
+matrices.
 
-A word's subwords are the character n-grams of ``<word>`` plus
-``<word>`` itself (Bojanowski et al. 2017, "Enriching Word Vectors with
-Subword Information"). Each is hashed with 32-bit FNV-1a of its UTF-8
-bytes into one of ``bucket_count`` buckets, and only occupied buckets get
-a row. The set-up hashes a block of words' grams in array passes, one
-order at a time, with no Python step per gram. A text's sentence vector
+A word's subwords are the distinct character n-grams of orders
+``SUBWORD_ORDERS`` of `` word ``, a space marking each end (Bojanowski
+et al. 2017, "Enriching Word Vectors with Subword Information"). The
+word's own row stands for the whole word. Each gram's
+:func:`features.gram_keys` key is hashed into one of ``BUCKETS``
+buckets, and only occupied buckets get a row. A text's sentence vector
 is the mean of its known words' composed vectors; :func:`_line_means`
 takes those means for a block of texts at once.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -30,10 +32,12 @@ from .errors import EmptyVocabulary
 from .features import (
     N_CLASSES,
     Vocabulary,
+    WordVocabulary,
+    build_word_vocab,
     check_learning_rate,
+    gram_keys,
     label_indices,
     ngram_hits,
-    rank_words,
     softmax,
     texts_of,
     word_tokenize,
@@ -42,104 +46,67 @@ from .features import (
 
 @dataclass(frozen=True)
 class EmbeddingConfig:
-    mode: str = "skipgram"  # "skipgram" or "cbow"
+    """Skip-gram and CBOW training: the vector width, the widest context
+    reach, the negative draws per example, the epochs, the initial
+    learning rate and the seed."""
+
     dim: int = 100
     window: int = 5
     negatives: int = 5
     epochs: int = 5
     learning_rate: float = 0.05
-    subword_min: int = 3
-    subword_max: int = 6
-    bucket_count: int = 1 << 20
     seed: int = 42
 
     def __post_init__(self):
-        if self.mode not in ("skipgram", "cbow"):
-            raise ValueError(f"unknown mode {self.mode!r}")
         if self.window < 1 or self.negatives < 1 or self.dim < 1 or self.epochs < 0:
             raise ValueError("window, negatives, and dim must be >= 1, and epochs >= 0")
         check_learning_rate(self.learning_rate)
-        if not 1 <= self.subword_min <= self.subword_max:
-            raise ValueError("need 1 <= subword_min <= subword_max")
-        if self.bucket_count < 1:
-            raise ValueError(f"bucket_count must be >= 1, got {self.bucket_count}")
+
+
+#: Orders (nmin, nmax) of a word's subword n-grams.
+SUBWORD_ORDERS = (3, 6)
+#: Buckets that the subword n-grams' keys are hashed into.
+BUCKETS = 1 << 20
+#: The odd integer nearest 2**64 over the golden ratio: a key's bucket is
+#: the top 32 bits of its product with this, mod 2**64, taken mod BUCKETS.
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 
 def subword_ngrams(word: str, nmin: int = 3, nmax: int = 6) -> list[str]:
-    """Boundary-marked character n-grams of a word, plus the full marked word.
+    """The distinct character n-grams of orders nmin..nmax of `` word ``.
 
-    Duplicates are removed, keeping first occurrence order.
+    They come order nmin first, each order left to right, a repeat
+    dropped.
     """
     if not word:
         raise ValueError("word must be non-empty")
-    marked = f"<{word}>"
-    grams = [
-        marked[i : i + n]
-        for n in range(nmin, nmax + 1)
-        for i in range(len(marked) - n + 1)
-    ]
-    grams.append(marked)
-    return list(dict.fromkeys(grams))
-
-
-#: The 32-bit FNV-1a offset basis and prime.
-_FNV_OFFSET, _FNV_PRIME = 0x811C9DC5, 0x01000193
-
-
-def fnv1a(data: bytes) -> int:
-    """32-bit FNV-1a hash, used to bucket subword n-grams."""
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & 0xFFFFFFFF
-    return h
-
-
-def fnv1a_many(texts: list[str]) -> np.ndarray:
-    """:func:`fnv1a` of the UTF-8 bytes of every text, as int64.
-
-    One numpy step per byte position, over the texts that are still that
-    long. A product of a 32-bit hash and the 25-bit prime fits in 64 bits.
-    """
-    data = [text.encode("utf-8") for text in texts]
-    lengths = np.fromiter(map(len, data), dtype=np.int64, count=len(data))
-    flat = np.frombuffer(b"".join(data), dtype=np.uint8).astype(np.int64)
-    starts = np.cumsum(lengths) - lengths
-    h = np.full(len(data), _FNV_OFFSET, dtype=np.int64)
-    for k in range(lengths.max(initial=0)):
-        live = np.flatnonzero(lengths > k)
-        h[live] = ((h[live] ^ flat[starts[live] + k]) * _FNV_PRIME) & 0xFFFFFFFF
-    return h
+    marked = f" {word} "
+    return list(dict.fromkeys(
+        marked[i : i + n] for n in range(nmin, nmax + 1) for i in range(len(marked) - n + 1)
+    ))
 
 
 @dataclass
 class EmbeddingMatrix:
     """Trained embedding table with precomposed per-word query vectors.
 
-    ``vectors`` holds word rows first, then one row per occupied subword
-    bucket (skip-gram only): bucket ``buckets[i]`` owns row
-    ``len(words) + i``. ``composed`` is the mean of each word's own row and
-    its subword rows and is what queries consume.
+    ``vocab`` holds the words, ranked by :func:`features.build_word_vocab`:
+    word j (rank j + 1) owns row j of ``vectors``, ``composed`` and
+    ``output_vectors``. ``vectors`` holds the word rows first, then one row
+    per occupied subword bucket (skip-gram only): bucket ``buckets[i]``
+    owns row ``vocab.size + i``. ``word_rows[j]`` lists word j's rows, its
+    own first, and ``composed`` is the mean of each word's rows and is what
+    queries consume.
     """
 
     mode: str
-    dim: int
-    words: list[str]
-    word_index: dict[str, int]
+    vocab: WordVocabulary
     vectors: np.ndarray
     composed: np.ndarray
     output_vectors: np.ndarray
     buckets: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     word_rows: list[np.ndarray] = field(default_factory=list)
     epoch_losses: list[float] = field(default_factory=list)
-
-
-def _vocab_words(sentences: list[list[str]]) -> tuple[list[str], np.ndarray]:
-    counts = Counter(chain.from_iterable(sentences))
-    if not counts:
-        raise EmptyVocabulary("corpus contains no tokens")
-    words = rank_words(counts)
-    return words, np.fromiter(map(counts.__getitem__, words), dtype=np.float64, count=len(words))
 
 
 def _negative_table(freqs: np.ndarray) -> np.ndarray:
@@ -149,16 +116,21 @@ def _negative_table(freqs: np.ndarray) -> np.ndarray:
 
 
 def _init_embedding(
-    corpus: Iterable[Sentence], cfg: EmbeddingConfig
+    corpus: Iterable[Sentence], cfg: EmbeddingConfig, mode: str
 ) -> tuple[EmbeddingMatrix, list[np.ndarray], np.ndarray]:
-    sentences = [word_tokenize(s.text) for s in corpus]
-    sentences = [tokens for tokens in sentences if tokens]
-    words, freqs = _vocab_words(sentences)
-    word_index = {w: i for i, w in enumerate(words)}
-    n_words = len(words)
+    """The seeded embedding of ``corpus``'s words, the word ids of each
+    sentence that has a word, and the negative-sampling table."""
+    corpus = list(corpus)
+    vocab = build_word_vocab(corpus)
+    if not vocab.size:
+        raise EmptyVocabulary("corpus contains no tokens")
+    lines, columns = ngram_hits(texts_of(corpus), vocab)
+    ids = np.split(columns, np.cumsum(np.bincount(lines, minlength=len(corpus)))[:-1])
+    ids = [tokens for tokens in ids if len(tokens)]
+    n_words = vocab.size
 
-    if cfg.mode == "skipgram":
-        word_rows, buckets = _subword_rows(words, cfg)
+    if mode == "skipgram":
+        word_rows, buckets = _subword_rows(list(vocab.entries))
     else:
         word_rows = [np.array([i], dtype=np.int64) for i in range(n_words)]
         buckets = np.zeros(0, dtype=np.int64)
@@ -166,40 +138,47 @@ def _init_embedding(
     rng = np.random.default_rng(cfg.seed)
     vectors = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(n_words + len(buckets), cfg.dim))
     emb = EmbeddingMatrix(  # _train fills ``composed`` when it is done
-        cfg.mode, cfg.dim, words, word_index, vectors,
-        np.zeros((n_words, cfg.dim)), np.zeros((n_words, cfg.dim)), buckets, word_rows,
+        mode, vocab, vectors, np.zeros((n_words, cfg.dim)), np.zeros((n_words, cfg.dim)),
+        buckets, word_rows,
     )
-    ids = [np.array([word_index[t] for t in tokens], dtype=np.int64) for tokens in sentences]
-    return emb, ids, _negative_table(freqs)
+    return emb, ids, _negative_table(np.bincount(columns, minlength=n_words))
 
 
 #: Words whose subword grams :func:`_subword_rows` hashes at a time. On
 #: the 34k words of a 4800-sentence synthetic training set, a 2048-word
-#: block peaked at 29 MiB traced, against 70 MiB for the whole vocabulary
-#: in one pass.
+#: block peaked at 30 MiB traced, against 114 MiB for the whole
+#: vocabulary in one pass.
 SUBWORD_BLOCK = 2048
 
 
-def _subword_rows(
-    words: list[str], cfg: EmbeddingConfig
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each word's rows, its own and then one per subword gram's bucket, and
-    the occupied buckets in ascending order, whose rows follow the words'.
+def _subword_rows(words: list[str]) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each word's rows, its own and then one per :func:`subword_ngrams`
+    gram's bucket, and the occupied buckets in ascending order, whose rows
+    follow the words'.
 
-    The grams are hashed ``SUBWORD_BLOCK`` words at a time, and each block
-    keeps its distinct buckets and each gram's index among them until the
-    occupied buckets are known.
+    The grams' keys are taken and hashed ``SUBWORD_BLOCK`` words at a
+    time, and each block keeps its distinct buckets and each gram's index
+    among them until the occupied buckets are known. A gram repeated
+    within a word is dropped by its key, not by its bucket.
     """
     blocks = []
     for lo in range(0, len(words), SUBWORD_BLOCK):
-        hashes, counts = _gram_hashes(words[lo : lo + SUBWORD_BLOCK], cfg.subword_min,
-                                      cfg.subword_max)
-        blocks.append((*np.unique(hashes % cfg.bucket_count, return_inverse=True), counts))
+        block = words[lo : lo + SUBWORD_BLOCK]
+        owner, keys = gram_keys([f" {word} " for word in block], *SUBWORD_ORDERS)
+        distinct, rank = np.unique(keys, return_inverse=True)
+        # a word's first gram of each key: (word, key rank) stays far inside an int64
+        _, first = np.unique(owner * len(distinct) + rank, return_index=True)
+        first.sort()
+        buckets = (distinct.astype(np.uint64) * _HASH_MULTIPLIER >> 32) % BUCKETS
+        blocks.append((*np.unique(buckets.astype(np.int64)[rank[first]], return_inverse=True),
+                       np.bincount(owner[first], minlength=len(block))))
     # sorted and compared: numpy 2.4's unique without an inverse (a hash
     # table) took 25 times as long on 80k buckets (2-vCPU x86 machine)
     merged = np.concatenate([distinct for distinct, _, _ in blocks])
     merged.sort()
-    occupied = merged[np.append(True, merged[1:] != merged[:-1])]
+    keep = np.ones(len(merged), dtype=bool)
+    keep[1:] = merged[1:] != merged[:-1]
+    occupied = merged[keep]
     word_rows: list[np.ndarray] = []
     for i, (distinct, inverse, counts) in enumerate(blocks):
         blocks[i] = None  # frees each block as its rows are made
@@ -212,68 +191,6 @@ def _subword_rows(
     return word_rows, occupied
 
 
-def _gram_hashes(words: list[str], nmin: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """The :func:`fnv1a` hash of each word's :func:`subword_ngrams`, word
-    after word in that order, and how many grams each word has.
-
-    The characters of the marked words lie in one array. Every window
-    start carries its gram's hash and an exact identity of its word and
-    characters, a rank among the block's (word, gram) pairs, one order at
-    a time, so a gram repeated within a word is dropped by its characters
-    and not by its hash. A rank times the number of distinct characters
-    stays below the square of the block's length, far inside an int64. A
-    marked word outside the orders comes last.
-    """
-    marked = [f"<{word}>" for word in words]
-    chars, code = np.unique(np.frombuffer("".join(marked).encode("utf-32-le"), dtype=np.uint32),
-                            return_inverse=True)
-    utf8 = _utf8_table(chars)
-    lengths = np.fromiter(map(len, marked), dtype=np.int64, count=len(marked))
-    owner = np.repeat(np.arange(len(words)), lengths)  # word of each position
-    start = np.arange(len(code))  # the starts whose window still fits its word
-    room = np.repeat(np.cumsum(lengths), lengths) - start  # characters left in the word
-    ident = owner
-    h = np.full(len(code), _FNV_OFFSET, dtype=np.int64)
-    owners, hashes = [], []
-    for n in range(1, nmax + 1):
-        fits = room >= n
-        start, room, ident, h = start[fits], room[fits], ident[fits], h[fits]
-        last = code[start + n - 1]
-        _, first, ident = np.unique(ident * len(chars) + last, return_index=True,
-                                    return_inverse=True)
-        h = _fnv1a_step(h, utf8, last)
-        if n >= nmin:
-            first.sort()
-            owners.append(owner[start[first]])
-            hashes.append(h[first])
-    whole = (lengths < nmin) | (lengths > nmax)
-    owners.append(np.flatnonzero(whole))
-    hashes.append(fnv1a_many([m for m, w in zip(marked, whole.tolist()) if w]))
-    owners, hashes = np.concatenate(owners), np.concatenate(hashes)
-    return hashes[np.argsort(owners, kind="stable")], np.bincount(owners, minlength=len(words))
-
-
-def _utf8_table(chars: np.ndarray) -> np.ndarray:
-    """The UTF-8 bytes of code points, byte k of ``chars[i]`` at [k, i]; a
-    -1 pads a shorter character's column."""
-    widths = 1 + (chars >= 0x80) + (chars >= 0x800) + (chars >= 0x10000)
-    table = np.full((len(chars), int(widths.max(initial=1))), -1, dtype=np.int64)
-    table[np.arange(table.shape[1]) < widths[:, None]] = np.frombuffer(
-        "".join(map(chr, chars.tolist())).encode("utf-8"), dtype=np.uint8)
-    return table.T.copy()
-
-
-def _fnv1a_step(h: np.ndarray, utf8: np.ndarray, chars: np.ndarray) -> np.ndarray:
-    """:func:`fnv1a` hashes ``h`` continued over the UTF-8 bytes of one
-    character each, ``chars`` indexing the columns of ``utf8``."""
-    h = ((h ^ utf8[0, chars]) * _FNV_PRIME) & 0xFFFFFFFF
-    for row in utf8[1:]:
-        byte = row[chars]
-        live = np.flatnonzero(byte >= 0)
-        h[live] = ((h[live] ^ byte[live]) * _FNV_PRIME) & 0xFFFFFFFF
-    return h
-
-
 def _recompose(emb: EmbeddingMatrix) -> None:
     """Each word's ``composed`` row, the mean of its ``vectors`` rows, for a
     block of words at a time whose gathered rows stay within 1 MiB (a
@@ -283,7 +200,8 @@ def _recompose(emb: EmbeddingMatrix) -> None:
     lo = 0
     while lo < len(lengths):
         start = ends[lo] - lengths[lo]
-        hi = max(lo + 1, int(np.searchsorted(ends, start + (1 << 20) // (8 * emb.dim), "right")))
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, start + (1 << 20) // (8 * emb.vectors.shape[1]), "right")))
         sums = np.add.reduceat(emb.vectors[np.concatenate(emb.word_rows[lo:hi])],
                                ends[lo:hi] - lengths[lo:hi] - start)
         emb.composed[lo:hi] = sums / lengths[lo:hi, None]
@@ -305,9 +223,7 @@ def _train(corpus: Iterable[Sentence], cfg: EmbeddingConfig, mode: str) -> Embed
     matrix over the sentence's distinct rows (row x position, weight
     1/len) turns the gathers and scatters into small products.
     """
-    if cfg.mode != mode:
-        raise ValueError(f"config mode must be {mode!r}")
-    emb, ids, table = _init_embedding(corpus, cfg)
+    emb, ids, table = _init_embedding(corpus, cfg, mode)
     rng = np.random.default_rng(cfg.seed + 1)
     total = max(sum(map(len, ids)) * cfg.epochs, 1)
     n_rows = np.fromiter(map(len, emb.word_rows), dtype=np.int64, count=len(emb.word_rows))
@@ -366,7 +282,7 @@ def train_skipgram(
 
 
 def train_cbow(
-    corpus: Iterable[Sentence], cfg: EmbeddingConfig = EmbeddingConfig(mode="cbow")
+    corpus: Iterable[Sentence], cfg: EmbeddingConfig = EmbeddingConfig()
 ) -> EmbeddingMatrix:
     """Predict the center word from the averaged context vectors."""
     return _train(corpus, cfg, "cbow")
@@ -374,18 +290,15 @@ def train_cbow(
 
 def pair_score(emb: EmbeddingMatrix, center: str, context: str) -> float:
     """Inner-product score the model assigns to (center -> context)."""
-    return float(emb.composed[emb.word_index[center]] @ emb.output_vectors[emb.word_index[context]])
+    rank = emb.vocab.entries
+    return float(emb.composed[rank[center] - 1] @ emb.output_vectors[rank[context] - 1])
 
 
 def sentence_embedding(text: str, emb: EmbeddingMatrix) -> np.ndarray:
     """Mean of in-vocabulary token vectors; zero vector when none match."""
-    hits = [
-        emb.word_index[token]
-        for token in word_tokenize(text)
-        if token in emb.word_index
-    ]
+    hits = [i for i in map(emb.vocab.index, word_tokenize(text)) if i is not None]
     if not hits:
-        return np.zeros(emb.dim)
+        return np.zeros(emb.composed.shape[1])
     return emb.composed[hits].mean(axis=0)
 
 

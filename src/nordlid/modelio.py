@@ -142,7 +142,7 @@ class VectorFeature:
     @classmethod
     def of_embedding(cls, emb: embeddings.EmbeddingMatrix) -> "VectorFeature":
         """The feature of a trained embedding: its words and composed vectors."""
-        return cls(emb.mode, False, WordVocabulary.from_ranked(emb.words), emb.composed)
+        return cls(emb.mode, False, emb.vocab, emb.composed)
 
     @property
     def dim(self) -> int:

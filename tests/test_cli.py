@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from nordlid.cli import main
 from nordlid.corpus import ALPHABET, LABELS, Sentence, save_dataset_tsv
+from nordlid.modelio import load_model
 from nordlid.synth import generate_pools
 
 
@@ -245,6 +246,9 @@ class TestTrainEvalPredict:
         ("svm", "char1", ["--epochs", "-1"]),
         ("logreg", "cbow", ["--embed-epochs", "-1"]),
         ("logreg", "cbow", ["--window", "0"]),
+        ("logreg", "skipgram", ["--negatives", "0"]),
+        ("logreg", "cbow", ["--dim", "0"]),
+        ("knn", "skipgram", ["--embed-epochs", "-2"]),
         ("nb", "char2", ["--cap", "-5"]),
         ("logreg", "bow", ["--cap", "-1"]),
         ("mlp", "char1", ["--hidden", "0"]),
@@ -271,7 +275,7 @@ class TestTrainEvalPredict:
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         flag = flags[0].split("=")[0]
-        if flag in ("--alpha", "--lam"):
+        if flag in ("--alpha", "--lam", "--dim", "--window", "--negatives", "--embed-epochs"):
             assert flag in err
         assert not (tmp_path / "m.ndsl").exists()
 
@@ -297,6 +301,10 @@ class TestTrainEvalPredict:
         ["sweep", "--embed-dim", "-2"],
         ["sweep", "--batch-size", "0"],
         ["sweep", "--max-len", "0"],
+        ["train", "--model", "fasttext", "--features", "bow", "--dim", "0"],
+        ["train", "--model", "logreg", "--features", "cbow", "--window", "0"],
+        ["train", "--model", "logreg", "--features", "skipgram", "--negatives", "0"],
+        ["reduce", "--method", "pca", "--features", "cbow", "--dim", "-1"],
     ], ids=lambda v: " ".join(v))
     def test_size_flag_below_one_is_named(self, data_dir, tmp_path, capsys, argv):
         paths = {"train": ["--train", "train.tsv"], "reduce": ["--input", "train.tsv"],
@@ -308,6 +316,15 @@ class TestTrainEvalPredict:
         assert code == 3
         assert err == f"error: {argv[-2]} must be at least 1, got {argv[-1]}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("features", ["char1_5", "bow"])
+    def test_fasttext_vocabulary_is_capped(self, data_dir, tmp_path, features):
+        model_file = tmp_path / "m.ndsl"
+        assert main(["train", "--model", "fasttext", "--features", features, "--cap", "50",
+                     "--dim", "4", "--epochs", "1", "--train", str(data_dir / "train.tsv"),
+                     "--out", str(model_file)]) == 0
+        model = load_model(model_file).model
+        assert model.vocab.size == 50 and model.input_vectors.shape == (50, 4)
 
     @pytest.mark.parametrize("model,features,flags", [
         ("logreg", "bow", []),

@@ -15,8 +15,6 @@ from nordlid.corpus import ALPHABET, LABELS, Sentence
 from nordlid.embeddings import (
     EmbeddingConfig,
     SupervisedConfig,
-    fnv1a,
-    fnv1a_many,
     pair_score,
     sentence_embedding,
     subword_ngrams,
@@ -26,92 +24,83 @@ from nordlid.embeddings import (
     train_skipgram,
 )
 from nordlid.errors import EmptyVocabulary
-from nordlid.features import WordVocabulary, build_ngram_vocab, build_word_vocab, word_tokenize
+from nordlid.features import (
+    WordVocabulary,
+    build_ngram_vocab,
+    build_word_vocab,
+    gram_keys,
+    word_tokenize,
+)
 from nordlid.synth import generate_pools
 
 
 class TestSubwordNgrams:
     def test_short_word_with_default_range(self):
-        assert subword_ngrams("og", 3, 6) == ["<og", "og>", "<og>"]
+        assert subword_ngrams("og", 3, 6) == [" og", "og ", " og "]
 
     def test_empty_word_rejected(self):
         with pytest.raises(ValueError):
             subword_ngrams("")
 
     def test_word_shorter_than_min_window(self):
-        # marked token "<a>" has length 3 < nmin, so only the full token
-        assert subword_ngrams("a", 4, 5) == ["<a>"]
+        # the marked word " a " is shorter than nmin, so it has no gram
+        assert subword_ngrams("a", 4, 5) == []
 
     def test_longer_word_enumeration(self):
         got = subword_ngrams("dag", 3, 4)
-        assert got == ["<da", "dag", "ag>", "<dag", "dag>", "<dag>"]
+        assert got == [" da", "dag", "ag ", " dag", "dag "]
 
     def test_no_duplicates(self):
         got = subword_ngrams("aaa", 3, 6)
         assert len(got) == len(set(got))
 
 
-def test_fnv1a_reference_values():
-    # published FNV-1a 32-bit test vectors
-    assert fnv1a(b"") == 0x811C9DC5
-    assert fnv1a(b"a") == 0xE40C292C
-    assert fnv1a(b"foobar") == 0xBF9CF968
+def reference_bucket(gram: str) -> int:
+    """The bucket of one gram: its ``gram_keys`` key, hashed with Python
+    integers."""
+    (key,) = gram_keys([gram], len(gram), len(gram))[1].tolist()
+    return (key * 0x9E3779B97F4A7C15 % 2**64 >> 32) % embeddings.BUCKETS
 
 
-@pytest.mark.parametrize("texts", [
-    [], [""], ["a", "foobar", ""], ["<hej>", "rød", "grød>", "þórður", "\u2028x", "og" * 40],
-])
-def test_fnv1a_many_equals_fnv1a(texts):
-    assert fnv1a_many(texts).tolist() == [fnv1a(t.encode("utf-8")) for t in texts]
-
-
-def test_word_rows_follow_per_gram_fnv1a():
-    cfg = EmbeddingConfig(dim=4, epochs=0, subword_min=2, subword_max=4, bucket_count=97)
-    emb = train_skipgram(
-        [Sentence("hej med dig og hej igen", "dk"), Sentence("þórður rød grød", "is")], cfg
-    )
-    buckets = [[fnv1a(g.encode("utf-8")) % cfg.bucket_count for g in subword_ngrams(w, 2, 4)]
-               for w in emb.words]
-    occupied = sorted({b for word in buckets for b in word})
-    rows = {b: len(emb.words) + i for i, b in enumerate(occupied)}
-    assert emb.buckets.tolist() == occupied
-    assert len(emb.word_rows) == len(emb.words)
-    for i, word in enumerate(buckets):
-        assert emb.word_rows[i].dtype == np.int64
-        assert emb.word_rows[i].tolist() == [i] + [rows[b] for b in word]
-    assert emb.vectors.shape == (len(emb.words) + len(occupied), 4)
-
-
-def reference_subword_rows(words, cfg):
-    """``_subword_rows`` built word by word from ``subword_ngrams`` and ``fnv1a``."""
-    buckets = [[fnv1a(g.encode("utf-8")) % cfg.bucket_count
-                for g in subword_ngrams(w, cfg.subword_min, cfg.subword_max)] for w in words]
+def reference_subword_rows(words):
+    """``_subword_rows`` built word by word from ``subword_ngrams``."""
+    buckets = [[reference_bucket(g) for g in subword_ngrams(w, *embeddings.SUBWORD_ORDERS)]
+               for w in words]
     occupied = sorted({b for word in buckets for b in word})
     row = {b: len(words) + i for i, b in enumerate(occupied)}
     return [[i] + [row[b] for b in word] for i, word in enumerate(buckets)], occupied
 
 
-#: Words of any code points (no lone surrogates, which UTF-8 cannot encode),
-#: and words over a few characters of 1 to 4 UTF-8 bytes and the boundary
-#: marks, which repeat grams within a word.
-any_word = st.text(st.characters(codec="utf-8"), min_size=1, max_size=12)
-repeating_word = st.text("a<>þ€😀", min_size=1, max_size=14)
+def test_word_rows_follow_per_gram_hash():
+    corpus = [Sentence("hej med dig og hej igen", "dk"), Sentence("þórður rød grød", "is")]
+    with mock.patch.multiple(embeddings, SUBWORD_ORDERS=(2, 4), BUCKETS=97):
+        emb = train_skipgram(corpus, EmbeddingConfig(dim=4, epochs=0))
+        rows, occupied = reference_subword_rows(list(emb.vocab.entries))
+    assert emb.buckets.tolist() == occupied
+    assert [r.dtype for r in emb.word_rows] == [np.dtype(np.int64)] * emb.vocab.size
+    assert [r.tolist() for r in emb.word_rows] == rows
+    assert emb.vectors.shape == (emb.vocab.size + len(occupied), 4)
+
+
+#: Words of any alphabet characters, and words over a few characters,
+#: which repeat grams within a word.
+any_word = st.text(ALPHABET.replace(" ", ""), min_size=1, max_size=12)
+repeating_word = st.text("aøþ", min_size=1, max_size=14)
 
 
 @given(words=st.lists(st.one_of(any_word, repeating_word), min_size=1, max_size=12),
        orders=st.tuples(st.integers(1, 10), st.integers(0, 9)),
        bucket_count=st.sampled_from([1, 2, 7, 1 << 20]),
        block=st.integers(1, 5))
-@example(words=["aaaaaaa", "a", "og", "<a>", "aaaa"], orders=(3, 3), bucket_count=1 << 20,
+@example(words=["aaaaaaa", "a", "og", "ogog", "aaaa"], orders=(3, 3), bucket_count=1 << 20,
          block=2)
 @settings(max_examples=300, deadline=None)
 def test_subword_rows_equal_per_word_reference(words, orders, bucket_count, block):
     nmin, extra = orders
-    cfg = EmbeddingConfig(subword_min=nmin, subword_max=min(nmin + extra, 10),
-                          bucket_count=bucket_count)
-    with mock.patch.object(embeddings, "SUBWORD_BLOCK", block):
-        word_rows, occupied = embeddings._subword_rows(words, cfg)
-    rows, buckets = reference_subword_rows(words, cfg)
+    with mock.patch.multiple(embeddings, SUBWORD_BLOCK=block, BUCKETS=bucket_count,
+                             SUBWORD_ORDERS=(nmin, min(nmin + extra, 10))):
+        word_rows, occupied = embeddings._subword_rows(words)
+        rows, buckets = reference_subword_rows(words)
     assert occupied.dtype == np.int64 and occupied.tolist() == buckets
     assert [r.dtype for r in word_rows] == [np.dtype(np.int64)] * len(words)
     assert [r.tolist() for r in word_rows] == rows
@@ -123,11 +112,10 @@ def test_subword_rows_memory_is_bounded_by_blocks():
     result; a pass over every word at once held each character position's
     arrays for the whole vocabulary and peaked at four times the result."""
     pools = generate_pools(1000, "wiki", seed=0)
-    words, _ = embeddings._vocab_words([word_tokenize(s.text) for p in pools.values() for s in p])
-    cfg = EmbeddingConfig(dim=4)
+    words = list(build_word_vocab([s for p in pools.values() for s in p]).entries)
     tracemalloc.start()
     try:
-        result = embeddings._subword_rows(words, cfg)
+        result = embeddings._subword_rows(words)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -173,14 +161,14 @@ class TestSkipgram:
         with pytest.raises(EmptyVocabulary):
             train_skipgram([], EmbeddingConfig(epochs=1))
 
-    def test_mode_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            train_skipgram(repeated_pair_corpus(), EmbeddingConfig(mode="cbow"))
+    def test_word_outside_the_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="alphabet"):
+            train_skipgram([Sentence("hej Du", "dk")], EmbeddingConfig(epochs=0))
 
     def test_word_vector_composes_subwords(self):
         cfg = EmbeddingConfig(dim=4, epochs=0, seed=7)
         emb = train_skipgram([Sentence("hej du", "dk")] * 3, cfg)
-        i = emb.word_index["hej"]
+        i = emb.vocab.index("hej")
         rows = emb.word_rows[i]
         assert len(rows) > 1  # own row plus subword buckets
         assert np.allclose(emb.composed[i], emb.vectors[rows].mean(axis=0))
@@ -188,19 +176,19 @@ class TestSkipgram:
 
 class TestCbow:
     def test_zero_epochs_equals_seeded_init(self):
-        cfg = EmbeddingConfig(mode="cbow", dim=8, epochs=0, seed=8)
+        cfg = EmbeddingConfig(dim=8, epochs=0, seed=8)
         a = train_cbow(repeated_pair_corpus(), cfg)
         assert a.vectors.shape == (2, 8)  # no subword rows in cbow mode
 
     def test_loss_decreases_and_pair_score_learned(self):
         corpus = repeated_pair_corpus() + [Sentence("x y", "sv")] * 120
-        cfg = EmbeddingConfig(mode="cbow", dim=16, epochs=8, window=1, negatives=3, seed=9)
+        cfg = EmbeddingConfig(dim=16, epochs=8, window=1, negatives=3, seed=9)
         emb = train_cbow(corpus, cfg)
         assert emb.epoch_losses[-1] < emb.epoch_losses[0]
         assert pair_score(emb, "a", "b") > pair_score(emb, "a", "y")
 
     def test_determinism(self):
-        cfg = EmbeddingConfig(mode="cbow", dim=8, epochs=2, seed=10)
+        cfg = EmbeddingConfig(dim=8, epochs=2, seed=10)
         a = train_cbow(repeated_pair_corpus(), cfg)
         b = train_cbow(repeated_pair_corpus(), cfg)
         assert np.array_equal(a.vectors, b.vectors)
@@ -208,18 +196,18 @@ class TestCbow:
 
 class TestSentenceEmbedding:
     def test_unknown_words_give_zero_vector(self):
-        emb = train_cbow(repeated_pair_corpus(), EmbeddingConfig(mode="cbow", dim=8, epochs=0))
+        emb = train_cbow(repeated_pair_corpus(), EmbeddingConfig(dim=8, epochs=0))
         assert np.all(sentence_embedding("q r s", emb) == 0.0)
 
     def test_single_known_word(self):
-        emb = train_cbow(repeated_pair_corpus(), EmbeddingConfig(mode="cbow", dim=8, epochs=0))
+        emb = train_cbow(repeated_pair_corpus(), EmbeddingConfig(dim=8, epochs=0))
         vec = sentence_embedding("a", emb)
-        assert np.array_equal(vec, emb.composed[emb.word_index["a"]])
+        assert np.array_equal(vec, emb.composed[emb.vocab.index("a")])
 
     def test_mean_of_two_words(self):
-        emb = train_cbow(repeated_pair_corpus(), EmbeddingConfig(mode="cbow", dim=8, epochs=0))
+        emb = train_cbow(repeated_pair_corpus(), EmbeddingConfig(dim=8, epochs=0))
         vec = sentence_embedding("a b", emb)
-        manual = (emb.composed[emb.word_index["a"]] + emb.composed[emb.word_index["b"]]) / 2
+        manual = (emb.composed[emb.vocab.index("a")] + emb.composed[emb.vocab.index("b")]) / 2
         assert np.allclose(vec, manual, atol=1e-12)
 
 
@@ -320,14 +308,9 @@ class TestFastTextSupervised:
 
 def test_embedding_config_validation():
     with pytest.raises(ValueError):
-        EmbeddingConfig(mode="glove")
-    with pytest.raises(ValueError):
         EmbeddingConfig(window=0)
     with pytest.raises(ValueError):
-        EmbeddingConfig(subword_min=4, subword_max=3)
-    for bucket_count in (0, -5):  # no bucket, or negative bucket ids
-        with pytest.raises(ValueError, match="bucket_count"):
-            EmbeddingConfig(bucket_count=bucket_count)
+        EmbeddingConfig(negatives=0)
 
 
 @pytest.mark.parametrize("config,kwargs", [
@@ -491,19 +474,19 @@ def test_char_training_equals_string_training(synth_corpus):
 # ---------------------------------------------------------------------------
 
 
-def reference_embedding(corpus, cfg):
+def reference_embedding(corpus, cfg, mode):
     """``(vectors, output_vectors, epoch_losses)`` trained by plain loops.
 
     Every example's gradient is taken at the parameters as they stand at
     its sentence's start; the sums are applied once the sentence is done.
     """
-    train = train_skipgram if cfg.mode == "skipgram" else train_cbow
+    train = train_skipgram if mode == "skipgram" else train_cbow
     start = train(corpus, replace(cfg, epochs=0))
     vectors, outputs = start.vectors.copy(), start.output_vectors.copy()
     sentences = [word_tokenize(s.text) for s in corpus]
-    ids = [[start.word_index[w] for w in tokens] for tokens in sentences if tokens]
+    ids = [[start.vocab.index(w) for w in tokens] for tokens in sentences if tokens]
     counts = Counter(w for tokens in sentences for w in tokens)
-    weights = np.array([counts[w] for w in start.words], dtype=np.float64) ** 0.75
+    weights = np.array([counts[w] for w in start.vocab.entries], dtype=np.float64) ** 0.75
     table = np.cumsum(weights / weights.sum())
     rng = np.random.default_rng(cfg.seed + 1)
     total = sum(map(len, ids)) * cfg.epochs
@@ -516,7 +499,7 @@ def reference_embedding(corpus, cfg):
             for t, center in enumerate(tokens):
                 context = [tokens[j] for j in range(t - reach[t], t + reach[t] + 1)
                            if j != t and 0 <= j < len(tokens)]
-                if cfg.mode == "skipgram":
+                if mode == "skipgram":
                     examples += [(t, start.word_rows[center], word) for word in context]
                 elif context:
                     examples.append((t, np.array(context), center))
@@ -542,17 +525,17 @@ def reference_embedding(corpus, cfg):
     return vectors, outputs, losses
 
 
-@pytest.mark.parametrize("mode,bucket_count", [
+@pytest.mark.parametrize("mode,buckets", [
     ("skipgram", 1 << 20), ("skipgram", 2), ("cbow", 1 << 20),
 ], ids=["skipgram", "skipgram-2-buckets", "cbow"])
-def test_sentence_steps_equal_per_example_reference(synth_corpus, mode, bucket_count):
+def test_sentence_steps_equal_per_example_reference(synth_corpus, mode, buckets):
     """Two buckets make most subword rows collide within a sentence, so a
     buffered ``vectors[rows] -= g`` that drops repeats fails here."""
     corpus = synth_corpus[::3] + [Sentence("og du og du og", "dk"), Sentence("hej", "sv")]
-    cfg = EmbeddingConfig(mode=mode, dim=6, window=2, negatives=3, epochs=2,
-                          learning_rate=0.5, bucket_count=bucket_count, seed=3)
-    emb = (train_skipgram if mode == "skipgram" else train_cbow)(corpus, cfg)
-    vectors, outputs, losses = reference_embedding(corpus, cfg)
+    cfg = EmbeddingConfig(dim=6, window=2, negatives=3, epochs=2, learning_rate=0.5, seed=3)
+    with mock.patch.object(embeddings, "BUCKETS", buckets):
+        emb = (train_skipgram if mode == "skipgram" else train_cbow)(corpus, cfg)
+        vectors, outputs, losses = reference_embedding(corpus, cfg, mode)
     assert np.abs(emb.output_vectors).max() > 0.05  # the steps are not negligible
     np.testing.assert_allclose(emb.vectors, vectors, rtol=0, atol=1e-12)
     np.testing.assert_allclose(emb.output_vectors, outputs, rtol=0, atol=1e-12)
@@ -565,8 +548,8 @@ def test_negative_equal_to_its_target_changes_nothing(mode):
     trains like one, and only the targets move the output row."""
     corpus = [Sentence("ja ja ja ja", "dk")] * 3
     train = train_skipgram if mode == "skipgram" else train_cbow
-    runs = [train(corpus, EmbeddingConfig(mode=mode, dim=4, window=1, negatives=k,
-                                          epochs=2, learning_rate=0.5, seed=2))
+    runs = [train(corpus, EmbeddingConfig(dim=4, window=1, negatives=k, epochs=2,
+                                          learning_rate=0.5, seed=2))
             for k in (1, 4)]
     assert np.array_equal(runs[0].vectors, runs[1].vectors)
     assert np.array_equal(runs[0].output_vectors, runs[1].output_vectors)
@@ -578,8 +561,18 @@ def test_negative_equal_to_its_target_changes_nothing(mode):
 
 @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
 def test_composed_is_mean_of_word_rows(synth_corpus, mode):
-    cfg = EmbeddingConfig(mode=mode, dim=5, window=2, negatives=2, epochs=1, seed=4)
+    cfg = EmbeddingConfig(dim=5, window=2, negatives=2, epochs=1, seed=4)
     emb = (train_skipgram if mode == "skipgram" else train_cbow)(synth_corpus, cfg)
     for i, rows in enumerate(emb.word_rows):
         np.testing.assert_allclose(emb.composed[i], emb.vectors[rows].mean(axis=0),
                                    rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("train", [train_skipgram, train_cbow], ids=["skipgram", "cbow"])
+def test_word_ranks_equal_build_word_vocab(synth_corpus, train):
+    """Words by descending count, ties in string order, as every word
+    feature ranks them."""
+    emb = train(synth_corpus, EmbeddingConfig(dim=2, epochs=0))
+    counts = Counter(w for s in synth_corpus for w in s.text.split(" ") if w)
+    assert emb.vocab.entries == build_word_vocab(synth_corpus).entries
+    assert list(emb.vocab.entries) == sorted(counts, key=lambda w: (-counts[w], w))

@@ -161,7 +161,7 @@ def test_fasttext_rows_must_match_features(tmp_path, corpus, mode):
 
 
 def test_embedding_feature_roundtrip(tmp_path, corpus):
-    emb_cfg = embeddings.EmbeddingConfig(mode="cbow", dim=8, epochs=1, seed=6)
+    emb_cfg = embeddings.EmbeddingConfig(dim=8, epochs=1, seed=6)
     matrix = embeddings.train_cbow(corpus, emb_cfg)
     feature = VectorFeature.of_embedding(matrix)
     x = feature.matrix(corpus)
@@ -169,7 +169,7 @@ def test_embedding_feature_roundtrip(tmp_path, corpus):
     pipeline = PipelineModel("logreg", 6, model, feature)
     loaded = roundtrip(pipeline, tmp_path, corpus)
     assert np.array_equal(loaded.feature.vectors, matrix.composed)
-    assert loaded.feature.vocab.entries == {w: i + 1 for i, w in enumerate(matrix.words)}
+    assert loaded.feature.vocab.entries == matrix.vocab.entries
 
 
 def test_bow_feature_roundtrip(tmp_path, corpus):
@@ -304,7 +304,7 @@ def batch_cases(corpus):
     raw3 = VectorFeature("char3", False, char3.vocab)
     bow = VectorFeature("bow", True, build_word_vocab(corpus))
     cbow = VectorFeature.of_embedding(
-        embeddings.train_cbow(corpus, embeddings.EmbeddingConfig(mode="cbow", dim=8, epochs=1)))
+        embeddings.train_cbow(corpus, embeddings.EmbeddingConfig(dim=8, epochs=1)))
     skipgram = VectorFeature.of_embedding(
         embeddings.train_skipgram(corpus, embeddings.EmbeddingConfig(dim=8, epochs=1)))
     cnn_cfg = neural.TrainConfig(learning_rate=0.05, epochs=2, seed=4, max_len=16)
@@ -360,7 +360,7 @@ def test_embedding_design_equals_per_line_sentence_embedding(corpus, mode, dim):
     empty line and lines with no known word. With dim 1, numpy averages a
     single column pairwise, which the batch path must match too."""
     train = embeddings.train_cbow if mode == "cbow" else embeddings.train_skipgram
-    emb = train(corpus, embeddings.EmbeddingConfig(mode=mode, dim=dim, epochs=1, seed=dim))
+    emb = train(corpus, embeddings.EmbeddingConfig(dim=dim, epochs=1, seed=dim))
     feature = VectorFeature.of_embedding(emb)
     texts = [s.text for s in corpus]
     lines = ["", "qqq zzz", " "] + [
