@@ -14,7 +14,7 @@ import random
 import sys
 from pathlib import Path
 
-from . import classifiers, embeddings, evaluation, neural, reduce
+from . import embeddings, evaluation, neural, reduce
 from .corpus import (
     ALPHABET,
     DEFAULT_ABBREVIATIONS,
@@ -59,12 +59,14 @@ from .features import (
 )
 from .modelio import (
     EMBEDDING_FEATURES,
+    MODEL_KINDS,
     NGRAM_FEATURES,
     PipelineModel,
     VectorFeature,
     check_compatibility,
     load_model,
     save_model,
+    train_config,
 )
 
 INPUT_ERRORS = (
@@ -153,12 +155,16 @@ def _count_vocab(features: str, dataset: Dataset, cap: int | None):
     return build_ngram_vocab(dataset, NGRAM_FEATURES[features], cap=cap)
 
 
-def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeature:
-    """The feature the flags ask for, fitted to ``dataset``.
+def _build_vector_feature(args, dataset: Dataset, normalize: bool) -> VectorFeature:
+    """The feature the flags ask for, fitted to ``dataset``; ``normalize``
+    L1-normalises a count feature's rows.
 
-    Raises EmptyVocabulary when the dataset yields no n-gram or word.
+    Raises EmptyVocabulary when the dataset yields no n-gram or word, and
+    ValueError when ``--cap`` is given for an embedding feature.
     """
     if args.features in EMBEDDING_FEATURES:
+        if args.cap is not None:
+            raise ValueError(f"--cap does not apply to --features {args.features}")
         cfg = embeddings.EmbeddingConfig(
             dim=args.dim,
             window=args.window,
@@ -169,23 +175,11 @@ def _build_vector_feature(args, dataset: Dataset, model_kind: str) -> VectorFeat
         )
         trainer = embeddings.train_cbow if args.features == "cbow" else embeddings.train_skipgram
         return VectorFeature.of_embedding(trainer(dataset, cfg))
-    normalize = model_kind != "nb" and not args.raw_counts
     vocab = _count_vocab(args.features, dataset, args.cap)
     feature = VectorFeature(args.features, normalize, vocab)
     if not feature.dim:
         raise EmptyVocabulary(f"corpus contains no {args.features} features")
     return feature
-
-
-def _train_config(args, learning_rate: float, epochs: int) -> neural.TrainConfig:
-    """The flags' ``neural.TrainConfig``; unset ``--lr``/``--epochs`` take the given defaults."""
-    return neural.TrainConfig(
-        args.lr if args.lr is not None else learning_rate,
-        args.epochs if args.epochs is not None else epochs,
-        args.batch_size,
-        args.seed,
-        args.max_len,
-    )
 
 
 def cmd_train(args) -> int:
@@ -196,55 +190,21 @@ def cmd_train(args) -> int:
         raise ValueError(f"--alpha must be finite and >= 0, got {args.alpha}")
     if not 0 < args.lam < float("inf"):
         raise ValueError(f"--lam must be finite and > 0, got {args.lam}")
+    kind = MODEL_KINDS[args.model]
     dataset = load_dataset_tsv(args.train)
-    if args.model == "cnn":
-        model = neural.cnn_train(
-            dataset.sentences,
-            _train_config(args, learning_rate=0.05, epochs=5),
-            gram=NGRAM_FEATURES[args.features][0],
-            kernel=args.kernel,
-            filters=args.filters,
-            embed_dim=args.embed_dim,
-            vocab_cap=args.cap,
-        )
-        pipeline = PipelineModel("cnn", args.seed, model)
-    elif args.model == "fasttext":
-        cfg = embeddings.SupervisedConfig(
-            dim=args.dim,
-            epochs=args.epochs if args.epochs is not None else 5,
-            learning_rate=args.lr if args.lr is not None else 0.1,
-            seed=args.seed,
-        )
-        vocab = _count_vocab(args.features, dataset, args.cap)
-        model = embeddings.train_fasttext_supervised(dataset, cfg, vocab)
-        pipeline = PipelineModel("fasttext", args.seed, model)
+    if kind.reads_text:
+        feature, inputs = None, dataset.sentences
     else:
-        feature = _build_vector_feature(args, dataset, args.model)
-        # KNN keeps CSR training vectors, so its design is never dense
-        x = feature.matrix(dataset, sparse=args.model == "knn")
-        y = label_indices(dataset)
-        if args.model == "knn":
-            model = classifiers.train_knn(x, y, k=args.k)
-        elif args.model == "logreg":
-            model = classifiers.train_logreg(
-                x, y,
-                learning_rate=args.lr if args.lr is not None else 0.5,
-                epochs=args.epochs if args.epochs is not None else 500,
-            )
-        elif args.model == "nb":
-            model = classifiers.train_nb(x, y, alpha=args.alpha)
-        elif args.model == "svm":
-            model = classifiers.train_svm(
-                x, y,
-                lam=args.lam,
-                epochs=args.epochs if args.epochs is not None else 10,
-                seed=args.seed,
-            )
-        else:  # mlp
-            cfg = _train_config(args, learning_rate=0.1, epochs=10)
-            model = neural.mlp_train(x, y, hidden=(args.hidden,), cfg=cfg)
-        pipeline = PipelineModel(args.model, args.seed, model, feature)
-    save_model(pipeline, args.out)
+        normalize = not args.raw_counts if kind.normalize is None else kind.normalize
+        feature = _build_vector_feature(args, dataset, normalize)
+        inputs = feature.matrix(dataset, sparse=kind.sparse)
+    if args.model == "fasttext":  # TEMP: trained from text until the trainer reads CSR rows
+        model = embeddings.train_fasttext_supervised(dataset, embeddings.SupervisedConfig(
+            dim=args.dim, epochs=args.epochs if args.epochs is not None else 5,
+            learning_rate=args.lr if args.lr is not None else 0.1, seed=args.seed), feature.vocab)
+    else:
+        model = kind.train(inputs, label_indices(dataset), args)
+    save_model(PipelineModel(args.model, args.seed, model, feature), args.out)
     print(f"trained {args.model} on {len(dataset)} sentences -> {args.out}")
     return 0
 
@@ -305,7 +265,7 @@ def cmd_reduce(args) -> int:
         rng = random.Random(args.seed)
         sentences = rng.sample(sentences, args.max_points)
     subset = Dataset(tuple(sentences), seed=args.seed)
-    feature = _build_vector_feature(args, subset, "reduce")
+    feature = _build_vector_feature(args, subset, not args.raw_counts)
     x = feature.matrix(subset)  # PCA keeps a CSR matrix; t-SNE needs dense rows
     if args.method == "pca":
         coords = reduce.pca_project(x, m=2)
@@ -329,7 +289,7 @@ def cmd_sweep(args) -> int:
     kernels = [int(k) for k in args.kernels.split(",")]
     result = neural.kernel_size_sweep(
         train.sentences, test.sentences, grams, kernels,
-        _train_config(args, learning_rate=0.05, epochs=5),
+        train_config(args, learning_rate=0.05, epochs=5),
         filters=args.filters, embed_dim=args.embed_dim,
     )
     Path(args.out).write_text(result.to_csv(), encoding="utf-8", newline="\n")
@@ -411,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     tatoeba.set_defaults(func=cmd_corpus_tatoeba)
 
     train = sub.add_parser("train", help="train a classifier")
-    train.add_argument("--model", required=True,
-                       choices=["knn", "logreg", "nb", "svm", "mlp", "cnn", "fasttext"])
+    train.add_argument("--model", required=True, choices=list(MODEL_KINDS))
     train.add_argument("--features", required=True,
                        choices=["char1", "char2", "char3", "bow", "cbow", "skipgram", "char1_5"])
     train.add_argument("--train", required=True)

@@ -16,8 +16,12 @@ et al. 2017, "Enriching Word Vectors with Subword Information"). The
 word's own row stands for the whole word. Each gram's
 :func:`features.gram_keys` key is hashed into one of ``BUCKETS``
 buckets, and only occupied buckets get a row. A text's sentence vector
-is the mean of its known words' composed vectors; :func:`_line_means`
-takes those means for a block of texts at once.
+is the mean of its known words' composed vectors: its row of
+L1-normalised word counts times ``composed``.
+
+The supervised classifier (fastText) is linear in those counts too: it
+scores ``softmax(x @ input_vectors @ output_weights + output_bias)`` for
+a design ``x`` of L1-normalised ``bow`` or ``char1_5`` counts.
 """
 
 from __future__ import annotations
@@ -31,8 +35,10 @@ from .corpus import Sentence
 from .errors import EmptyVocabulary
 from .features import (
     N_CLASSES,
+    CsrMatrix,
     Vocabulary,
     WordVocabulary,
+    as_csr,
     build_word_vocab,
     check_learning_rate,
     gram_keys,
@@ -311,59 +317,25 @@ def sentence_embedding(text: str, emb: EmbeddingMatrix) -> np.ndarray:
 class FastTextClassifier:
     """Softmax over a mean feature embedding times a linear output layer.
 
-    Row j of ``input_vectors`` embeds column j of ``vocab``: a word, or an
-    n-gram of orders 1..5 (Joulin et al. 2017). The output bias is kept at
-    zero so that inputs with no known features always yield a uniform
-    posterior.
+    Row j of ``input_vectors`` embeds column j of the model's feature: a
+    word, or an n-gram of orders 1..5 (Joulin et al. 2017). The output
+    bias is kept at zero so that inputs with no known features always
+    yield a uniform posterior.
     """
 
-    vocab: Vocabulary
     input_vectors: np.ndarray  # V x d
     output_weights: np.ndarray  # d x 6
     output_bias: np.ndarray  # 6
     epoch_losses: list[float] = field(default_factory=list)
 
-    def scores(self, texts: list[str]) -> np.ndarray:
-        """Posterior of every cleaned text, n x 6.
+    def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
+        """Posterior of every row of an n x V design of L1-normalised counts, n x 6.
 
-        Equal bit for bit to scoring each text alone: the mean of its rows
-        as ``input_vectors[ids].mean(axis=0)`` takes it (the zero vector
-        for none), times ``output_weights`` as a 1-D product per text (a
-        batched product rounds differently), plus the bias, through the
-        softmax.
+        The design is read as CSR, so that a row's mean embedding has the
+        same bits in any block of rows.
         """
-        means = _line_means(self.input_vectors, *ngram_hits(texts, self.vocab), len(texts))
-        logits = np.array([mean @ self.output_weights for mean in means])
-        return softmax(logits.reshape(len(texts), N_CLASSES) + self.output_bias)
-
-
-def _line_means(vectors: np.ndarray, lines: np.ndarray, rows: np.ndarray,
-                n_lines: int) -> np.ndarray:
-    """Mean of the ``vectors`` rows of each line, zero for a line with none.
-
-    ``lines`` (ascending) and ``rows`` list each line's rows in order. A
-    mean sums them one after another, starting from -0.0, and divides by
-    their count, as numpy's ``mean(axis=0)`` over two or more columns
-    does, so the means equal per-line ones bit for bit. Lines go longest
-    first, so that the j-th rows of the lines still running are a prefix
-    of them. numpy sums a single column pairwise instead, so with one
-    column each line is averaged on its own.
-    """
-    counts = np.bincount(lines, minlength=n_lines)
-    starts = np.cumsum(counts) - counts
-    if vectors.shape[1] == 1:
-        return np.array([vectors[rows[s : s + c]].mean(axis=0) if c else np.zeros(1)
-                         for s, c in zip(starts, counts)]).reshape(n_lines, 1)
-    longest = np.argsort(-counts, kind="stable")
-    counts, starts = counts[longest], starts[longest]
-    sums = np.full((n_lines, vectors.shape[1]), -0.0)
-    for j in range(counts.max(initial=0)):
-        running = np.searchsorted(-counts, -j)  # lines with more than j rows
-        sums[:running] += vectors[rows[starts[:running] + j]]
-    means = np.zeros_like(sums)
-    means[longest] = np.divide(sums, counts[:, None], out=np.zeros_like(sums),
-                               where=counts[:, None] > 0)
-    return means
+        hidden = as_csr(x) @ self.input_vectors
+        return softmax(hidden @ self.output_weights + self.output_bias)
 
 
 @dataclass(frozen=True)
@@ -394,9 +366,7 @@ def train_fasttext_supervised(
     doc_ids = np.split(columns, np.cumsum(np.bincount(lines, minlength=len(train)))[:-1])
     rng = np.random.default_rng(cfg.seed)
     input_vectors = rng.uniform(-1.0 / cfg.dim, 1.0 / cfg.dim, size=(vocab.size, cfg.dim))
-    model = FastTextClassifier(
-        vocab, input_vectors, np.zeros((cfg.dim, N_CLASSES)), np.zeros(N_CLASSES)
-    )
+    model = FastTextClassifier(input_vectors, np.zeros((cfg.dim, N_CLASSES)), np.zeros(N_CLASSES))
     label_arr = label_indices(train)
     order_rng = np.random.default_rng(cfg.seed + 1)
     n = len(train)

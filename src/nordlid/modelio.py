@@ -1,18 +1,19 @@
 """Versioned model container: save and load every trained model kind.
 
-File layout (``NDSL3``), after numpy's ``.npy`` format:
+File layout (``NDSL4``), after numpy's ``.npy`` format:
 
-- line 1: the magic ``NDSL3``;
+- line 1: the magic ``NDSL4``;
 - line 2: the header, one JSON object with sorted keys. It holds the
-  model kind, the feature pipeline (``VectorFeature``, or null for the CNN
-  and fastText) and the model's ``params``. The feature and the params
-  are the fields of their classes (``MODEL_CLASSES`` for a model) but the
-  training records, the fields with a default factory. An array field is
+  model kind, the feature pipeline (``VectorFeature``, or null for the
+  CNN, which reads text itself) and the model's ``params``. The feature
+  and the params are the fields of their classes (``MODEL_KINDS`` names
+  a model's) but the training records, the fields with a default
+  factory. An array field is
   saved as one ``{"dtype", "shape", "offset"}`` descriptor (null for an
   absent one), a list of arrays as a list of them, a ``CsrMatrix`` (KNN's
   training vectors) as ``{"shape", "indptr", "indices", "data"}`` with one
   descriptor for each of its three arrays, and a scalar as itself. Every
-  ``vocab``, a feature's, the CNN's or fastText's, has one codec: an
+  ``vocab``, a feature's or the CNN's, has one codec: an
   ``NgramVocabulary`` is an ``{"orders", "keys"}`` object, ``[nmin,
   nmax]`` and one ``<i8`` descriptor of its n-gram keys in column order,
   and a ``WordVocabulary`` the list of its words in column order.
@@ -25,8 +26,8 @@ File layout (``NDSL3``), after numpy's ``.npy`` format:
 
 Loading reads the file into one buffer and makes every array a view of
 it, writable and 8-byte aligned, so a save/load round trip reproduces
-predictions bit for bit. Files of the older ``NDSL1`` and ``NDSL2``
-layouts are refused; retrain to get a current file.
+predictions bit for bit. Files of the older ``NDSL1``, ``NDSL2`` and
+``NDSL3`` layouts are refused; retrain to get a current file.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -44,16 +45,15 @@ from . import classifiers, embeddings, neural
 from .corpus import LABELS, Sentence, clean_sentence
 from .errors import IncompatibleSpec, ModelFormatError
 from .features import (
+    BATCH_LINES,
     CsrMatrix,
     NgramVocabulary,
     Vocabulary,
     WordVocabulary,
     count_matrix,
-    ngram_hits,
-    texts_of,
 )
 
-MAGIC = "NDSL3"
+MAGIC = "NDSL4"
 #: Array element types; both are 8 bytes wide.
 DTYPES = ("<f8", "<i8")
 #: Alignment of the array section and of every array in it, in bytes.
@@ -64,16 +64,6 @@ VECTOR_FEATURES = ("char1", "char2", "char3", "bow", "cbow", "skipgram")
 NGRAM_FEATURES = {"char1": (1, 1), "char2": (2, 2), "char3": (3, 3), "char1_5": (1, 5)}
 #: Features that give each text the mean of its words' trained vectors.
 EMBEDDING_FEATURES = ("cbow", "skipgram")
-#: CNN consumes token sequences of these orders; others consume vectors.
-MODEL_FEATURES = {
-    "knn": VECTOR_FEATURES,
-    "logreg": VECTOR_FEATURES,
-    "nb": ("char1", "char2", "char3", "bow"),  # needs non-negative counts
-    "svm": VECTOR_FEATURES,
-    "mlp": VECTOR_FEATURES,
-    "cnn": ("char1", "char2", "char3"),
-    "fasttext": ("bow", "char1_5"),
-}
 
 
 def _enc(arrays: list[np.ndarray], array: np.ndarray) -> dict:
@@ -127,11 +117,11 @@ def _dec(section: _Section, obj: dict) -> np.ndarray:
 
 @dataclass
 class VectorFeature:
-    """Text -> feature vector transform bundled with vector classifiers.
+    """Text -> feature vector transform bundled with every model but the CNN.
 
-    A count feature (char1-3, bow) counts the columns of ``vocab``; an
-    embedding feature (cbow, skipgram) holds the composed vector of each
-    word of ``vocab`` in ``vectors``, row j for column j.
+    A count feature (char1-3, char1_5, bow) counts the columns of
+    ``vocab``; an embedding feature (cbow, skipgram) holds the composed
+    vector of each word of ``vocab`` in ``vectors``, row j for column j.
     """
 
     type: str
@@ -142,7 +132,7 @@ class VectorFeature:
     @classmethod
     def of_embedding(cls, emb: embeddings.EmbeddingMatrix) -> "VectorFeature":
         """The feature of a trained embedding: its words and composed vectors."""
-        return cls(emb.mode, False, emb.vocab, emb.composed)
+        return cls(emb.mode, True, emb.vocab, emb.composed)
 
     @property
     def dim(self) -> int:
@@ -152,19 +142,13 @@ class VectorFeature:
         """Design matrix of sentences or cleaned strings, one row each.
 
         Counts come from :func:`count_matrix`, as CSR whatever their
-        density when ``sparse`` is set; embedding features give each text
-        its dense sentence vector, the mean of its known words' vectors,
-        equal bit for bit to :func:`embeddings.sentence_embedding`.
+        density when ``sparse`` is set. An embedding feature multiplies
+        its CSR counts by ``vectors``, which for normalised counts gives
+        each text the mean of its known words' vectors, dense.
         """
         if self.vectors is None:
             return count_matrix(texts, self.vocab, self.normalize, sparse)
-        texts = texts_of(texts)
-        return embeddings._line_means(self.vectors, *ngram_hits(texts, self.vocab), len(texts))
-
-
-#: Lines scored per block, so that design matrices and CNN activations
-#: stay bounded whatever the input size. A char2 block takes 11 MB dense.
-BATCH_LINES = 1024
+        return count_matrix(texts, self.vocab, self.normalize, sparse=True) @ self.vectors
 
 
 @dataclass
@@ -192,7 +176,7 @@ class PipelineModel:
         return scores
 
     def _block_scores(self, texts: list[str]) -> np.ndarray:
-        if self.feature is None:  # cnn and fasttext featurize text themselves
+        if self.feature is None:  # the CNN reads token sequences
             return self.model.scores(texts)
         return self.model.scores(self.feature.matrix(texts))
 
@@ -205,27 +189,124 @@ class PipelineModel:
         return self.labels([raw_text])[0]
 
 
+def _given(value, default):
+    return default if value is None else value
+
+
+def train_config(flags, learning_rate: float, epochs: int) -> neural.TrainConfig:
+    """The flags' ``neural.TrainConfig``; unset ``--lr``/``--epochs`` take the given defaults."""
+    return neural.TrainConfig(_given(flags.lr, learning_rate), _given(flags.epochs, epochs),
+                              flags.batch_size, flags.seed, flags.max_len)
+
+
+def _check_knn(model: classifiers.KnnModel) -> None:
+    """A KNN model holds one label index per training vector, a k within
+    their count, and training vectors of finite squared norm."""
+    labels = model.labels
+    if labels.dtype.kind != "i" or labels.shape != model.vectors.shape[:1]:
+        raise ModelFormatError("knn labels are not one integer per training vector")
+    if not _is_count(model.k) or not 1 <= model.k <= labels.size:
+        raise ModelFormatError(f"knn k {model.k!r} is not in 1..{labels.size}")
+    if not 0 <= labels.min() <= labels.max() < len(LABELS):
+        raise ModelFormatError(f"knn labels are not label indices 0..{len(LABELS) - 1}")
+    if not np.isfinite(model.vectors.row_sq_norms()).all():
+        raise ModelFormatError("knn training vectors have a squared norm that is not finite")
+
+
+def _check_cnn(model: neural.CnnModel) -> None:
+    """A CNN's sequences are as long as its filters at least."""
+    if not _is_count(model.max_len) or model.max_len < model.filters.shape[1]:
+        raise ModelFormatError(f"cnn max_len {model.max_len!r} is shorter than its filters")
+
+
+def _check_fasttext(model: embeddings.FastTextClassifier) -> None:
+    """A fastText output layer maps its input rows' width to the six labels."""
+    if (model.output_weights.shape != (model.input_vectors.shape[1], len(LABELS))
+            or model.output_bias.shape != (len(LABELS),)):
+        raise ModelFormatError("fasttext output layer does not fit its input vectors")
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    """What the program knows of one model kind.
+
+    ``features`` are the ``--features`` it takes. ``width`` gives the
+    width of a trained model's inputs: its feature's vectors, or the
+    CNN's vocabulary size. ``train`` fits a model to a design matrix
+    (the CNN to the sentences), label indices and the ``train`` flags,
+    with the kind's default for each unset flag. A ``reads_text`` kind
+    has no feature and scores text itself. ``sparse`` keeps the training
+    design CSR whatever its density; ``normalize`` fixes whether count
+    features are L1-normalised, None leaving it to ``--raw-counts``.
+    ``check`` raises ModelFormatError unless a loaded model holds
+    together.
+    """
+
+    cls: type
+    features: tuple[str, ...]
+    width: Callable[[object], int]
+    train: Callable[[object, np.ndarray, object], object]
+    check: Callable[[object], None] = lambda model: None
+    reads_text: bool = False
+    sparse: bool = False
+    normalize: bool | None = None
+
+
+#: Every model kind, by name.
+MODEL_KINDS = {
+    "knn": ModelKind(
+        classifiers.KnnModel, VECTOR_FEATURES, lambda m: m.vectors.shape[1],
+        lambda x, y, flags: classifiers.train_knn(x, y, k=flags.k),
+        check=_check_knn, sparse=True,  # KNN keeps CSR training vectors
+    ),
+    "logreg": ModelKind(
+        classifiers.LogRegModel, VECTOR_FEATURES, lambda m: m.theta.shape[1] - 1,
+        lambda x, y, flags: classifiers.train_logreg(
+            x, y, learning_rate=_given(flags.lr, 0.5), epochs=_given(flags.epochs, 500)),
+    ),
+    "nb": ModelKind(
+        classifiers.NbModel, ("char1", "char2", "char3", "bow"),  # needs non-negative counts
+        lambda m: m.log_likelihoods.shape[1],
+        lambda x, y, flags: classifiers.train_nb(x, y, alpha=flags.alpha),
+        normalize=False,
+    ),
+    "svm": ModelKind(
+        classifiers.SvmModel, VECTOR_FEATURES, lambda m: m.weights.shape[1],
+        lambda x, y, flags: classifiers.train_svm(
+            x, y, lam=flags.lam, epochs=_given(flags.epochs, 10), seed=flags.seed),
+    ),
+    "mlp": ModelKind(
+        neural.MlpModel, VECTOR_FEATURES, lambda m: m.weights[0].shape[1],
+        lambda x, y, flags: neural.mlp_train(
+            x, y, hidden=(flags.hidden,), cfg=train_config(flags, 0.1, 10)),
+    ),
+    "cnn": ModelKind(
+        neural.CnnModel, ("char1", "char2", "char3"), lambda m: m.embeddings.shape[0] - 1,
+        lambda sentences, _, flags: neural.cnn_train(
+            sentences, train_config(flags, 0.05, 5), gram=NGRAM_FEATURES[flags.features][0],
+            kernel=flags.kernel, filters=flags.filters, embed_dim=flags.embed_dim,
+            vocab_cap=flags.cap),
+        check=_check_cnn, reads_text=True,
+    ),
+    "fasttext": ModelKind(
+        embeddings.FastTextClassifier, ("bow", "char1_5"), lambda m: m.input_vectors.shape[0],
+        lambda x, y, flags: embeddings.train_fasttext_supervised(x, y, embeddings.SupervisedConfig(
+            dim=flags.dim, epochs=_given(flags.epochs, 5), learning_rate=_given(flags.lr, 0.1),
+            seed=flags.seed)),
+        check=_check_fasttext, sparse=True, normalize=True,
+    ),
+}
+
+
 def check_compatibility(kind: str, feature_type: str) -> None:
-    allowed = MODEL_FEATURES.get(kind)
-    if allowed is None:
+    spec = MODEL_KINDS.get(kind)
+    if spec is None:
         raise IncompatibleSpec(f"unknown model kind {kind!r}")
-    if feature_type not in allowed:
+    if feature_type not in spec.features:
         raise IncompatibleSpec(
             f"model {kind!r} cannot use features {feature_type!r}; "
-            f"allowed: {', '.join(allowed)}"
+            f"allowed: {', '.join(spec.features)}"
         )
-
-
-#: The model class of each kind.
-MODEL_CLASSES = {
-    "knn": classifiers.KnnModel,
-    "logreg": classifiers.LogRegModel,
-    "nb": classifiers.NbModel,
-    "svm": classifiers.SvmModel,
-    "mlp": neural.MlpModel,
-    "cnn": neural.CnnModel,
-    "fasttext": embeddings.FastTextClassifier,
-}
 
 
 def _as_is(_, value):
@@ -318,7 +399,7 @@ def _saved_fields(cls: type) -> list[tuple]:
 
 #: The saved fields of each model kind and of a feature, listed once, here,
 #: so that loading a model inspects no class.
-_PARAM_FIELDS = {kind: _saved_fields(cls) for kind, cls in MODEL_CLASSES.items()}
+_PARAM_FIELDS = {kind: _saved_fields(spec.cls) for kind, spec in MODEL_KINDS.items()}
 _FEATURE_FIELDS = _saved_fields(VectorFeature)
 
 
@@ -328,16 +409,6 @@ def _payload(arrays: list[np.ndarray], saved: list[tuple], obj: object) -> dict:
 
 def _construct(section: _Section, saved: list[tuple], cls: type, payload: dict) -> object:
     return cls(**{name: decode(section, payload[name]) for name, _, decode in saved})
-
-
-#: Width of the feature vectors each vector model kind takes.
-_INPUT_WIDTH = {
-    "knn": lambda m: m.vectors.shape[1],
-    "logreg": lambda m: m.theta.shape[1] - 1,
-    "nb": lambda m: m.log_likelihoods.shape[1],
-    "svm": lambda m: m.weights.shape[1],
-    "mlp": lambda m: m.weights[0].shape[1],
-}
 
 
 def _check_vocab(what: str, vocab: Vocabulary, features: Sequence[str]) -> None:
@@ -353,66 +424,44 @@ def _check_vocab(what: str, vocab: Vocabulary, features: Sequence[str]) -> None:
                                f"not {' or '.join(map(holding, allowed))}")
 
 
-def _check_feature(feature: VectorFeature) -> None:
-    """Raise ModelFormatError unless the feature's type is known, its
-    vocabulary holds the type's n-gram orders (words for bow and the
-    embeddings), and it holds one vector per word just when it embeds."""
-    kind, vectors = feature.type, feature.vectors
-    if kind not in VECTOR_FEATURES:
-        raise ModelFormatError(f"feature type {kind!r} is unknown")
-    _check_vocab(f"{kind} feature", feature.vocab, [kind])
-    if (vectors is None) == (kind in EMBEDDING_FEATURES):
+def _check_feature(feature: VectorFeature, kind: str) -> None:
+    """Raise ModelFormatError unless the model kind takes the feature's
+    type, its vocabulary holds the type's n-gram orders (words for bow and
+    the embeddings), and it holds one vector per word just when it embeds."""
+    name, vectors = feature.type, feature.vectors
+    if name not in MODEL_KINDS[kind].features:
+        raise ModelFormatError(f"{kind} model cannot use a {name!r} feature")
+    _check_vocab(f"{name} feature", feature.vocab, [name])
+    if (vectors is None) == (name in EMBEDDING_FEATURES):
         what = "lacks" if vectors is None else "holds"
-        raise ModelFormatError(f"{kind} feature {what} word vectors")
+        raise ModelFormatError(f"{name} feature {what} word vectors")
     if vectors is not None and (vectors.ndim != 2 or len(vectors) != feature.vocab.size):
-        raise ModelFormatError(f"{kind} vectors of shape {vectors.shape} do not fit "
+        raise ModelFormatError(f"{name} vectors of shape {vectors.shape} do not fit "
                                f"its {feature.vocab.size} words")
 
 
 def _check_fit(kind: str, model: object, feature: VectorFeature | None) -> None:
     """Raise ModelFormatError unless the model's parameters fit its features.
 
-    A vector model must have a feature that passes :func:`_check_feature`
-    and take vectors as wide as its feature's; a CNN or fastText model
-    reads text itself and must have none. A CNN or fastText model must
-    hold one embedding row per column of its vocabulary (plus the CNN's
-    padding row). A CNN's vocabulary holds n-grams and its sequences are
-    as long as its filters at least; a fastText vocabulary holds bow's
-    words or char1_5's n-grams, and its output layer maps its rows' width
-    to the six labels. A KNN model must hold one label index per training
-    vector, and every training vector's squared norm must be finite.
+    Every kind but the CNN must have a feature that passes
+    :func:`_check_feature`; the CNN reads text itself, has none, and its
+    vocabulary must hold the n-grams of one of its features. The model
+    must pass its kind's ``check`` and take inputs as wide as its
+    feature's vectors (the CNN: one embedding row per vocabulary column,
+    plus the padding row).
     """
-    if (feature is None) != (kind in ("cnn", "fasttext")):
+    spec = MODEL_KINDS[kind]
+    if (feature is None) != spec.reads_text:
         raise ModelFormatError(f"{kind} model {'lacks' if feature is None else 'holds'} "
                                "a feature transform")
-    if feature is not None:
-        _check_feature(feature)
-    if kind == "knn":
-        labels = model.labels
-        if labels.dtype.kind != "i" or labels.shape != model.vectors.shape[:1]:
-            raise ModelFormatError("knn labels are not one integer per training vector")
-        if not _is_count(model.k) or not 1 <= model.k <= labels.size:
-            raise ModelFormatError(f"knn k {model.k!r} is not in 1..{labels.size}")
-        if not 0 <= labels.min() <= labels.max() < len(LABELS):
-            raise ModelFormatError(f"knn labels are not label indices 0..{len(LABELS) - 1}")
-        if not np.isfinite(model.vectors.row_sq_norms()).all():
-            raise ModelFormatError("knn training vectors have a squared norm that is not finite")
-    if kind == "cnn":
-        if isinstance(model.vocab, WordVocabulary):
-            raise ModelFormatError("cnn vocabulary holds words, not n-grams")
-        if not _is_count(model.max_len) or model.max_len < model.filters.shape[1]:
-            raise ModelFormatError(f"cnn max_len {model.max_len!r} is shorter than its filters")
-        have, want = model.embeddings.shape[0], model.vocab.size + 1
-    elif kind == "fasttext":
-        _check_vocab("fasttext vocabulary", model.vocab, MODEL_FEATURES["fasttext"])
-        if (model.output_weights.shape != (model.input_vectors.shape[1], len(LABELS))
-                or model.output_bias.shape != (len(LABELS),)):
-            raise ModelFormatError("fasttext output layer does not fit its input vectors")
-        have, want = model.input_vectors.shape[0], model.vocab.size
-    else:
-        have, want = _INPUT_WIDTH[kind](model), feature.dim
+    spec.check(model)
+    have, want = spec.width(model), model.vocab.size if feature is None else feature.dim
     if have != want:
         raise ModelFormatError(f"{kind} parameters are sized for {have}, its features for {want}")
+    if feature is None:
+        _check_vocab(f"{kind} vocabulary", model.vocab, spec.features)
+    else:
+        _check_feature(feature, kind)
 
 
 def save_model(pipeline: PipelineModel, path: str | Path) -> None:
@@ -440,7 +489,7 @@ def _read_container(data: bytearray) -> tuple[dict, _Section]:
     """The JSON header and the array section of a model file's bytes."""
     magic = f"{MAGIC}\n".encode("ascii")
     if not data.startswith(magic):
-        if data[:6] in (b"NDSL1\n", b"NDSL2\n"):
+        if data[:6] in (b"NDSL1\n", b"NDSL2\n", b"NDSL3\n"):
             raise ModelFormatError(
                 f"{data[:5].decode()} model files are no longer read; retrain with this version"
             )
@@ -472,11 +521,11 @@ def load_model(path: str | Path) -> PipelineModel:
         if payload.get("labels") != list(LABELS):
             raise ModelFormatError("label set does not match this build")
         kind, features = payload["kind"], payload["feature"]
-        if kind not in MODEL_CLASSES:
+        if kind not in MODEL_KINDS:
             raise ModelFormatError(f"cannot load model kind {kind!r}")
         feature = None if features is None else _construct(
             section, _FEATURE_FIELDS, VectorFeature, features)
-        model = _construct(section, _PARAM_FIELDS[kind], MODEL_CLASSES[kind], payload["params"])
+        model = _construct(section, _PARAM_FIELDS[kind], MODEL_KINDS[kind].cls, payload["params"])
         section.check_used()
         _check_fit(kind, model, feature)
         return PipelineModel(kind, payload["seed"], model, feature)

@@ -181,7 +181,7 @@ def test_criterion_3_gradient_checks():
         model = embeddings.train_fasttext_supervised(
             corpus, embeddings.SupervisedConfig(dim=4, epochs=1, seed=i), build_word_vocab(corpus)
         )
-        ids = rng.integers(0, model.vocab.size, size=3)
+        ids = rng.integers(0, model.input_vectors.shape[0], size=3)
         label = int(rng.integers(6))
         mean = model.input_vectors[ids].mean(axis=0)
         posterior = np.exp(mean @ model.output_weights)

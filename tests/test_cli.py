@@ -264,6 +264,8 @@ class TestTrainEvalPredict:
         ("svm", "char2", ["--lam", "nan"]),
         ("svm", "char2", ["--lam=-1"]),
         ("logreg", "char1", ["--lam", "0"]),
+        ("logreg", "cbow", ["--cap", "5"]),
+        ("svm", "skipgram", ["--cap", "5"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_bad_training_flag_exit_3(self, data_dir, tmp_path, capsys, model, features, flags):
         capsys.readouterr()
@@ -275,7 +277,8 @@ class TestTrainEvalPredict:
         assert code == 3
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         flag = flags[0].split("=")[0]
-        if flag in ("--alpha", "--lam", "--dim", "--window", "--negatives", "--embed-epochs"):
+        if flag in ("--alpha", "--lam", "--dim", "--window", "--negatives", "--embed-epochs",
+                    "--cap"):
             assert flag in err
         assert not (tmp_path / "m.ndsl").exists()
 
@@ -323,8 +326,8 @@ class TestTrainEvalPredict:
         assert main(["train", "--model", "fasttext", "--features", features, "--cap", "50",
                      "--dim", "4", "--epochs", "1", "--train", str(data_dir / "train.tsv"),
                      "--out", str(model_file)]) == 0
-        model = load_model(model_file).model
-        assert model.vocab.size == 50 and model.input_vectors.shape == (50, 4)
+        pipeline = load_model(model_file)
+        assert pipeline.feature.vocab.size == 50 and pipeline.model.input_vectors.shape == (50, 4)
 
     @pytest.mark.parametrize("model,features,flags", [
         ("logreg", "bow", []),
@@ -477,9 +480,9 @@ class TestInputErrors:
 
     @staticmethod
     def ngram_vocab(parts, kind):
-        """The n-gram vocabulary of a vector model's feature or a cnn or fasttext file's params."""
+        """The n-gram vocabulary of a model's feature or a cnn file's params."""
         header = parts["header"]
-        return header["params" if kind in ("cnn", "fasttext") else "feature"]["vocab"]
+        return header["params" if kind == "cnn" else "feature"]["vocab"]
 
     @pytest.mark.parametrize("entry", ["BASE**n", "-1", "duplicate", "<f8", "2-D", "n=0", "n=12"])
     @pytest.mark.parametrize("kind", ["svm", "cnn"])
@@ -539,7 +542,7 @@ class TestInputErrors:
     def test_fasttext_bow_word(self, data_dir, entry, tmp_path, capsys):
         source = train_small("fasttext", data_dir, tmp_path / "fasttext.ndsl")
         with edited_model(source, tmp_path / "broken.ndsl") as parts:
-            words = parts["header"]["params"]["vocab"]
+            words = parts["header"]["feature"]["vocab"]
             words[-1] = words[0] if entry == "duplicate" else entry
         self.assert_input_error(self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys), capsys)
 
@@ -578,15 +581,24 @@ class TestInputErrors:
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
         self.assert_input_error(code, capsys)
 
-    @pytest.mark.parametrize("kind", ["cnn", "fasttext"])
+    @pytest.mark.parametrize("kind", ["cnn"])
     def test_text_model_holding_a_feature(self, kind, data_dir, tmp_path, capsys):
-        """A CNN or fastText file given a vector model's feature, which it cannot read."""
+        """A CNN file given a vector model's feature, which it cannot read."""
         source = train_small(kind, data_dir, tmp_path / f"{kind}.ndsl")
         with edited_model(source, tmp_path / "broken.ndsl") as parts:
             parts["header"]["feature"] = {"type": "bow", "normalize": True, "vocab": ["hej"],
                                           "vectors": None}
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
         self.assert_input_error(code, capsys, f"{kind} model holds a feature transform")
+
+    @pytest.mark.parametrize("kind", ["fasttext", "logreg"])
+    def test_vector_model_lacking_a_feature(self, kind, data_dir, tmp_path, capsys):
+        """A fastText or other vector model file whose feature is null."""
+        source = train_small(kind, data_dir, tmp_path / f"{kind}.ndsl")
+        with edited_model(source, tmp_path / "broken.ndsl") as parts:
+            parts["header"]["feature"] = None
+        code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
+        self.assert_input_error(code, capsys)
 
     def test_non_utf8_model_file(self, svm_file, tmp_path, capsys):
         with edited_model(svm_file, tmp_path / "broken.ndsl") as parts:
@@ -609,6 +621,15 @@ class TestInputErrors:
         code = self.predict_with(old, tmp_path, capsys)
         self.assert_input_error(
             code, capsys, f"error: {old}: NDSL2 model files are no longer read; retrain with this version\n"
+        )
+
+    def test_ndsl3_model_file(self, svm_file, tmp_path, capsys):
+        """The layout before fastText carried a feature like the other vector kinds."""
+        old = tmp_path / "old.ndsl"
+        old.write_bytes(b"NDSL3" + svm_file.read_bytes()[5:])
+        code = self.predict_with(old, tmp_path, capsys)
+        self.assert_input_error(
+            code, capsys, f"error: {old}: NDSL3 model files are no longer read; retrain with this version\n"
         )
 
     def test_truncated_array_section(self, svm_file, tmp_path, capsys):
@@ -716,11 +737,11 @@ class TestInputErrors:
     ])
     def test_fasttext_header_fields(self, char_fasttext_file, orders, expect, tmp_path, capsys):
         with edited_model(char_fasttext_file, tmp_path / "broken.ndsl") as parts:
-            params = parts["header"]["params"]
+            feature = parts["header"]["feature"]
             if orders == "bytes":
-                params["vocab"] = orders
+                feature["vocab"] = orders
             else:
-                params["vocab"]["orders"] = list(orders)
+                feature["vocab"]["orders"] = list(orders)
         code = self.predict_with(tmp_path / "broken.ndsl", tmp_path, capsys)
         self.assert_input_error(code, capsys, expect)
 
@@ -752,8 +773,8 @@ class TestInputErrors:
     ])
     def test_fasttext_keys(self, char_fasttext_file, edit, expect, tmp_path, capsys):
         with edited_model(char_fasttext_file, tmp_path / "broken.ndsl") as parts:
-            params = parts["header"]["params"]
-            vocab = params["vocab"]
+            params, feature = parts["header"]["params"], parts["header"]["feature"]
+            vocab = feature["vocab"]
             if edit == "raised-ngram-min":
                 vocab["orders"][0] = 2
             elif edit in ("words-in-char-model", "keys-in-words-model"):
@@ -761,7 +782,7 @@ class TestInputErrors:
                 keys = vocab["keys"]
                 values = [self.get(parts, keys, i) for i in range(keys["shape"][0])]
                 drop_last_element(parts, keys, keys["shape"][0])
-                params["vocab"] = ["hej"] if edit == "words-in-char-model" else values
+                feature["vocab"] = ["hej"] if edit == "words-in-char-model" else values
             elif edit == "output-layer":
                 params["output_weights"]["shape"] = params["output_weights"]["shape"][::-1]
             else:

@@ -28,7 +28,9 @@ from nordlid.features import (
     WordVocabulary,
     build_ngram_vocab,
     build_word_vocab,
+    count_matrix,
     gram_keys,
+    label_indices,
     word_tokenize,
 )
 from nordlid.synth import generate_pools
@@ -217,70 +219,73 @@ def disjoint_vocab_corpus(n=40):
     return dk + sv
 
 
-def fasttext_labels(model, texts):
+def train_fasttext(corpus, cfg, vocab):
+    """A fastText model of ``corpus``, one input row per column of ``vocab``."""
+    return train_fasttext_supervised(corpus, cfg, vocab)
+
+
+def fasttext_scores(model, vocab, texts):
+    """Posteriors of cleaned texts, read through ``vocab`` as the model's feature does."""
+    return model.scores(count_matrix(texts, vocab, normalize=True))
+
+
+def fasttext_labels(model, vocab, texts):
     """The label of each text, scored on its own as a one-text block."""
-    return [LABELS[int(model.scores([text])[0].argmax())] for text in texts]
+    return [LABELS[int(fasttext_scores(model, vocab, [text])[0].argmax())] for text in texts]
 
 
 class TestFastTextSupervised:
     def test_disjoint_vocabulary_reaches_training_accuracy_one(self):
         corpus = disjoint_vocab_corpus()
-        model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=16, epochs=10, seed=0), build_word_vocab(corpus)
-        )
-        assert fasttext_labels(model, [s.text for s in corpus]) == [s.label for s in corpus]
+        vocab = build_word_vocab(corpus)
+        model = train_fasttext(corpus, SupervisedConfig(dim=16, epochs=10, seed=0), vocab)
+        assert fasttext_labels(model, vocab, [s.text for s in corpus]) == [s.label for s in corpus]
 
     def test_zero_epochs_uniform_posterior(self):
         corpus = disjoint_vocab_corpus()
-        model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=16, epochs=0, seed=1), build_word_vocab(corpus)
-        )
-        posterior = model.scores(["rød grød"])[0]
-        assert fasttext_labels(model, ["rød grød"]) == ["dk"]
+        vocab = build_word_vocab(corpus)
+        model = train_fasttext(corpus, SupervisedConfig(dim=16, epochs=0, seed=1), vocab)
+        posterior = fasttext_scores(model, vocab, ["rød grød"])[0]
+        assert fasttext_labels(model, vocab, ["rød grød"]) == ["dk"]
         assert np.allclose(posterior, 1 / 6)
 
     def test_same_seed_identical_predictions(self):
         corpus = disjoint_vocab_corpus()
         cfg = SupervisedConfig(dim=8, epochs=3, seed=2)
-        a = train_fasttext_supervised(corpus, cfg, build_word_vocab(corpus))
-        b = train_fasttext_supervised(corpus, cfg, build_word_vocab(corpus))
+        a = train_fasttext(corpus, cfg, build_word_vocab(corpus))
+        b = train_fasttext(corpus, cfg, build_word_vocab(corpus))
         assert np.array_equal(a.input_vectors, b.input_vectors)
         assert np.array_equal(a.output_weights, b.output_weights)
 
     def test_empty_text_uniform_posterior_dk(self):
         corpus = disjoint_vocab_corpus()
-        model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=8, epochs=5, seed=3), build_word_vocab(corpus)
-        )
-        posterior = model.scores([""])[0]
-        assert fasttext_labels(model, [""]) == ["dk"]
+        vocab = build_word_vocab(corpus)
+        model = train_fasttext(corpus, SupervisedConfig(dim=8, epochs=5, seed=3), vocab)
+        posterior = fasttext_scores(model, vocab, [""])[0]
+        assert fasttext_labels(model, vocab, [""]) == ["dk"]
         assert np.allclose(posterior, 1 / 6)
 
     def test_posterior_sums_to_one(self):
         corpus = disjoint_vocab_corpus()
-        model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=8, epochs=2, seed=4), build_word_vocab(corpus)
-        )
+        vocab = build_word_vocab(corpus)
+        model = train_fasttext(corpus, SupervisedConfig(dim=8, epochs=2, seed=4), vocab)
         rng = np.random.default_rng(0)
-        words = list(model.vocab.entries)
+        words = list(vocab.entries)
         for _ in range(20):
             text = " ".join(rng.choice(words, size=3))
-            posterior = model.scores([text])[0]
+            posterior = fasttext_scores(model, vocab, [text])[0]
             assert posterior.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_char_ngram_mode(self):
         corpus = disjoint_vocab_corpus()
-        model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=16, epochs=10, seed=5), build_ngram_vocab(corpus, (1, 5))
-        )
-        assert model.vocab.orders == (1, 5)
-        assert fasttext_labels(model, [s.text for s in corpus]) == [s.label for s in corpus]
+        vocab = build_ngram_vocab(corpus, (1, 5))
+        model = train_fasttext(corpus, SupervisedConfig(dim=16, epochs=10, seed=5), vocab)
+        assert model.input_vectors.shape == (vocab.size, 16)
+        assert fasttext_labels(model, vocab, [s.text for s in corpus]) == [s.label for s in corpus]
 
     def test_gradient_matches_finite_differences(self):
         corpus = disjoint_vocab_corpus(6)
-        model = train_fasttext_supervised(
-            corpus, SupervisedConfig(dim=5, epochs=1, seed=6), build_word_vocab(corpus)
-        )
+        model = train_fasttext(corpus, SupervisedConfig(dim=5, epochs=1, seed=6), build_word_vocab(corpus))
         rng = np.random.default_rng(7)
         ids = np.array([0, 1, 2])
         label = 2
@@ -303,7 +308,7 @@ class TestFastTextSupervised:
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyVocabulary):
-            train_fasttext_supervised([], SupervisedConfig(epochs=1), build_word_vocab([]))
+            train_fasttext([], SupervisedConfig(epochs=1), build_word_vocab([]))
 
 
 def test_embedding_config_validation():
@@ -346,19 +351,19 @@ def decode_key(key: int) -> str:
     return "".join(_CHARS[code // 40 ** (n - 1 - i) % 40] for i in range(n))
 
 
-def reference_rows(model) -> dict[str, int]:
-    """feature string -> row of ``input_vectors``, from the model's own fields."""
-    if isinstance(model.vocab, WordVocabulary):
-        return {w: rank - 1 for w, rank in model.vocab.entries.items()}
-    return {decode_key(int(k)): i for i, k in enumerate(model.vocab.keys)}
+def reference_rows(vocab) -> dict[str, int]:
+    """feature string -> row of ``input_vectors``, from the vocabulary's own fields."""
+    if isinstance(vocab, WordVocabulary):
+        return {w: rank - 1 for w, rank in vocab.entries.items()}
+    return {decode_key(int(k)): i for i, k in enumerate(vocab.keys)}
 
 
-def reference_posterior(model, rows: dict[str, int], text: str) -> np.ndarray:
+def reference_posterior(model, vocab, rows: dict[str, int], text: str) -> np.ndarray:
     """One line scored on its own with strings, as the model once was."""
-    if isinstance(model.vocab, WordVocabulary):
+    if isinstance(vocab, WordVocabulary):
         feats = [w for w in text.split(" ") if w]
     else:
-        nmin, nmax = model.vocab.orders
+        nmin, nmax = vocab.orders
         feats = [text[i : i + n] for n in range(nmin, nmax + 1)
                  for i in range(len(text) - n + 1)]
     ids = [rows[f] for f in feats if f in rows]
@@ -399,31 +404,35 @@ def scoring_lines(corpus, seed):
     ("char_ngrams", 8), ("char_ngrams", 2), ("char_ngrams", 1), ("words", 8), ("words", 1),
 ])
 def test_scores_equal_per_line_string_reference(synth_corpus, mode, dim):
+    """To 1e-12 relative, with the same label: the batch sums each line's
+    rows weighted by their counts, the reference one row per occurrence."""
     train = synth_corpus + [Sentence("rød grød", "dk")] * 3
-    model = train_fasttext_supervised(train, SupervisedConfig(dim=dim, epochs=2, seed=dim),
-                                      vocab_of(train, mode, (2, 4) if dim == 2 else (1, 5)))
+    vocab = vocab_of(train, mode, (2, 4) if dim == 2 else (1, 5))
+    model = train_fasttext(train, SupervisedConfig(dim=dim, epochs=2, seed=dim), vocab)
     lines = scoring_lines(synth_corpus, dim)
-    scores = model.scores(lines)
-    rows = reference_rows(model)
+    scores = fasttext_scores(model, vocab, lines)
+    rows = reference_rows(vocab)
     assert scores.shape == (len(lines), len(LABELS))
     for line, row in zip(lines, scores):
-        assert row.tobytes() == reference_posterior(model, rows, line).tobytes(), line
-    assert model.scores([]).shape == (0, len(LABELS))
+        expected = reference_posterior(model, vocab, rows, line)
+        np.testing.assert_allclose(row, expected, rtol=1e-12, atol=0, err_msg=line)
+        assert row.argmax() == expected.argmax(), line
+    assert fasttext_scores(model, vocab, []).shape == (0, len(LABELS))
 
 
 @pytest.mark.parametrize("mode", ["char_ngrams", "words"])
 def test_lines_without_known_features_score_uniform(mode):
     corpus = disjoint_vocab_corpus()
-    model = train_fasttext_supervised(
-        corpus, SupervisedConfig(dim=8, epochs=3, seed=0), vocab_of(corpus, mode)
-    )
+    vocab = vocab_of(corpus, mode)
+    model = train_fasttext(corpus, SupervisedConfig(dim=8, epochs=3, seed=0), vocab)
     lines = ["", "zzzxxx", "rød grød", "qq"]  # z, x and q are not in the corpus
-    scores = model.scores(lines)
-    rows = reference_rows(model)
+    scores = fasttext_scores(model, vocab, lines)
+    rows = reference_rows(vocab)
     for line, row in zip(lines, scores):
-        assert row.tobytes() == reference_posterior(model, rows, line).tobytes()
+        np.testing.assert_allclose(row, reference_posterior(model, vocab, rows, line),
+                                   rtol=1e-12, atol=0)
     for k in (0, 1, 3):
-        assert np.all(scores[k] == 1 / 6) and fasttext_labels(model, [lines[k]]) == ["dk"]
+        assert np.all(scores[k] == 1 / 6) and fasttext_labels(model, vocab, [lines[k]]) == ["dk"]
     assert not np.all(scores[2] == 1 / 6)
 
 
@@ -431,7 +440,7 @@ def test_lines_without_known_features_score_uniform(mode):
 def test_trained_keys_follow_count_then_string_ranking(synth_corpus, orders):
     nmin, nmax = orders
     vocab = build_ngram_vocab(synth_corpus, orders)
-    model = train_fasttext_supervised(synth_corpus, SupervisedConfig(dim=3, epochs=0), vocab)
+    model = train_fasttext(synth_corpus, SupervisedConfig(dim=3, epochs=0), vocab)
     counts = Counter(s.text[i : i + n] for s in synth_corpus for n in range(nmin, nmax + 1)
                      for i in range(len(s.text) - n + 1))
     ranked = [g for g, _ in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))]
@@ -443,8 +452,9 @@ def test_trained_keys_follow_count_then_string_ranking(synth_corpus, orders):
 def test_char_training_equals_string_training(synth_corpus):
     """Per-document SGD over string features, run here, gives the same arrays."""
     cfg = SupervisedConfig(dim=4, epochs=2, seed=3)
-    model = train_fasttext_supervised(synth_corpus, cfg, build_ngram_vocab(synth_corpus, (1, 5)))
-    rows = reference_rows(model)
+    vocab = build_ngram_vocab(synth_corpus, (1, 5))
+    model = train_fasttext(synth_corpus, cfg, vocab)
+    rows = reference_rows(vocab)
     docs = [np.array([rows[s.text[i : i + n]] for n in range(1, 6)
                       for i in range(len(s.text) - n + 1)], dtype=np.int64)
             for s in synth_corpus]

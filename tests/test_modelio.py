@@ -124,38 +124,41 @@ def test_cnn_roundtrip(tmp_path, corpus):
     assert loaded.model.vocab.keys.tobytes() == model.vocab.keys.tobytes()
 
 
+def fasttext_pipeline(corpus, feature_type, cfg):
+    """A fastText model of ``corpus`` with its bow or char1_5 feature."""
+    vocab = build_word_vocab(corpus) if feature_type == "bow" else build_ngram_vocab(corpus, (1, 5))
+    model = embeddings.train_fasttext_supervised(corpus, cfg, vocab)
+    return PipelineModel("fasttext", cfg.seed, model, VectorFeature(feature_type, True, vocab))
+
+
 def test_fasttext_roundtrip(tmp_path, corpus):
-    cfg = embeddings.SupervisedConfig(dim=8, epochs=3, seed=5)
-    model = embeddings.train_fasttext_supervised(corpus, cfg, build_ngram_vocab(corpus, (1, 5)))
-    pipeline = PipelineModel("fasttext", 5, model)
+    pipeline = fasttext_pipeline(corpus, "char1_5", embeddings.SupervisedConfig(dim=8, epochs=3, seed=5))
     loaded = roundtrip(pipeline, tmp_path, corpus)
-    assert np.array_equal(loaded.model.input_vectors, model.input_vectors)
+    assert np.array_equal(loaded.model.input_vectors, pipeline.model.input_vectors)
 
 
 def test_fasttext_char_header_holds_no_ngram_strings(tmp_path, corpus):
-    cfg = embeddings.SupervisedConfig(dim=4, epochs=1, seed=5)
-    model = embeddings.train_fasttext_supervised(corpus, cfg, build_ngram_vocab(corpus, (1, 5)))
+    pipeline = fasttext_pipeline(corpus, "char1_5", embeddings.SupervisedConfig(dim=4, epochs=1, seed=5))
     path = tmp_path / "model.ndsl"
-    save_model(PipelineModel("fasttext", 5, model), path)
-    vocab = json.loads(path.read_bytes().split(b"\n")[1])["params"]["vocab"]
+    save_model(pipeline, path)
+    vocab = json.loads(path.read_bytes().split(b"\n")[1])["feature"]["vocab"]
     assert sorted(vocab) == ["keys", "orders"] and vocab["orders"] == [1, 5]
-    assert vocab["keys"]["dtype"] == "<i8" and vocab["keys"]["shape"] == [model.vocab.size]
-    assert model.input_vectors.shape == (model.vocab.size, 4)
+    assert vocab["keys"]["dtype"] == "<i8" and vocab["keys"]["shape"] == [pipeline.feature.vocab.size]
+    assert pipeline.model.input_vectors.shape == (pipeline.feature.vocab.size, 4)
 
 
 @pytest.mark.parametrize("mode", ["char_ngrams", "words"])
 def test_fasttext_rows_must_match_features(tmp_path, corpus, mode):
     cfg = embeddings.SupervisedConfig(dim=4, epochs=1, seed=5)
+    pipeline = fasttext_pipeline(corpus, "bow" if mode == "words" else "char1_5", cfg)
+    vocab = pipeline.feature.vocab
     if mode == "words":
-        vocab = build_word_vocab(corpus)
-        model = embeddings.train_fasttext_supervised(corpus, cfg, vocab)
         words = sorted(vocab.entries, key=vocab.entries.get)
-        model.vocab = features.WordVocabulary.from_ranked(words[:-1])
+        pipeline.feature.vocab = features.WordVocabulary.from_ranked(words[:-1])
     else:
-        model = embeddings.train_fasttext_supervised(corpus, cfg, build_ngram_vocab(corpus, (1, 5)))
-        model.vocab = features.NgramVocabulary((1, 5), model.vocab.keys[:-1])
+        pipeline.feature.vocab = features.NgramVocabulary((1, 5), vocab.keys[:-1])
     path = tmp_path / "model.ndsl"
-    save_model(PipelineModel("fasttext", 5, model), path)
+    save_model(pipeline, path)
     with pytest.raises(ModelFormatError, match="fasttext parameters are sized for"):
         load_model(path)
 
@@ -254,13 +257,15 @@ def reference_vector(text: str, feature: VectorFeature) -> np.ndarray:
 
 
 def reference_columns(text: str, vocab: features.NgramVocabulary) -> list[int]:
-    """The column of each in-vocabulary n-gram of ``text``, left to right.
+    """The column of each in-vocabulary n-gram of ``text``, order nmin
+    first and each order left to right.
 
     Each n-character text is one gram, so ``gram_keys`` gives one key per gram.
     """
-    n = vocab.orders[0]
+    nmin, nmax = vocab.orders
     column = {key: j for j, key in enumerate(vocab.keys.tolist())}
-    keys = gram_keys(extract_char_ngrams(text, n), n, n)[1].tolist()
+    keys = [key for n in range(nmin, nmax + 1)
+            for key in gram_keys(extract_char_ngrams(text, n), n, n)[1].tolist()]
     return [column[k] for k in keys if k in column]
 
 
@@ -278,8 +283,6 @@ def reference_label(pipeline: PipelineModel, raw: str) -> str:
     if pipeline.kind == "cnn":
         ids = reference_cnn_ids(model, text)[None]
         return LABELS[int(np.argmax(neural.cnn_forward(model, ids)))]
-    if pipeline.kind == "fasttext":
-        return LABELS[int(np.argmax(model.scores([text])[0]))]
     x = reference_vector(text, pipeline.feature)
     return LABELS[int(np.argmax(model.scores(x[None])[0]))]
 
@@ -324,12 +327,10 @@ def batch_cases(corpus):
                                      cfg=neural.TrainConfig(epochs=2, seed=3)),
         "cnn-char2": PipelineModel("cnn", 4, neural.cnn_train(
             corpus, cnn_cfg, gram=2, kernel=2, filters=4, embed_dim=4)),
-        "fasttext-char1_5": PipelineModel("fasttext", 5, embeddings.train_fasttext_supervised(
-            corpus, embeddings.SupervisedConfig(dim=8, epochs=2, seed=5),
-            build_ngram_vocab(corpus, (1, 5)))),
-        "fasttext-bow": PipelineModel("fasttext", 5, embeddings.train_fasttext_supervised(
-            corpus, embeddings.SupervisedConfig(dim=8, epochs=2, seed=5),
-            build_word_vocab(corpus))),
+        "fasttext-char1_5": fasttext_pipeline(
+            corpus, "char1_5", embeddings.SupervisedConfig(dim=8, epochs=2, seed=5)),
+        "fasttext-bow": fasttext_pipeline(
+            corpus, "bow", embeddings.SupervisedConfig(dim=8, epochs=2, seed=5)),
     }
 
 
@@ -356,9 +357,10 @@ def test_batch_labels_equal_per_line_reference(batch_pipelines, corpus, case):
 
 @pytest.mark.parametrize("mode,dim", [("cbow", 8), ("skipgram", 5), ("cbow", 1), ("skipgram", 1)])
 def test_embedding_design_equals_per_line_sentence_embedding(corpus, mode, dim):
-    """Bit for bit, on more than one scoring block of lines, among them an
-    empty line and lines with no known word. With dim 1, numpy averages a
-    single column pairwise, which the batch path must match too."""
+    """To 1e-12 relative, on more than one scoring block of lines, among
+    them an empty line and lines with no known word: the batch weights
+    each distinct word by its share of the line, the reference averages
+    one row per occurrence."""
     train = embeddings.train_cbow if mode == "cbow" else embeddings.train_skipgram
     emb = train(corpus, embeddings.EmbeddingConfig(dim=dim, epochs=1, seed=dim))
     feature = VectorFeature.of_embedding(emb)
@@ -370,7 +372,7 @@ def test_embedding_design_equals_per_line_sentence_embedding(corpus, mode, dim):
     x = feature.matrix(lines)
     expected = np.array([embeddings.sentence_embedding(line, emb) for line in lines])
     assert x.shape == (len(lines), dim)
-    assert x.tobytes() == expected.tobytes()
+    np.testing.assert_allclose(x, expected, rtol=1e-12, atol=0)
     assert not x[:3].any() and x[3:].any(axis=1).all()
 
 
@@ -382,6 +384,29 @@ def test_batch_is_cut_into_blocks(batch_pipelines, corpus, monkeypatch):
         monkeypatch.setattr(modelio, "BATCH_LINES", 7)
         assert pipeline.labels(lines) == whole
         monkeypatch.undo()
+
+
+@pytest.mark.parametrize("case", [
+    "logreg-cbow", "logreg-skipgram", "fasttext-bow", "fasttext-char1_5",
+])
+def test_feature_rows_equal_alone_and_in_blocks(batch_pipelines, corpus, monkeypatch, case):
+    """A line's feature row, and a fastText line's mean embedding, has the
+    same bytes scored alone as in a batch of several blocks."""
+    pipeline = batch_pipelines[case]
+    texts = [clean_sentence(line) for line in [s.text for s in corpus] + EDGE_LINES]
+    monkeypatch.setattr(features, "BATCH_LINES", 7)
+    monkeypatch.setattr(modelio, "BATCH_LINES", 7)
+
+    def rows(texts):
+        x = pipeline.feature.matrix(texts)
+        if pipeline.kind == "fasttext":
+            return [features.to_dense(x), features.as_csr(x) @ pipeline.model.input_vectors]
+        return [x]
+
+    batch = rows(texts)
+    for i, text in enumerate(texts):
+        for alone, whole in zip(rows([text]), batch):
+            assert alone[0].tobytes() == whole[i].tobytes(), text
 
 
 @pytest.mark.parametrize("per_block", [1, 7])
@@ -439,11 +464,11 @@ PARAMS_FORMAT = {
         ["vocab.keys", "embeddings", "filters", "conv_bias", "dense_w", "dense_b"],
     ),
     "fasttext-char1_5": (
-        ["input_vectors", "output_bias", "output_weights", "vocab"],
-        ["vocab.keys", "input_vectors", "output_weights", "output_bias"],
+        ["input_vectors", "output_bias", "output_weights"],
+        ["input_vectors", "output_weights", "output_bias"],
     ),
     "fasttext-bow": (
-        ["input_vectors", "output_bias", "output_weights", "vocab"],
+        ["input_vectors", "output_bias", "output_weights"],
         ["input_vectors", "output_weights", "output_bias"],
     ),
 }

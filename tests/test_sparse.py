@@ -58,8 +58,12 @@ class TestCsrMatrix:
         rng = np.random.default_rng(seed)
         x = CsrMatrix.from_dense(dense)
         n, d = dense.shape
-        w = rng.normal(size=(d, 6))
+        w = rng.normal(size=(d, 6))  # C-contiguous: gathered a row per non-zero
         g = rng.normal(size=(n, 6))
+        column = rng.normal(size=(d, 1))  # a one-wide table, as a dim-1 embedding
+        view = rng.normal(size=(6, d)).T  # not C-contiguous: transposed, gathered by column
+        assert np.allclose(x @ column, dense @ column, rtol=0, atol=1e-12)
+        assert np.allclose(x @ view, dense @ view, rtol=0, atol=1e-12)
         assert np.allclose(x @ w, dense @ w, rtol=0, atol=1e-12)
         assert np.allclose(g.T @ x, g.T @ dense, rtol=0, atol=1e-12)
         assert np.allclose(x @ w[:, 0], dense @ w[:, 0], rtol=0, atol=1e-12)
