@@ -19,6 +19,7 @@ from .errors import DimensionMismatch, NegativeCount
 from .features import (
     N_CLASSES,
     CsrMatrix,
+    as_csr,
     check_learning_rate,
     design_array,
     one_hot,
@@ -65,9 +66,7 @@ class KnnModel:
 
 
 def train_knn(train_x: np.ndarray | CsrMatrix, train_y: np.ndarray, k: int = 3) -> KnnModel:
-    train_x = design_array(train_x)
-    if not isinstance(train_x, CsrMatrix):
-        train_x = CsrMatrix.from_dense(train_x)
+    train_x = as_csr(train_x)
     train_y = np.asarray(train_y, dtype=np.int64)
     if k < 1 or k > len(train_y):
         raise ValueError(f"k must lie in 1..{len(train_y)}, got {k}")

@@ -148,13 +148,6 @@ def cmd_corpus_tatoeba(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _count_vocab(features: str, dataset: Dataset, cap: int | None):
-    """bow's word vocabulary or a character feature's n-gram vocabulary of ``dataset``."""
-    if features == "bow":
-        return build_word_vocab(dataset, cap=cap)
-    return build_ngram_vocab(dataset, NGRAM_FEATURES[features], cap=cap)
-
-
 def _build_vector_feature(args, dataset: Dataset, normalize: bool) -> VectorFeature:
     """The feature the flags ask for, fitted to ``dataset``; ``normalize``
     L1-normalises a count feature's rows.
@@ -175,7 +168,10 @@ def _build_vector_feature(args, dataset: Dataset, normalize: bool) -> VectorFeat
         )
         trainer = embeddings.train_cbow if args.features == "cbow" else embeddings.train_skipgram
         return VectorFeature.of_embedding(trainer(dataset, cfg))
-    vocab = _count_vocab(args.features, dataset, args.cap)
+    if args.features == "bow":
+        vocab = build_word_vocab(dataset, cap=args.cap)
+    else:
+        vocab = build_ngram_vocab(dataset, NGRAM_FEATURES[args.features], cap=args.cap)
     feature = VectorFeature(args.features, normalize, vocab)
     if not feature.dim:
         raise EmptyVocabulary(f"corpus contains no {args.features} features")
@@ -198,12 +194,7 @@ def cmd_train(args) -> int:
         normalize = not args.raw_counts if kind.normalize is None else kind.normalize
         feature = _build_vector_feature(args, dataset, normalize)
         inputs = feature.matrix(dataset, sparse=kind.sparse)
-    if args.model == "fasttext":  # TEMP: trained from text until the trainer reads CSR rows
-        model = embeddings.train_fasttext_supervised(dataset, embeddings.SupervisedConfig(
-            dim=args.dim, epochs=args.epochs if args.epochs is not None else 5,
-            learning_rate=args.lr if args.lr is not None else 0.1, seed=args.seed), feature.vocab)
-    else:
-        model = kind.train(inputs, label_indices(dataset), args)
+    model = kind.train(inputs, label_indices(dataset), args)
     save_model(PipelineModel(args.model, args.seed, model, feature), args.out)
     print(f"trained {args.model} on {len(dataset)} sentences -> {args.out}")
     return 0

@@ -15,13 +15,10 @@ A word's subwords are the distinct character n-grams of orders
 et al. 2017, "Enriching Word Vectors with Subword Information"). The
 word's own row stands for the whole word. Each gram's
 :func:`features.gram_keys` key is hashed into one of ``BUCKETS``
-buckets, and only occupied buckets get a row. A text's sentence vector
-is the mean of its known words' composed vectors: its row of
-L1-normalised word counts times ``composed``.
-
-The supervised classifier (fastText) is linear in those counts too: it
-scores ``softmax(x @ input_vectors @ output_weights + output_bias)`` for
-a design ``x`` of L1-normalised ``bow`` or ``char1_5`` counts.
+buckets, and only occupied buckets get a row. A text's sentence vector,
+the mean of its known words' composed vectors, is its row of
+L1-normalised word counts times ``composed``; fastText is linear in such
+counts too.
 """
 
 from __future__ import annotations
@@ -36,13 +33,11 @@ from .errors import EmptyVocabulary
 from .features import (
     N_CLASSES,
     CsrMatrix,
-    Vocabulary,
     WordVocabulary,
     as_csr,
     build_word_vocab,
     check_learning_rate,
     gram_keys,
-    label_indices,
     ngram_hits,
     softmax,
     texts_of,
@@ -351,25 +346,44 @@ class SupervisedConfig:
         check_learning_rate(self.learning_rate)
 
 
-def train_fasttext_supervised(
-    train: Iterable[Sentence], cfg: SupervisedConfig, vocab: Vocabulary
-) -> FastTextClassifier:
-    """Per-document SGD, one row of ``input_vectors`` per column of ``vocab``.
+def supervised_grads(
+    model: FastTextClassifier, columns: np.ndarray, weights: np.ndarray, label: int
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Cross-entropy of one document and its gradients.
 
-    A document's rows are its :func:`features.ngram_hits` columns, in that
-    order. Raises EmptyVocabulary when ``vocab`` is empty.
+    The document is a row of L1-normalised counts: its distinct
+    ``columns`` and their ``weights``. Returns the loss, the gradient of
+    the ``input_vectors`` row of each column (its weight times the mean
+    embedding's gradient, so a column counted twice gets twice a single
+    one's share) and that of ``output_weights``.
     """
-    train = list(train)
-    if not vocab.size:
+    mean = weights @ model.input_vectors[columns]
+    g = softmax(mean @ model.output_weights + model.output_bias)
+    loss = float(-np.log(max(g[label], 1e-12)))
+    g[label] -= 1.0
+    return loss, np.outer(weights, model.output_weights @ g), np.outer(mean, g)
+
+
+def train_fasttext_supervised(
+    x: np.ndarray | CsrMatrix, y: np.ndarray, cfg: SupervisedConfig
+) -> FastTextClassifier:
+    """Per-document SGD on the rows of ``x``, an n x V design of
+    L1-normalised counts, with label indices ``y``; one row of
+    ``input_vectors`` per column.
+
+    Documents go in a seeded order each epoch, with a linearly decaying
+    rate, and each step applies :func:`supervised_grads` to the rows of
+    its document's columns. Raises EmptyVocabulary when V is 0.
+    """
+    x = as_csr(x)
+    n, n_columns = x.shape
+    if not n_columns:
         raise EmptyVocabulary("training corpus contains no features")
-    lines, columns = ngram_hits(texts_of(train), vocab)
-    doc_ids = np.split(columns, np.cumsum(np.bincount(lines, minlength=len(train)))[:-1])
+    y = np.asarray(y, dtype=np.int64)
     rng = np.random.default_rng(cfg.seed)
-    input_vectors = rng.uniform(-1.0 / cfg.dim, 1.0 / cfg.dim, size=(vocab.size, cfg.dim))
+    input_vectors = rng.uniform(-1.0 / cfg.dim, 1.0 / cfg.dim, size=(n_columns, cfg.dim))
     model = FastTextClassifier(input_vectors, np.zeros((cfg.dim, N_CLASSES)), np.zeros(N_CLASSES))
-    label_arr = label_indices(train)
     order_rng = np.random.default_rng(cfg.seed + 1)
-    n = len(train)
     total = max(cfg.epochs * n, 1)
     step = 0
     for _ in range(cfg.epochs):
@@ -377,23 +391,19 @@ def train_fasttext_supervised(
         for i in order_rng.permutation(n):
             lr = cfg.learning_rate * max(1.0 - step / total, 0.0)
             step += 1
-            ids = doc_ids[i]
-            if len(ids) == 0:
+            lo, hi = x.indptr[i], x.indptr[i + 1]
+            if lo == hi:
                 continue
-            mean = model.input_vectors[ids].mean(axis=0)
-            posterior = softmax(mean @ model.output_weights + model.output_bias)
-            epoch_loss += -np.log(max(posterior[label_arr[i]], 1e-12))
-            g = posterior.copy()
-            g[label_arr[i]] -= 1.0
-            dmean = model.output_weights @ g
-            model.output_weights -= lr * np.outer(mean, g)
-            model.input_vectors[ids] -= lr * dmean / len(ids)
+            columns = x.indices[lo:hi]
+            loss, d_rows, d_out = supervised_grads(model, columns, x.data[lo:hi], y[i])
+            epoch_loss += loss
+            model.output_weights -= lr * d_out
+            model.input_vectors[columns] -= lr * d_rows
         model.epoch_losses.append(epoch_loss / max(n, 1))
     return model
 
 
-def supervised_loss(model: FastTextClassifier, ids: np.ndarray, label: int) -> float:
-    """Cross-entropy of one encoded document, for gradient verification."""
-    mean = model.input_vectors[ids].mean(axis=0)
-    posterior = softmax(mean @ model.output_weights + model.output_bias)
-    return float(-np.log(max(posterior[label], 1e-12)))
+def supervised_loss(model: FastTextClassifier, x: np.ndarray | CsrMatrix, label: int) -> float:
+    """Cross-entropy of a one-row design, scored as predictions are, for
+    gradient verification."""
+    return float(-np.log(max(model.scores(x)[0, label], 1e-12)))

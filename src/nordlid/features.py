@@ -439,13 +439,11 @@ class CsrMatrix:
     def __matmul__(self, other) -> np.ndarray:
         """``X @ W`` for a dense W of shape (d,) or (d, k).
 
-        A C-contiguous W is gathered a row per non-zero and the rows summed
-        per row of X. Any other W, such as a model's narrow ``weights.T``,
-        is transposed once and gathered a column per non-zero, which is
-        faster for it (3x on a char3 block against 6-wide weights). The
-        choice rests on W alone, never on X, so a row of X gets the same
-        bits in any block of rows.
-        """
+        A C-contiguous W is gathered a row per non-zero. Any other W, such
+        as a model's narrow ``weights.T``, is transposed and gathered by
+        column, 3x faster for a char3 block against 6-wide weights. The
+        choice rests on W alone, so a row of X gets the same bits in any
+        block of rows."""
         other = np.asarray(other, dtype=np.float64)
         if other.ndim not in (1, 2) or other.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
@@ -525,22 +523,18 @@ def count_matrix(
     is below ``SPARSE_DENSITY``, and a dense float64 array otherwise.
     """
     texts = texts_of(sentences)
-    n, d = len(texts), vocab.size
-    lengths, indices, data = [], [], []
-    for start in range(0, n, BATCH_LINES):
+    d = vocab.size
+    ends, indices, data = [np.zeros(1, dtype=np.int64)], [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for start in range(0, len(texts), BATCH_LINES):
         block = texts[start : start + BATCH_LINES]
         rows, columns = ngram_hits(block, vocab)
         cells, counts = np.unique(rows * d + columns, return_counts=True)
-        lengths.append(np.bincount(cells // max(d, 1), minlength=len(block)))
+        lengths = np.bincount(cells // max(d, 1), minlength=len(block))
+        ends.append(ends[-1][-1] + np.cumsum(lengths))
         indices.append(cells % max(d, 1))
-        data.append(counts.astype(np.float64))
-        if normalize:
-            data[-1] /= np.repeat(np.bincount(rows, minlength=len(block)).astype(np.float64),
-                                  lengths[-1])
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.concatenate([np.zeros(0, dtype=np.int64), *lengths]), out=indptr[1:])
-    matrix = CsrMatrix((n, d), indptr, np.concatenate([np.zeros(0, dtype=np.int64), *indices]),
-                       np.concatenate([np.zeros(0), *data]))
+        data.append(counts / np.repeat(np.bincount(rows, minlength=len(block)), lengths)
+                    if normalize else counts.astype(np.float64))
+    matrix = CsrMatrix((len(texts), d), *map(np.concatenate, (ends, indices, data)))
     if sparse or (matrix.size and matrix.nnz / matrix.size < SPARSE_DENSITY):
         return matrix
     return matrix.toarray()

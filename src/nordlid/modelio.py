@@ -172,13 +172,10 @@ class PipelineModel:
         scores = np.empty((len(texts), len(LABELS)))
         for start in range(0, len(texts), BATCH_LINES):
             block = texts[start : start + BATCH_LINES]
-            scores[start : start + len(block)] = self._block_scores(block)
+            # the CNN, which has no feature, reads token sequences
+            x = block if self.feature is None else self.feature.matrix(block)
+            scores[start : start + len(block)] = self.model.scores(x)
         return scores
-
-    def _block_scores(self, texts: list[str]) -> np.ndarray:
-        if self.feature is None:  # the CNN reads token sequences
-            return self.model.scores(texts)
-        return self.model.scores(self.feature.matrix(texts))
 
     def labels(self, raw_lines: Sequence[str]) -> list[str]:
         """One label per raw text line: the argmax of its scores."""
@@ -228,19 +225,13 @@ def _check_fasttext(model: embeddings.FastTextClassifier) -> None:
 
 @dataclass(frozen=True)
 class ModelKind:
-    """What the program knows of one model kind.
-
-    ``features`` are the ``--features`` it takes. ``width`` gives the
-    width of a trained model's inputs: its feature's vectors, or the
-    CNN's vocabulary size. ``train`` fits a model to a design matrix
-    (the CNN to the sentences), label indices and the ``train`` flags,
-    with the kind's default for each unset flag. A ``reads_text`` kind
-    has no feature and scores text itself. ``sparse`` keeps the training
-    design CSR whatever its density; ``normalize`` fixes whether count
-    features are L1-normalised, None leaving it to ``--raw-counts``.
-    ``check`` raises ModelFormatError unless a loaded model holds
-    together.
-    """
+    """One model kind: its class, the ``--features`` it takes, the width of
+    its inputs (the CNN's: its vocabulary size) and its trainer from a
+    design matrix (the CNN's: the sentences), label indices and the
+    ``train`` flags, an unset flag taking the kind's default. ``check``
+    refuses a loaded model that does not hold together. A ``reads_text``
+    kind has no feature; ``sparse`` keeps the training design CSR, and
+    ``normalize``, unless None, overrides ``--raw-counts``."""
 
     cls: type
     features: tuple[str, ...]

@@ -23,7 +23,13 @@ from nordlid.corpus import (
     train_test_split,
 )
 from nordlid.experiments import run_mini_experiment
-from nordlid.features import NgramVocabulary, build_word_vocab
+from nordlid.features import (
+    CsrMatrix,
+    NgramVocabulary,
+    build_word_vocab,
+    count_matrix,
+    label_indices,
+)
 from nordlid.modelio import load_model
 from nordlid.synth import generate_pools
 
@@ -177,36 +183,33 @@ def test_criterion_3_gradient_checks():
             assert relative_error(analytic[index], (up - down) / (2 * step)) < 1e-4
 
     corpus = [Sentence("ab cd", "dk"), Sentence("ef gh", "sv")] * 3
-    for i in range(20):  # supervised fasttext: output and input gradients
+    vocab = build_word_vocab(corpus)
+    x = count_matrix(corpus, vocab, normalize=True)
+    for i in range(20):  # supervised fasttext: the gradients its trainer steps by
         model = embeddings.train_fasttext_supervised(
-            corpus, embeddings.SupervisedConfig(dim=4, epochs=1, seed=i), build_word_vocab(corpus)
+            x, label_indices(corpus), embeddings.SupervisedConfig(dim=4, epochs=1, seed=i)
         )
-        ids = rng.integers(0, model.input_vectors.shape[0], size=3)
+        # a document of three draws: a column drawn twice is counted twice
+        columns, counts = np.unique(rng.integers(0, vocab.size, size=3), return_counts=True)
+        weights = counts / counts.sum()
+        row = CsrMatrix((1, vocab.size), np.array([0, len(columns)]), columns, weights)
         label = int(rng.integers(6))
-        mean = model.input_vectors[ids].mean(axis=0)
-        posterior = np.exp(mean @ model.output_weights)
-        posterior /= posterior.sum()
-        g = posterior.copy()
-        g[label] -= 1.0
-        analytic_w = np.outer(mean, g)
+        _, d_rows, d_out = embeddings.supervised_grads(model, columns, weights, label)
         for index in np.ndindex(model.output_weights.shape):
             model.output_weights[index] += step
-            up = embeddings.supervised_loss(model, ids, label)
+            up = embeddings.supervised_loss(model, row, label)
             model.output_weights[index] -= 2 * step
-            down = embeddings.supervised_loss(model, ids, label)
+            down = embeddings.supervised_loss(model, row, label)
             model.output_weights[index] += step
-            assert relative_error(analytic_w[index], (up - down) / (2 * step)) < 1e-4
-        unique, counts = np.unique(ids, return_counts=True)
-        dmean = model.output_weights @ g
-        for row, count in zip(unique, counts):
-            analytic_row = count * dmean / len(ids)
+            assert relative_error(d_out[index], (up - down) / (2 * step)) < 1e-4
+        for r, column in enumerate(columns):
             for j in range(4):
-                model.input_vectors[row, j] += step
-                up = embeddings.supervised_loss(model, ids, label)
-                model.input_vectors[row, j] -= 2 * step
-                down = embeddings.supervised_loss(model, ids, label)
-                model.input_vectors[row, j] += step
-                assert relative_error(analytic_row[j], (up - down) / (2 * step)) < 1e-4
+                model.input_vectors[column, j] += step
+                up = embeddings.supervised_loss(model, row, label)
+                model.input_vectors[column, j] -= 2 * step
+                down = embeddings.supervised_loss(model, row, label)
+                model.input_vectors[column, j] += step
+                assert relative_error(d_rows[r, j], (up - down) / (2 * step)) < 1e-4
 
     for i in range(20):  # MLP, all parameters
         model = neural.init_mlp([3, 4, 6], seed=i)

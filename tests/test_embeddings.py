@@ -18,6 +18,7 @@ from nordlid.embeddings import (
     pair_score,
     sentence_embedding,
     subword_ngrams,
+    supervised_grads,
     supervised_loss,
     train_cbow,
     train_fasttext_supervised,
@@ -25,6 +26,7 @@ from nordlid.embeddings import (
 )
 from nordlid.errors import EmptyVocabulary
 from nordlid.features import (
+    CsrMatrix,
     WordVocabulary,
     build_ngram_vocab,
     build_word_vocab,
@@ -221,7 +223,8 @@ def disjoint_vocab_corpus(n=40):
 
 def train_fasttext(corpus, cfg, vocab):
     """A fastText model of ``corpus``, one input row per column of ``vocab``."""
-    return train_fasttext_supervised(corpus, cfg, vocab)
+    x = count_matrix(corpus, vocab, normalize=True, sparse=True)
+    return train_fasttext_supervised(x, label_indices(corpus), cfg)
 
 
 def fasttext_scores(model, vocab, texts):
@@ -286,25 +289,32 @@ class TestFastTextSupervised:
     def test_gradient_matches_finite_differences(self):
         corpus = disjoint_vocab_corpus(6)
         model = train_fasttext(corpus, SupervisedConfig(dim=5, epochs=1, seed=6), build_word_vocab(corpus))
-        rng = np.random.default_rng(7)
-        ids = np.array([0, 1, 2])
-        label = 2
-        mean = model.input_vectors[ids].mean(axis=0)
-        posterior = np.exp(mean @ model.output_weights)
-        posterior /= posterior.sum()
-        g = posterior.copy()
-        g[label] -= 1.0
-        analytic_w = np.outer(mean, g)
+        columns, weights, label = np.array([0, 1, 2]), np.array([0.5, 0.25, 0.25]), 2
+        x = CsrMatrix((1, len(model.input_vectors)), np.array([0, 3]), columns, weights)
+        _, _, analytic_w = supervised_grads(model, columns, weights, label)
         step = 1e-6
         for index in np.ndindex(model.output_weights.shape):
             model.output_weights[index] += step
-            up = supervised_loss(model, ids, label)
+            up = supervised_loss(model, x, label)
             model.output_weights[index] -= 2 * step
-            down = supervised_loss(model, ids, label)
+            down = supervised_loss(model, x, label)
             model.output_weights[index] += step
             numeric = (up - down) / (2 * step)
             denom = max(1e-8, abs(numeric), abs(analytic_w[index]))
             assert abs(analytic_w[index] - numeric) / denom < 1e-4
+
+    def test_repeated_word_moves_count_times_as_far(self):
+        """One step on "ab ab cd" moves the row of ab, counted twice, twice
+        as far as the row of cd. The first step leaves the input rows as
+        they are (the output weights start at zero), so the second counts."""
+        corpus = [Sentence("ab ab cd", "dk")]
+        vocab = build_word_vocab(corpus)
+        start = train_fasttext(corpus, SupervisedConfig(dim=4, epochs=0, seed=0), vocab)
+        moved = train_fasttext(corpus, SupervisedConfig(dim=4, epochs=2, seed=0), vocab)
+        step = moved.input_vectors - start.input_vectors
+        ab, cd = vocab.index("ab"), vocab.index("cd")
+        assert np.abs(step[cd]).min() > 0
+        np.testing.assert_allclose(step[ab], 2 * step[cd], rtol=1e-9)
 
     def test_empty_corpus_raises(self):
         with pytest.raises(EmptyVocabulary):
@@ -450,14 +460,17 @@ def test_trained_keys_follow_count_then_string_ranking(synth_corpus, orders):
 
 
 def test_char_training_equals_string_training(synth_corpus):
-    """Per-document SGD over string features, run here, gives the same arrays."""
+    """Per-document SGD over counted string features, run here, gives the same arrays."""
     cfg = SupervisedConfig(dim=4, epochs=2, seed=3)
     vocab = build_ngram_vocab(synth_corpus, (1, 5))
     model = train_fasttext(synth_corpus, cfg, vocab)
     rows = reference_rows(vocab)
-    docs = [np.array([rows[s.text[i : i + n]] for n in range(1, 6)
-                      for i in range(len(s.text) - n + 1)], dtype=np.int64)
-            for s in synth_corpus]
+    docs = []  # each document's distinct rows, ascending, and their shares of its grams
+    for sentence in synth_corpus:
+        text = sentence.text
+        counts = Counter(rows[text[i : i + n]] for n in range(1, 6) for i in range(len(text) - n + 1))
+        ids = np.array(sorted(counts), dtype=np.int64)
+        docs.append((ids, np.array([counts[i] for i in ids], dtype=np.float64) / counts.total()))
     vectors = np.random.default_rng(cfg.seed).uniform(-1 / 4, 1 / 4, size=(len(rows), 4))
     weights = np.zeros((4, len(LABELS)))
     order_rng = np.random.default_rng(cfg.seed + 1)
@@ -467,14 +480,14 @@ def test_char_training_equals_string_training(synth_corpus):
         for i in order_rng.permutation(len(docs)):
             lr = cfg.learning_rate * max(1.0 - step / total, 0.0)
             step += 1
-            ids = docs[i]
-            mean = vectors[ids].mean(axis=0)
+            ids, shares = docs[i]
+            mean = shares @ vectors[ids]
             z = mean @ weights
             posterior = np.exp(z - z.max()) / np.exp(z - z.max()).sum()
             posterior[labels[i]] -= 1.0
             dmean = weights @ posterior
             weights -= lr * np.outer(mean, posterior)
-            vectors[ids] -= lr * dmean / len(ids)
+            vectors[ids] -= lr * np.outer(shares, dmean)  # a gram counted c times steps c times
     assert model.input_vectors.tobytes() == vectors.tobytes()
     assert model.output_weights.tobytes() == weights.tobytes()
 

@@ -127,8 +127,10 @@ def test_cnn_roundtrip(tmp_path, corpus):
 def fasttext_pipeline(corpus, feature_type, cfg):
     """A fastText model of ``corpus`` with its bow or char1_5 feature."""
     vocab = build_word_vocab(corpus) if feature_type == "bow" else build_ngram_vocab(corpus, (1, 5))
-    model = embeddings.train_fasttext_supervised(corpus, cfg, vocab)
-    return PipelineModel("fasttext", cfg.seed, model, VectorFeature(feature_type, True, vocab))
+    feature = VectorFeature(feature_type, True, vocab)
+    model = embeddings.train_fasttext_supervised(
+        feature.matrix(corpus, sparse=True), label_indices(corpus), cfg)
+    return PipelineModel("fasttext", cfg.seed, model, feature)
 
 
 def test_fasttext_roundtrip(tmp_path, corpus):
