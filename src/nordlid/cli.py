@@ -149,12 +149,9 @@ def cmd_corpus_tatoeba(args) -> int:
 
 
 def _build_vector_feature(args, dataset: Dataset, normalize: bool) -> VectorFeature:
-    """The feature the flags ask for, fitted to ``dataset``; ``normalize``
-    L1-normalises a count feature's rows.
-
-    Raises EmptyVocabulary when the dataset yields no n-gram or word, and
-    ValueError when ``--cap`` is given for an embedding feature.
-    """
+    """The feature the flags ask for, fitted to ``dataset``, its counts
+    L1-normalised if ``normalize``. Raises EmptyVocabulary when the dataset
+    yields no n-gram or word, ValueError on ``--cap`` for an embedding."""
     if args.features in EMBEDDING_FEATURES:
         if args.cap is not None:
             raise ValueError(f"--cap does not apply to --features {args.features}")

@@ -324,11 +324,8 @@ class FastTextClassifier:
     epoch_losses: list[float] = field(default_factory=list)
 
     def scores(self, x: np.ndarray | CsrMatrix) -> np.ndarray:
-        """Posterior of every row of an n x V design of L1-normalised counts, n x 6.
-
-        The design is read as CSR, so that a row's mean embedding has the
-        same bits in any block of rows.
-        """
+        """Posterior of every row of an n x V design of L1-normalised counts,
+        read as CSR so that a row's mean embedding has the same bits in any block."""
         hidden = as_csr(x) @ self.input_vectors
         return softmax(hidden @ self.output_weights + self.output_bias)
 
@@ -349,14 +346,11 @@ class SupervisedConfig:
 def supervised_grads(
     model: FastTextClassifier, columns: np.ndarray, weights: np.ndarray, label: int
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Cross-entropy of one document and its gradients.
-
-    The document is a row of L1-normalised counts: its distinct
-    ``columns`` and their ``weights``. Returns the loss, the gradient of
-    the ``input_vectors`` row of each column (its weight times the mean
-    embedding's gradient, so a column counted twice gets twice a single
-    one's share) and that of ``output_weights``.
-    """
+    """Cross-entropy of one document, a row of L1-normalised counts at
+    ``columns`` with ``weights``, and its gradients: each column's
+    ``input_vectors`` row gets its weight times the mean's gradient (a
+    column counted twice, twice a single one's share); then
+    ``output_weights``'s."""
     mean = weights @ model.input_vectors[columns]
     g = softmax(mean @ model.output_weights + model.output_bias)
     loss = float(-np.log(max(g[label], 1e-12)))

@@ -350,6 +350,11 @@ def char_frequency_profile(pools: dict[str, list[Sentence]]) -> CharProfile:
     return CharProfile(raw, normalized)
 
 
+#: Bytes of gathered rows that ``CsrMatrix @ W`` holds at a time. In one
+#: pass, a 1024-line block of char1_5 n-grams against a fastText table of
+#: the default width 100 gathered about 200 MB.
+GATHER_BYTES = 4 * 2**20
+
 #: ``count_matrix`` returns CSR when nnz/(n*d) is below this density and
 #: a dense array otherwise. Measured on the 4800-sentence synthetic
 #: training set with one BLAS thread: at char3 (0.3% dense) CSR takes
@@ -439,7 +444,8 @@ class CsrMatrix:
     def __matmul__(self, other) -> np.ndarray:
         """``X @ W`` for a dense W of shape (d,) or (d, k).
 
-        A C-contiguous W is gathered a row per non-zero. Any other W, such
+        A C-contiguous W is gathered a row per non-zero, for runs of rows
+        whose gathered rows take about ``GATHER_BYTES``. Any other W, such
         as a model's narrow ``weights.T``, is transposed and gathered by
         column, 3x faster for a char3 block against 6-wide weights. The
         choice rests on W alone, so a row of X gets the same bits in any
@@ -447,23 +453,27 @@ class CsrMatrix:
         other = np.asarray(other, dtype=np.float64)
         if other.ndim not in (1, 2) or other.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        filled = np.diff(self.indptr) > 0
-        # Each filled row's segment ends where the next filled row starts.
-        starts = self.indptr[:-1][filled]
+        n = self.shape[0]
         if other.flags.c_contiguous:
-            products = other[self.indices]  # nnz x k, or nnz
-            products *= self.data if other.ndim == 1 else self.data[:, None]
-            out = np.zeros((self.shape[0], *other.shape[1:]))
-            if len(starts):
-                out[filled] = np.add.reduceat(products, starts, axis=0)
+            out = np.zeros((n, *other.shape[1:]))
+            run = max(1, GATHER_BYTES * n // max(8 * self.nnz * other[:1].size, 1))
+            for lo in range(0, n, run):
+                block = self.row_block(lo, min(lo + run, n))
+                products = other[block.indices]  # nnz x k, or nnz
+                products *= block.data if other.ndim == 1 else block.data[:, None]
+                filled = np.diff(block.indptr) > 0
+                if filled.any():  # a filled row's segment ends where the next one starts
+                    out[lo : lo + run][filled] = np.add.reduceat(
+                        products, block.indptr[:-1][filled], axis=0)
             return out
         columns = np.ascontiguousarray((other[:, None] if other.ndim == 1 else other).T)  # k x d
         products = np.take(columns, self.indices, axis=1)  # k x nnz
         products *= self.data
-        out = np.zeros((columns.shape[0], self.shape[0]))
-        if len(starts):
-            out[:, filled] = np.add.reduceat(products, starts, axis=1)
-        return np.ascontiguousarray(out.T).reshape(self.shape[0], *other.shape[1:])
+        filled = np.diff(self.indptr) > 0
+        out = np.zeros((columns.shape[0], n))
+        if filled.any():
+            out[:, filled] = np.add.reduceat(products, self.indptr[:-1][filled], axis=1)
+        return np.ascontiguousarray(out.T).reshape(n, *other.shape[1:])
 
     def __rmatmul__(self, other) -> np.ndarray:
         """``G @ X`` for a dense G of shape (n,) or (k, n)."""

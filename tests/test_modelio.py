@@ -393,11 +393,13 @@ def test_batch_is_cut_into_blocks(batch_pipelines, corpus, monkeypatch):
 ])
 def test_feature_rows_equal_alone_and_in_blocks(batch_pipelines, corpus, monkeypatch, case):
     """A line's feature row, and a fastText line's mean embedding, has the
-    same bytes scored alone as in a batch of several blocks."""
+    same bytes scored alone as in a batch of several blocks, each gathered
+    in runs of a few rows."""
     pipeline = batch_pipelines[case]
     texts = [clean_sentence(line) for line in [s.text for s in corpus] + EDGE_LINES]
     monkeypatch.setattr(features, "BATCH_LINES", 7)
     monkeypatch.setattr(modelio, "BATCH_LINES", 7)
+    monkeypatch.setattr(features, "GATHER_BYTES", 4096)
 
     def rows(texts):
         x = pipeline.feature.matrix(texts)
