@@ -151,10 +151,12 @@ def cmd_corpus_tatoeba(args) -> int:
 def _build_vector_feature(args, dataset: Dataset, normalize: bool) -> VectorFeature:
     """The feature the flags ask for, fitted to ``dataset``, its counts
     L1-normalised if ``normalize``. Raises EmptyVocabulary when the dataset
-    yields no n-gram or word, ValueError on ``--cap`` for an embedding."""
+    yields no n-gram or word, ValueError on ``--cap`` or ``--raw-counts``
+    for an embedding, whose sentence vectors are always word means."""
     if args.features in EMBEDDING_FEATURES:
-        if args.cap is not None:
-            raise ValueError(f"--cap does not apply to --features {args.features}")
+        if args.cap is not None or args.raw_counts:
+            flag = "--cap" if args.cap is not None else "--raw-counts"
+            raise ValueError(f"{flag} does not apply to --features {args.features}")
         cfg = embeddings.EmbeddingConfig(
             dim=args.dim,
             window=args.window,
@@ -177,13 +179,15 @@ def _build_vector_feature(args, dataset: Dataset, normalize: bool) -> VectorFeat
 
 def cmd_train(args) -> int:
     check_compatibility(args.model, args.features)
+    kind = MODEL_KINDS[args.model]
+    if args.raw_counts and (kind.reads_text or kind.normalize):
+        raise ValueError(f"--raw-counts does not apply to --model {args.model}")
     if args.lr is not None:  # checked for every model, also those that ignore it
         check_learning_rate(args.lr)
     if not 0 <= args.alpha < float("inf"):  # nan fails both comparisons
         raise ValueError(f"--alpha must be finite and >= 0, got {args.alpha}")
     if not 0 < args.lam < float("inf"):
         raise ValueError(f"--lam must be finite and > 0, got {args.lam}")
-    kind = MODEL_KINDS[args.model]
     dataset = load_dataset_tsv(args.train)
     if kind.reads_text:
         feature, inputs = None, dataset.sentences

@@ -4,21 +4,21 @@ Skip-gram and CBOW are trained with negative sampling (binary logistic
 loss over observed vs sampled word pairs). They read text as every other
 feature does: the words and their ranks come from
 :func:`features.build_word_vocab` and each sentence's word ids from
-:func:`features.ngram_hits`, so the text must be cleaned. Skip-gram
-composes each word vector as the mean of the word's own row and its
-hashed subword rows; CBOW uses plain word rows. Training is
-single-threaded and seeded, so repeated runs produce bit-identical
-matrices.
+:func:`features.ngram_hits`, so the text must be cleaned. Each word's
+vector is its row of a composition matrix times the table of rows:
+skip-gram's row is the L1-normalised counts of the word's own row and its
+hashed subword rows, CBOW's the identity. Training is single-threaded
+and seeded, so repeated runs produce bit-identical matrices.
 
-A word's subwords are the distinct character n-grams of orders
-``SUBWORD_ORDERS`` of `` word ``, a space marking each end (Bojanowski
-et al. 2017, "Enriching Word Vectors with Subword Information"). The
-word's own row stands for the whole word. Each gram's
-:func:`features.gram_keys` key is hashed into one of ``BUCKETS``
-buckets, and only occupied buckets get a row. A text's sentence vector,
-the mean of its known words' composed vectors, is its row of
-L1-normalised word counts times ``composed``; fastText is linear in such
-counts too.
+A word's subwords are the character n-grams of orders ``SUBWORD_ORDERS``
+of `` word ``, a space marking each end (Bojanowski et al. 2017,
+"Enriching Word Vectors with Subword Information"). The word's own row
+stands for the whole word. The grams are counted through a
+:class:`features.HashedVocabulary` of ``BUCKETS`` buckets, so a gram
+that repeats within a word counts as often as it occurs, and only
+occupied buckets get a row. A text's sentence vector, the mean of its
+known words' composed vectors, is its row of L1-normalised word counts
+times ``composed``; fastText is linear in such counts too.
 """
 
 from __future__ import annotations
@@ -31,17 +31,18 @@ import numpy as np
 from .corpus import Sentence
 from .errors import EmptyVocabulary
 from .features import (
+    BATCH_LINES,
     N_CLASSES,
     CsrMatrix,
     WordVocabulary,
     as_csr,
+    build_hashed_vocab,
     build_word_vocab,
     check_learning_rate,
-    gram_keys,
+    count_matrix,
     ngram_hits,
     softmax,
     texts_of,
-    word_tokenize,
 )
 
 
@@ -68,23 +69,6 @@ class EmbeddingConfig:
 SUBWORD_ORDERS = (3, 6)
 #: Buckets that the subword n-grams' keys are hashed into.
 BUCKETS = 1 << 20
-#: The odd integer nearest 2**64 over the golden ratio: a key's bucket is
-#: the top 32 bits of its product with this, mod 2**64, taken mod BUCKETS.
-_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
-
-
-def subword_ngrams(word: str, nmin: int = 3, nmax: int = 6) -> list[str]:
-    """The distinct character n-grams of orders nmin..nmax of `` word ``.
-
-    They come order nmin first, each order left to right, a repeat
-    dropped.
-    """
-    if not word:
-        raise ValueError("word must be non-empty")
-    marked = f" {word} "
-    return list(dict.fromkeys(
-        marked[i : i + n] for n in range(nmin, nmax + 1) for i in range(len(marked) - n + 1)
-    ))
 
 
 @dataclass
@@ -93,20 +77,19 @@ class EmbeddingMatrix:
 
     ``vocab`` holds the words, ranked by :func:`features.build_word_vocab`:
     word j (rank j + 1) owns row j of ``vectors``, ``composed`` and
-    ``output_vectors``. ``vectors`` holds the word rows first, then one row
-    per occupied subword bucket (skip-gram only): bucket ``buckets[i]``
-    owns row ``vocab.size + i``. ``word_rows[j]`` lists word j's rows, its
-    own first, and ``composed`` is the mean of each word's rows and is what
-    queries consume.
+    ``output_vectors``, and row j of ``composition``, one column per row of
+    ``vectors``, weighs the rows that make up word j's vector. ``vectors``
+    holds the word rows first, then (skip-gram only) one row per occupied
+    subword bucket, in ascending order. ``composed`` is ``composition @
+    vectors`` and is what queries consume.
     """
 
     mode: str
     vocab: WordVocabulary
+    composition: CsrMatrix
     vectors: np.ndarray
     composed: np.ndarray
     output_vectors: np.ndarray
-    buckets: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    word_rows: list[np.ndarray] = field(default_factory=list)
     epoch_losses: list[float] = field(default_factory=list)
 
 
@@ -129,105 +112,66 @@ def _init_embedding(
     ids = np.split(columns, np.cumsum(np.bincount(lines, minlength=len(corpus)))[:-1])
     ids = [tokens for tokens in ids if len(tokens)]
     n_words = vocab.size
-
     if mode == "skipgram":
-        word_rows, buckets = _subword_rows(list(vocab.entries))
+        composition = _subword_composition(list(vocab.entries))
     else:
-        word_rows = [np.array([i], dtype=np.int64) for i in range(n_words)]
-        buckets = np.zeros(0, dtype=np.int64)
-
+        composition = CsrMatrix((n_words, n_words), np.arange(n_words + 1),
+                                np.arange(n_words), np.ones(n_words))
     rng = np.random.default_rng(cfg.seed)
-    vectors = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(n_words + len(buckets), cfg.dim))
-    emb = EmbeddingMatrix(  # _train fills ``composed`` when it is done
-        mode, vocab, vectors, np.zeros((n_words, cfg.dim)), np.zeros((n_words, cfg.dim)),
-        buckets, word_rows,
-    )
+    vectors = rng.uniform(-0.5 / cfg.dim, 0.5 / cfg.dim, size=(composition.shape[1], cfg.dim))
+    shape = (n_words, cfg.dim)  # _train fills ``composed`` when it is done
+    emb = EmbeddingMatrix(mode, vocab, composition, vectors, np.zeros(shape), np.zeros(shape))
     return emb, ids, _negative_table(np.bincount(columns, minlength=n_words))
 
 
-#: Words whose subword grams :func:`_subword_rows` hashes at a time. On
-#: the 34k words of a 4800-sentence synthetic training set, a 2048-word
-#: block peaked at 30 MiB traced, against 114 MiB for the whole
-#: vocabulary in one pass.
-SUBWORD_BLOCK = 2048
+def _subword_composition(words: list[str]) -> CsrMatrix:
+    """Skip-gram's composition: row j holds 1 at word j's own column and,
+    after the words' columns, the :func:`count_matrix` counts of the
+    subword buckets of `` words[j] ``; each row is then L1-normalised.
 
-
-def _subword_rows(words: list[str]) -> tuple[list[np.ndarray], np.ndarray]:
-    """Each word's rows, its own and then one per :func:`subword_ngrams`
-    gram's bucket, and the occupied buckets in ascending order, whose rows
-    follow the words'.
-
-    The grams' keys are taken and hashed ``SUBWORD_BLOCK`` words at a
-    time, and each block keeps its distinct buckets and each gram's index
-    among them until the occupied buckets are known. A gram repeated
-    within a word is dropped by its key, not by its bucket.
+    A word's counts total its number of grams, so the rows are sized
+    before they are counted: the arrays are allocated once, at most one
+    entry per gram, and filled ``BATCH_LINES`` words at a time.
     """
-    blocks = []
-    for lo in range(0, len(words), SUBWORD_BLOCK):
-        block = words[lo : lo + SUBWORD_BLOCK]
-        owner, keys = gram_keys([f" {word} " for word in block], *SUBWORD_ORDERS)
-        distinct, rank = np.unique(keys, return_inverse=True)
-        # a word's first gram of each key: (word, key rank) stays far inside an int64
-        _, first = np.unique(owner * len(distinct) + rank, return_index=True)
-        first.sort()
-        buckets = (distinct.astype(np.uint64) * _HASH_MULTIPLIER >> 32) % BUCKETS
-        blocks.append((*np.unique(buckets.astype(np.int64)[rank[first]], return_inverse=True),
-                       np.bincount(owner[first], minlength=len(block))))
-    # sorted and compared: numpy 2.4's unique without an inverse (a hash
-    # table) took 25 times as long on 80k buckets (2-vCPU x86 machine)
-    merged = np.concatenate([distinct for distinct, _, _ in blocks])
-    merged.sort()
-    keep = np.ones(len(merged), dtype=bool)
-    keep[1:] = merged[1:] != merged[:-1]
-    occupied = merged[keep]
-    word_rows: list[np.ndarray] = []
-    for i, (distinct, inverse, counts) in enumerate(blocks):
-        blocks[i] = None  # frees each block as its rows are made
-        ends = np.cumsum(counts)
-        own = np.arange(len(word_rows), len(word_rows) + len(counts))
-        rows = np.insert(len(words) + np.searchsorted(occupied, distinct)[inverse],
-                         ends - counts, own)
-        bounds = (ends + np.arange(1, len(counts) + 1)).tolist()
-        word_rows += [rows[a:b] for a, b in zip([0] + bounds, bounds)]
-    return word_rows, occupied
-
-
-def _recompose(emb: EmbeddingMatrix) -> None:
-    """Each word's ``composed`` row, the mean of its ``vectors`` rows, for a
-    block of words at a time whose gathered rows stay within 1 MiB (a
-    16 MiB block raised the train's peak memory by its size)."""
-    lengths = np.fromiter(map(len, emb.word_rows), dtype=np.int64, count=len(emb.word_rows))
-    ends = np.cumsum(lengths)
-    lo = 0
-    while lo < len(lengths):
-        start = ends[lo] - lengths[lo]
-        hi = max(lo + 1, int(np.searchsorted(
-            ends, start + (1 << 20) // (8 * emb.vectors.shape[1]), "right")))
-        sums = np.add.reduceat(emb.vectors[np.concatenate(emb.word_rows[lo:hi])],
-                               ends[lo:hi] - lengths[lo:hi] - start)
-        emb.composed[lo:hi] = sums / lengths[lo:hi, None]
-        lo = hi
+    n = len(words)
+    marked = [f" {word} " for word in words]
+    hashed = build_hashed_vocab(marked, SUBWORD_ORDERS, BUCKETS)
+    widths = np.fromiter(map(len, marked), dtype=np.int64, count=n)
+    nmin, nmax = SUBWORD_ORDERS
+    totals = 1 + sum(np.maximum(widths - k + 1, 0) for k in range(nmin, nmax + 1))
+    # pages past the last entry, room for repeats, are never touched
+    indices, data = np.empty(totals.sum(), dtype=np.int64), np.empty(totals.sum())
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for lo in range(0, n, BATCH_LINES):
+        counts = count_matrix(marked[lo : lo + BATCH_LINES], hashed, sparse=True)
+        m, starts = counts.shape[0], counts.indptr[:-1]
+        sizes = np.diff(counts.indptr) + 1
+        indptr[lo + 1 : lo + m + 1] = indptr[lo] + np.cumsum(sizes)
+        span = slice(indptr[lo], indptr[lo + m])
+        indices[span] = np.insert(counts.indices + n, starts, np.arange(lo, lo + m))
+        data[span] = np.insert(counts.data, starts, 1.0) / np.repeat(totals[lo : lo + m], sizes)
+    return CsrMatrix((n, n + hashed.size), indptr, indices[: indptr[-1]], data[: indptr[-1]])
 
 
 def _train(corpus: Iterable[Sentence], cfg: EmbeddingConfig, mode: str) -> EmbeddingMatrix:
     """Negative-sampling SGD, one update per sentence.
 
     An example maps input rows to a target word: skip-gram has one per
-    (position, context word), with the center's rows as inputs; CBOW one
-    per position with a context, with the context words as inputs and the
-    center as target. Each position draws its reach and has its own
+    (position, context word), with the rows of the center's ``composition``
+    row as inputs, weighted as it weighs them; CBOW one per position with a
+    context, with the context words as equal inputs and the center as
+    target. Each position draws its reach and has its own
     linearly decaying rate; each example draws ``negatives`` words and
     skips one equal to its target. All of a sentence's examples read the
     parameters as they stand at its start, and their summed gradients are
     applied once, so a row used twice (a shared subword bucket, a repeated
     word, an output row drawn twice) gets every contribution. An incidence
-    matrix over the sentence's distinct rows (row x position, weight
-    1/len) turns the gathers and scatters into small products.
+    matrix over the sentence's distinct rows (row x position, the input's
+    weight) turns the gathers and scatters into small products.
     """
     emb, ids, table = _init_embedding(corpus, cfg, mode)
     rng = np.random.default_rng(cfg.seed + 1)
     total = max(sum(map(len, ids)) * cfg.epochs, 1)
-    n_rows = np.fromiter(map(len, emb.word_rows), dtype=np.int64, count=len(emb.word_rows))
     offsets = np.r_[-cfg.window : 0, 1 : cfg.window + 1]
     step = 0
     for _ in range(cfg.epochs):
@@ -241,9 +185,9 @@ def _train(corpus: Iterable[Sentence], cfg: EmbeddingConfig, mode: str) -> Embed
             near = (np.abs(offsets) <= reach) & (grid >= 0) & (grid < n)
             pos, context = np.nonzero(near)[0], grid[near]
             if mode == "skipgram":
-                inputs = np.concatenate([emb.word_rows[w] for w in tokens])
-                group = np.repeat(np.arange(n), n_rows[tokens])
-                weight = 1.0 / n_rows[tokens[group]]
+                centers = emb.composition.take(tokens)
+                inputs, weight = centers.indices, centers.data
+                group = np.repeat(np.arange(n), np.diff(centers.indptr))
                 owner, target = pos, tokens[context]
             else:
                 inputs, group = tokens[context], pos
@@ -271,7 +215,7 @@ def _train(corpus: Iterable[Sentence], cfg: EmbeddingConfig, mode: str) -> Embed
             emb.vectors[rows] = w_in - incidence @ (grad @ w_out)
             examples += len(target)
         emb.epoch_losses.append(loss / max(examples, 1))
-    _recompose(emb)
+    emb.composed = emb.composition @ emb.vectors
     return emb
 
 
@@ -287,20 +231,6 @@ def train_cbow(
 ) -> EmbeddingMatrix:
     """Predict the center word from the averaged context vectors."""
     return _train(corpus, cfg, "cbow")
-
-
-def pair_score(emb: EmbeddingMatrix, center: str, context: str) -> float:
-    """Inner-product score the model assigns to (center -> context)."""
-    rank = emb.vocab.entries
-    return float(emb.composed[rank[center] - 1] @ emb.output_vectors[rank[context] - 1])
-
-
-def sentence_embedding(text: str, emb: EmbeddingMatrix) -> np.ndarray:
-    """Mean of in-vocabulary token vectors; zero vector when none match."""
-    hits = [i for i in map(emb.vocab.index, word_tokenize(text)) if i is not None]
-    if not hits:
-        return np.zeros(emb.composed.shape[1])
-    return emb.composed[hits].mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

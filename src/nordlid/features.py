@@ -9,8 +9,10 @@ these codes with numpy, with no Python step per n-gram. The grams of
 every order share one key space: an n-gram's key is ``KEY_START[n]`` (the
 number of grams of orders 1..n-1) plus its code, and an n-gram vocabulary
 of orders nmin..nmax, one or several, is kept, and saved, as the array of
-its keys. Every model reads text through one vocabulary, n-gram or word,
-and :func:`ngram_hits` alone maps a block of texts to its columns.
+its keys. A hashed vocabulary gives each occupied bucket of the keys'
+hashes a column instead. Every model reads text through one vocabulary,
+n-gram, hashed or word, and :func:`ngram_hits` alone maps a block of texts
+to its columns.
 
 The label-space helpers every classifier family shares live here too:
 ``N_CLASSES``, :func:`one_hot`, :func:`softmax` and the trainers' check
@@ -273,8 +275,46 @@ class WordVocabulary:
         return None if rank is None else rank - 1
 
 
+#: The odd integer nearest 2**64 over the golden ratio (Weinberger et al.
+#: 2009, "Feature Hashing for Large Scale Multitask Learning").
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def hash_keys(keys: np.ndarray, buckets: int) -> np.ndarray:
+    """The bucket of each n-gram key: the top 32 bits of its product with
+    ``_HASH_MULTIPLIER``, mod 2**64, taken mod ``buckets``."""
+    return (keys.astype(np.uint64) * _HASH_MULTIPLIER >> 32).astype(np.int64) % buckets
+
+
+@dataclass(frozen=True, eq=False)
+class HashedVocabulary:
+    """The n-grams of orders nmin..nmax, hashed into ``buckets`` buckets by
+    :func:`hash_keys`: column j is bucket ``occupied[j]``, the occupied
+    buckets ascending. Never saved; ``occupied`` must be distinct and
+    ascend, as :func:`build_hashed_vocab` makes it."""
+
+    orders: tuple[int, int]
+    buckets: int
+    occupied: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.occupied)
+
+    @cached_property
+    def _column_of(self) -> np.ndarray:
+        """The column of every bucket, -1 for an unoccupied one."""
+        table = np.full(self.buckets, -1, dtype=np.int64)
+        table[self.occupied] = np.arange(self.size)
+        return table
+
+    def columns(self, keys: np.ndarray) -> np.ndarray:
+        """Column of each n-gram key's bucket, -1 for an unoccupied one."""
+        return self._column_of[hash_keys(keys, self.buckets)]
+
+
 #: What every feature and model reads its text through.
-Vocabulary = NgramVocabulary | WordVocabulary
+Vocabulary = NgramVocabulary | HashedVocabulary | WordVocabulary
 
 
 def texts_of(items: Iterable[Sentence | str]) -> list[str]:
@@ -291,6 +331,18 @@ def build_ngram_vocab(
     unique, counts = np.unique(keys, return_counts=True)
     ranked = np.lexsort((key_string_order(unique, orders[1]), -counts))
     return NgramVocabulary(orders, unique[ranked][:cap])
+
+
+def build_hashed_vocab(
+    corpus: Iterable[Sentence | str], orders: tuple[int, int], buckets: int
+) -> HashedVocabulary:
+    """The buckets that the n-grams of orders nmin..nmax of ``corpus``
+    occupy, marked ``BATCH_LINES`` texts at a time."""
+    texts = texts_of(corpus)
+    seen = np.zeros(buckets, dtype=bool)
+    for start in range(0, len(texts), BATCH_LINES):
+        seen[hash_keys(gram_keys(texts[start : start + BATCH_LINES], *orders)[1], buckets)] = True
+    return HashedVocabulary(orders, buckets, np.flatnonzero(seen))
 
 
 def build_word_vocab(
@@ -312,7 +364,7 @@ def rank_words(counts: Counter) -> list[str]:
 def ngram_hits(texts: list[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
     """(text index, column) of every in-vocabulary n-gram or word, text by
     text in :func:`gram_keys` or word order."""
-    if isinstance(vocab, NgramVocabulary):
+    if not isinstance(vocab, WordVocabulary):
         rows, keys = gram_keys(texts, *vocab.orders)
         columns = vocab.columns(keys)
         found = columns >= 0
@@ -418,6 +470,15 @@ class CsrMatrix:
         return CsrMatrix((stop - start, self.shape[1]), self.indptr[start : stop + 1] - lo,
                          self.indices[lo:hi], self.data[lo:hi])
 
+    def take(self, rows: np.ndarray) -> "CsrMatrix":
+        """The rows at the indices ``rows``, repeats included, as CSR."""
+        rows = np.asarray(rows, dtype=np.int64)
+        starts = self.indptr[rows]
+        sizes = self.indptr[rows + 1] - starts
+        indptr = np.r_[0, np.cumsum(sizes)]
+        at = np.repeat(starts - indptr[:-1], sizes) + np.arange(indptr[-1])
+        return CsrMatrix((len(rows), self.shape[1]), indptr, self.indices[at], self.data[at])
+
     def row_sq_norms(self) -> np.ndarray:
         """Squared Euclidean norm of every row, from the stored values alone.
 
@@ -465,6 +526,7 @@ class CsrMatrix:
                 if filled.any():  # a filled row's segment ends where the next one starts
                     out[lo : lo + run][filled] = np.add.reduceat(
                         products, block.indptr[:-1][filled], axis=0)
+                del products  # freed before the next run's are gathered
             return out
         columns = np.ascontiguousarray((other[:, None] if other.ndim == 1 else other).T)  # k x d
         products = np.take(columns, self.indices, axis=1)  # k x nnz

@@ -231,7 +231,8 @@ class ModelKind:
     ``train`` flags, an unset flag taking the kind's default. ``check``
     refuses a loaded model that does not hold together. A ``reads_text``
     kind has no feature; ``sparse`` keeps the training design CSR, and
-    ``normalize``, unless None, overrides ``--raw-counts``."""
+    ``normalize``, unless None, fixes the normalisation: ``train`` refuses
+    ``--raw-counts`` for a kind that reads text or always normalises."""
 
     cls: type
     features: tuple[str, ...]

@@ -266,6 +266,11 @@ class TestTrainEvalPredict:
         ("logreg", "char1", ["--lam", "0"]),
         ("logreg", "cbow", ["--cap", "5"]),
         ("svm", "skipgram", ["--cap", "5"]),
+        ("fasttext", "bow", ["--raw-counts"]),
+        ("fasttext", "char1_5", ["--raw-counts"]),
+        ("cnn", "char2", ["--raw-counts"]),
+        ("logreg", "cbow", ["--raw-counts"]),
+        ("knn", "skipgram", ["--raw-counts"]),
     ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
     def test_bad_training_flag_exit_3(self, data_dir, tmp_path, capsys, model, features, flags):
         capsys.readouterr()
@@ -278,7 +283,7 @@ class TestTrainEvalPredict:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         flag = flags[0].split("=")[0]
         if flag in ("--alpha", "--lam", "--dim", "--window", "--negatives", "--embed-epochs",
-                    "--cap"):
+                    "--cap", "--raw-counts"):
             assert flag in err
         assert not (tmp_path / "m.ndsl").exists()
 
@@ -319,6 +324,15 @@ class TestTrainEvalPredict:
         assert code == 3
         assert err == f"error: {argv[-2]} must be at least 1, got {argv[-1]}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model", ["nb", "logreg"])
+    def test_raw_counts_where_it_applies(self, data_dir, tmp_path, model):
+        """nb counts raw either way; logreg keeps its feature's counts raw."""
+        model_file = tmp_path / "m.ndsl"
+        assert main(["train", "--model", model, "--features", "char2", "--raw-counts",
+                     "--epochs", "1", "--train", str(data_dir / "train.tsv"),
+                     "--out", str(model_file)]) == 0
+        assert load_model(model_file).feature.normalize is False
 
     @pytest.mark.parametrize("features", ["char1_5", "bow"])
     def test_fasttext_vocabulary_is_capped(self, data_dir, tmp_path, features):
@@ -1050,6 +1064,20 @@ class TestReduceSweepProfile:
         assert code == 3
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and flag in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("features", ["cbow", "skipgram"])
+    def test_reduce_refuses_raw_counts_for_an_embedding(self, data_dir, tmp_path, capsys,
+                                                        features):
+        out = tmp_path / "proj.tsv"
+        capsys.readouterr()
+        code = main([
+            "reduce", "--method", "pca", "--features", features, "--raw-counts",
+            "--input", str(data_dir / "train.tsv"), "--out", str(out),
+        ])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: --raw-counts does not apply to --features {features}\n")
         assert not out.exists()
 
     def test_sweep_csv(self, data_dir, tmp_path):

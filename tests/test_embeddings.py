@@ -10,14 +10,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nordlid import embeddings
+from nordlid import embeddings, features
 from nordlid.corpus import ALPHABET, LABELS, Sentence
 from nordlid.embeddings import (
     EmbeddingConfig,
     SupervisedConfig,
-    pair_score,
-    sentence_embedding,
-    subword_ngrams,
     supervised_grads,
     supervised_loss,
     train_cbow,
@@ -38,6 +35,30 @@ from nordlid.features import (
 from nordlid.synth import generate_pools
 
 
+def subword_ngrams(word: str, nmin: int = 3, nmax: int = 6) -> list[str]:
+    """Every character n-gram of orders nmin..nmax of `` word ``, the
+    per-word reference of skip-gram's subwords: order nmin first, each
+    order left to right, a repeat listed as often as it occurs."""
+    if not word:
+        raise ValueError("word must be non-empty")
+    marked = f" {word} "
+    return [marked[i : i + n] for n in range(nmin, nmax + 1) for i in range(len(marked) - n + 1)]
+
+
+def pair_score(emb, center: str, context: str) -> float:
+    """Inner-product score the model assigns to (center -> context)."""
+    rank = emb.vocab.entries
+    return float(emb.composed[rank[center] - 1] @ emb.output_vectors[rank[context] - 1])
+
+
+def sentence_embedding(text: str, emb) -> np.ndarray:
+    """Mean of in-vocabulary token vectors; zero vector when none match."""
+    hits = [i for i in map(emb.vocab.index, word_tokenize(text)) if i is not None]
+    if not hits:
+        return np.zeros(emb.composed.shape[1])
+    return emb.composed[hits].mean(axis=0)
+
+
 class TestSubwordNgrams:
     def test_short_word_with_default_range(self):
         assert subword_ngrams("og", 3, 6) == [" og", "og ", " og "]
@@ -54,9 +75,9 @@ class TestSubwordNgrams:
         got = subword_ngrams("dag", 3, 4)
         assert got == [" da", "dag", "ag ", " dag", "dag "]
 
-    def test_no_duplicates(self):
-        got = subword_ngrams("aaa", 3, 6)
-        assert len(got) == len(set(got))
+    def test_repeats_are_kept(self):
+        assert subword_ngrams("aaa", 3, 3) == [" aa", "aaa", "aa "]
+        assert subword_ngrams("ananas", 3, 3).count("ana") == 2
 
 
 def reference_bucket(gram: str) -> int:
@@ -66,8 +87,10 @@ def reference_bucket(gram: str) -> int:
     return (key * 0x9E3779B97F4A7C15 % 2**64 >> 32) % embeddings.BUCKETS
 
 
-def reference_subword_rows(words):
-    """``_subword_rows`` built word by word from ``subword_ngrams``."""
+def reference_word_rows(words):
+    """Each word's rows, word by word from ``subword_ngrams``: its own row,
+    then one per gram, a repeat listed as often as it occurs; and the
+    occupied buckets, whose rows follow the words'."""
     buckets = [[reference_bucket(g) for g in subword_ngrams(w, *embeddings.SUBWORD_ORDERS)]
                for w in words]
     occupied = sorted({b for word in buckets for b in word})
@@ -75,15 +98,45 @@ def reference_subword_rows(words):
     return [[i] + [row[b] for b in word] for i, word in enumerate(buckets)], occupied
 
 
+def reference_composition(rows, width: int) -> np.ndarray:
+    """Dense composition of the reference rows: each row's share of the list."""
+    out = np.zeros((len(rows), width))
+    for i, listed in enumerate(rows):
+        for row, count in Counter(listed).items():
+            out[i, row] = count / len(listed)
+    return out
+
+
+def check_composition(composition, words):
+    """``composition`` equals the per-word reference bit for bit, and its
+    columns cover the words and their occupied buckets."""
+    rows, occupied = reference_word_rows(words)
+    width = len(words) + len(occupied)
+    assert composition.shape == (len(words), width)
+    assert composition.indices.dtype == np.int64
+    for i in range(len(words)):  # columns ascend within a row, the own one first
+        assert np.all(np.diff(composition.indices[composition.indptr[i] : composition.indptr[i + 1]]) > 0)
+    assert composition.toarray().tobytes() == reference_composition(rows, width).tobytes()
+
+
 def test_word_rows_follow_per_gram_hash():
     corpus = [Sentence("hej med dig og hej igen", "dk"), Sentence("þórður rød grød", "is")]
     with mock.patch.multiple(embeddings, SUBWORD_ORDERS=(2, 4), BUCKETS=97):
         emb = train_skipgram(corpus, EmbeddingConfig(dim=4, epochs=0))
-        rows, occupied = reference_subword_rows(list(emb.vocab.entries))
-    assert emb.buckets.tolist() == occupied
-    assert [r.dtype for r in emb.word_rows] == [np.dtype(np.int64)] * emb.vocab.size
-    assert [r.tolist() for r in emb.word_rows] == rows
-    assert emb.vectors.shape == (emb.vocab.size + len(occupied), 4)
+        check_composition(emb.composition, list(emb.vocab.entries))
+    assert emb.vectors.shape == (emb.composition.shape[1], 4)
+
+
+def test_repeated_gram_counts_as_often_as_it_occurs():
+    """`` ananas `` has 18 grams of orders 3..6 and ``ana`` is two of them,
+    as fastText pushes one hash per occurrence; with the word's own row
+    that gives ``ana``'s bucket a share of 2/19."""
+    emb = train_skipgram([Sentence("ananas", "dk")], EmbeddingConfig(dim=2, epochs=0))
+    occupied = sorted({reference_bucket(g) for g in subword_ngrams("ananas")})
+    share = dict(zip(emb.composition.indices.tolist(), emb.composition.data.tolist()))
+    assert len(subword_ngrams("ananas")) == 18
+    assert share[1 + occupied.index(reference_bucket("ana"))] == 2 / 19
+    assert share[0] == 1 / 19
 
 
 #: Words of any alphabet characters, and words over a few characters,
@@ -100,32 +153,34 @@ repeating_word = st.text("aøþ", min_size=1, max_size=14)
          block=2)
 @settings(max_examples=300, deadline=None)
 def test_subword_rows_equal_per_word_reference(words, orders, bucket_count, block):
+    """Bit for bit, in blocks of 1 to 5 words."""
     nmin, extra = orders
-    with mock.patch.multiple(embeddings, SUBWORD_BLOCK=block, BUCKETS=bucket_count,
-                             SUBWORD_ORDERS=(nmin, min(nmin + extra, 10))):
-        word_rows, occupied = embeddings._subword_rows(words)
-        rows, buckets = reference_subword_rows(words)
-    assert occupied.dtype == np.int64 and occupied.tolist() == buckets
-    assert [r.dtype for r in word_rows] == [np.dtype(np.int64)] * len(words)
-    assert [r.tolist() for r in word_rows] == rows
+    with mock.patch.multiple(embeddings, BATCH_LINES=block, BUCKETS=bucket_count,
+                             SUBWORD_ORDERS=(nmin, min(nmin + extra, 10))), \
+            mock.patch.object(features, "BATCH_LINES", block):
+        check_composition(embeddings._subword_composition(words), words)
 
 
 def test_subword_rows_memory_is_bounded_by_blocks():
-    """Only each block's distinct buckets and its grams' indices among
-    them outlive the block, and together they are about as large as the
-    result; a pass over every word at once held each character position's
-    arrays for the whole vocabulary and peaked at four times the result."""
+    """The composition's arrays are allocated once and filled a block of
+    words at a time, so beyond them the build holds only the hashed
+    vocabulary, the marked words and one block's arrays. Counting every
+    word in one block peaked 108 MiB above the result instead of 20."""
     pools = generate_pools(1000, "wiki", seed=0)
     words = list(build_word_vocab([s for p in pools.values() for s in p]).entries)
     tracemalloc.start()
     try:
-        result = embeddings._subword_rows(words)
+        with mock.patch.object(embeddings, "BATCH_LINES", 256), \
+                mock.patch.object(features, "BATCH_LINES", 256):
+            composition = embeddings._subword_composition(words)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert sum(map(len, result[0])) > 30 * len(words)  # every word's grams
-    block_allowance = 4 << 20
-    assert peak <= 2 * held + block_allowance, (peak, held)
+    assert composition.nnz > 30 * len(words)  # every word's grams
+    # the occupied buckets, and a column and a mark per bucket
+    index_bytes = 8 * (composition.shape[1] - len(words)) + 9 * embeddings.BUCKETS
+    block_allowance = 10 << 20  # the marked words (3 MiB) and a block's arrays
+    assert peak <= held + index_bytes + block_allowance, (peak, held)
 
 
 def repeated_pair_corpus(n=120):
@@ -173,9 +228,10 @@ class TestSkipgram:
         cfg = EmbeddingConfig(dim=4, epochs=0, seed=7)
         emb = train_skipgram([Sentence("hej du", "dk")] * 3, cfg)
         i = emb.vocab.index("hej")
-        rows = emb.word_rows[i]
-        assert len(rows) > 1  # own row plus subword buckets
-        assert np.allclose(emb.composed[i], emb.vectors[rows].mean(axis=0))
+        row = emb.composition.take([i])
+        assert row.nnz > 1  # own row plus subword buckets
+        assert row.data.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.allclose(emb.composed[i], row.data @ emb.vectors[row.indices])
 
 
 class TestCbow:
@@ -505,6 +561,7 @@ def reference_embedding(corpus, cfg, mode):
     """
     train = train_skipgram if mode == "skipgram" else train_cbow
     start = train(corpus, replace(cfg, epochs=0))
+    word_rows = reference_word_rows(list(start.vocab.entries))[0]
     vectors, outputs = start.vectors.copy(), start.output_vectors.copy()
     sentences = [word_tokenize(s.text) for s in corpus]
     ids = [[start.vocab.index(w) for w in tokens] for tokens in sentences if tokens]
@@ -523,7 +580,7 @@ def reference_embedding(corpus, cfg, mode):
                 context = [tokens[j] for j in range(t - reach[t], t + reach[t] + 1)
                            if j != t and 0 <= j < len(tokens)]
                 if mode == "skipgram":
-                    examples += [(t, start.word_rows[center], word) for word in context]
+                    examples += [(t, word_rows[center], word) for word in context]
                 elif context:
                     examples.append((t, np.array(context), center))
             if examples:
@@ -584,9 +641,15 @@ def test_negative_equal_to_its_target_changes_nothing(mode):
 
 @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
 def test_composed_is_mean_of_word_rows(synth_corpus, mode):
+    """Each word's composed vector is the mean of its reference rows, a
+    repeated gram's row counted as often as it occurs."""
     cfg = EmbeddingConfig(dim=5, window=2, negatives=2, epochs=1, seed=4)
     emb = (train_skipgram if mode == "skipgram" else train_cbow)(synth_corpus, cfg)
-    for i, rows in enumerate(emb.word_rows):
+    words = list(emb.vocab.entries)
+    word_rows = (reference_word_rows(words)[0] if mode == "skipgram"
+                 else [[i] for i in range(len(words))])
+    assert emb.composition.shape == (len(words), len(emb.vectors))
+    for i, rows in enumerate(word_rows):
         np.testing.assert_allclose(emb.composed[i], emb.vectors[rows].mean(axis=0),
                                    rtol=0, atol=1e-15)
 

@@ -13,8 +13,10 @@ from nordlid.features import (
     CHARSET_INDEX,
     CODE_ORDER,
     CsrMatrix,
+    HashedVocabulary,
     NgramVocabulary,
     WordVocabulary,
+    build_hashed_vocab,
     build_ngram_vocab,
     build_word_vocab,
     char_codes,
@@ -26,6 +28,7 @@ from nordlid.features import (
     gram_codes,
     gram_keys,
     key_string_order,
+    ngram_hits,
     to_dense,
     word_tokenize,
 )
@@ -419,3 +422,66 @@ def test_charset_index_covers_alphabet_in_order():
     assert CHARSET_INDEX["a"] == 0
     assert CHARSET_INDEX[" "] == 39
     assert clean_sentence("".join(CHARSET_INDEX)) == "".join(CHARSET_INDEX).lstrip()
+
+
+# ---------------------------------------------------------------------------
+# The hashed vocabulary against a pure-Python reference
+# ---------------------------------------------------------------------------
+
+
+def python_bucket(gram: str, buckets: int) -> int:
+    """A gram's bucket with Python integers: its key (the grams of the lower
+    orders, then its base-40 code in code-point order), times the golden
+    ratio multiplier mod 2**64, top 32 bits, mod ``buckets``."""
+    code = 0
+    for ch in gram:
+        code = code * 40 + sorted(ALPHABET).index(ch)
+    key = sum(40**m for m in range(1, len(gram))) + code
+    return (key * 0x9E3779B97F4A7C15 % 2**64 >> 32) % buckets
+
+
+def python_grams(text: str, orders) -> list[str]:
+    return [g for n in range(orders[0], orders[1] + 1) for g in extract_char_ngrams(text, n)]
+
+
+def python_hits(texts, orders, buckets, occupied) -> list[tuple[int, int]]:
+    """(text, column) of every gram whose bucket is occupied, text by text,
+    the column being the bucket's rank among the occupied buckets."""
+    rank = {b: j for j, b in enumerate(occupied)}
+    return [(i, rank[b]) for i, text in enumerate(texts)
+            for b in (python_bucket(g, buckets) for g in python_grams(text, orders)) if b in rank]
+
+
+class TestHashedVocabulary:
+    @given(texts=st.lists(st.text(ALPHABET, max_size=15), min_size=1, max_size=6),
+           queries=st.lists(st.text(ALPHABET, max_size=15), max_size=4),
+           orders=st.sampled_from([(1, 1), (2, 3), (3, 6), (1, 5)]),
+           buckets=st.sampled_from([1, 2, 97, 1 << 20]))
+    @settings(max_examples=150, deadline=None)
+    def test_hits_and_counts_equal_python_reference(self, texts, queries, orders, buckets):
+        """Built from ``texts`` and read on them and on ``queries``, whose
+        grams may fall in unoccupied buckets, plus an empty text."""
+        vocab = build_hashed_vocab(texts, orders, buckets)
+        occupied = sorted({python_bucket(g, buckets) for t in texts for g in python_grams(t, orders)})
+        assert vocab.occupied.dtype == np.int64 and vocab.occupied.tolist() == occupied
+        lines = texts + queries + [""]
+        rows, columns = ngram_hits(lines, vocab)
+        assert list(zip(rows.tolist(), columns.tolist())) == python_hits(lines, orders, buckets, occupied)
+        dense = np.zeros((len(lines), len(occupied)))
+        for i, j in python_hits(lines, orders, buckets, occupied):
+            dense[i, j] += 1
+        assert np.array_equal(to_dense(count_matrix(lines, vocab)), dense)
+
+    def test_unoccupied_bucket_gives_minus_one_and_a_zero_row(self):
+        grams = sorted(ALPHABET)
+        buckets = [python_bucket(g, 97) for g in grams]
+        occupied = sorted(set(buckets[:20]))
+        vocab = HashedVocabulary((1, 1), 97, np.array(occupied, dtype=np.int64))
+        expected = [occupied.index(b) if b in occupied else -1 for b in buckets]
+        assert -1 in expected
+        _, keys = gram_keys(grams, 1, 1)
+        assert vocab.columns(keys).tolist() == expected
+        unseen = "".join(g for g, b in zip(grams, buckets) if b not in occupied)
+        x = to_dense(count_matrix([unseen, "", grams[0]], vocab))
+        assert x.shape == (3, len(occupied)) and not x[:2].any() and x[2].sum() == 1
+

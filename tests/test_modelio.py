@@ -28,6 +28,8 @@ from nordlid.modelio import (
 )
 from nordlid.synth import generate_pools
 
+from test_embeddings import sentence_embedding
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -372,7 +374,7 @@ def test_embedding_design_equals_per_line_sentence_embedding(corpus, mode, dim):
         for i in range(modelio.BATCH_LINES + 5)
     ]
     x = feature.matrix(lines)
-    expected = np.array([embeddings.sentence_embedding(line, emb) for line in lines])
+    expected = np.array([sentence_embedding(line, emb) for line in lines])
     assert x.shape == (len(lines), dim)
     np.testing.assert_allclose(x, expected, rtol=1e-12, atol=0)
     assert not x[:3].any() and x[3:].any(axis=1).all()

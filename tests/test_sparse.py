@@ -69,6 +69,19 @@ class TestCsrMatrix:
         assert np.allclose(x @ w[:, 0], dense @ w[:, 0], rtol=0, atol=1e-12)
         assert np.allclose(g[:, 0] @ x, g[:, 0] @ dense, rtol=0, atol=1e-12)
 
+    @given(count_matrices(), st.integers(0, 2**32 - 1), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_take_equals_dense_rows(self, dense, seed, k):
+        """Repeated rows, empty rows (the matrices have some) and, with k
+        = 0, an empty selection."""
+        x = CsrMatrix.from_dense(dense)
+        rows = np.random.default_rng(seed).integers(0, dense.shape[0], size=k)
+        taken = x.take(rows)
+        assert isinstance(taken, CsrMatrix) and taken.shape == (k, dense.shape[1])
+        assert taken.indptr.dtype == taken.indices.dtype == np.int64
+        assert np.array_equal(taken.toarray(), dense[rows])
+        assert np.array_equal(x.take(np.r_[rows, rows]).toarray(), dense[np.r_[rows, rows]])
+
     @given(count_matrices(), st.integers(0, 2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_rows_materialise_exactly(self, dense, seed):
