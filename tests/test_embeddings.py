@@ -113,9 +113,10 @@ def check_composition(composition, words):
     rows, occupied = reference_word_rows(words)
     width = len(words) + len(occupied)
     assert composition.shape == (len(words), width)
-    assert composition.indices.dtype == np.int64
-    for i in range(len(words)):  # columns ascend within a row, the own one first
-        assert np.all(np.diff(composition.indices[composition.indptr[i] : composition.indptr[i + 1]]) > 0)
+    indptr, indices = composition.indptr, composition.indices
+    assert indices.dtype == np.int64
+    for lo, hi in zip(indptr[:-1], indptr[1:]):  # columns ascend within a row
+        assert np.all(np.diff(indices[lo:hi]) > 0)
     assert composition.toarray().tobytes() == reference_composition(rows, width).tobytes()
 
 

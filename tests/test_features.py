@@ -465,10 +465,11 @@ class TestHashedVocabulary:
         occupied = sorted({python_bucket(g, buckets) for t in texts for g in python_grams(t, orders)})
         assert vocab.occupied.dtype == np.int64 and vocab.occupied.tolist() == occupied
         lines = texts + queries + [""]
+        hits = python_hits(lines, orders, buckets, occupied)
         rows, columns = ngram_hits(lines, vocab)
-        assert list(zip(rows.tolist(), columns.tolist())) == python_hits(lines, orders, buckets, occupied)
+        assert list(zip(rows.tolist(), columns.tolist())) == hits
         dense = np.zeros((len(lines), len(occupied)))
-        for i, j in python_hits(lines, orders, buckets, occupied):
+        for i, j in hits:
             dense[i, j] += 1
         assert np.array_equal(to_dense(count_matrix(lines, vocab)), dense)
 
