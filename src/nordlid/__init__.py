@@ -23,7 +23,6 @@ from .features import (
     build_ngram_vocab,
     build_word_vocab,
     char_frequency_profile,
-    extract_char_ngrams,
     word_tokenize,
 )
 

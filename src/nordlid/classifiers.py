@@ -79,11 +79,12 @@ def _knn_search(model: KnnModel, queries: np.ndarray | CsrMatrix) -> np.ndarray:
     Queries go ``m`` at a time, so that the dense block (m x d) and its
     squared distances (n x m) stay within ``KNN_BLOCK_BYTES``. A block's
     squared distances come from the expansion |v|^2 + |q|^2 - 2 v.q with
-    one CSR product, cut into row ranges whose m x nnz terms fit the
-    budget too. The rows within :func:`_knn_slack` of a query's k-th
-    smallest value are the candidates; their distances are recomputed as
-    ``sqrt(sum((v - q)**2))`` on dense rows, which settles the order and
-    the vote exactly as an exhaustive search by that formula would.
+    one CSR product, :meth:`CsrMatrix.times_rows`, whose row ranges keep
+    the m x nnz terms within the budget too. The rows within
+    :func:`_knn_slack` of a query's k-th smallest value are the
+    candidates; their distances are recomputed as ``sqrt(sum((v - q)**2))``
+    on dense rows, which settles the order and the vote exactly as an
+    exhaustive search by that formula would.
     """
     vectors = model.vectors
     n, d = vectors.shape
@@ -98,14 +99,7 @@ def _knn_search(model: KnnModel, queries: np.ndarray | CsrMatrix) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, queries.shape[0], step):
             block = to_dense(queries[start : start + step])  # m x d
-            gram = np.empty((n, len(block)))
-            terms = budget // len(block)  # training non-zeros per product
-            lo = 0
-            while lo < n:  # ranges of at most `terms` non-zeros, or of one row
-                hi = int(np.searchsorted(vectors.indptr, vectors.indptr[lo] + terms, "right"))
-                hi = max(lo + 1, hi - 1)
-                gram[lo:hi] = vectors.row_block(lo, hi) @ block.T
-                lo = hi
+            gram = vectors.times_rows(block, budget)
             block_norms = np.einsum("ij,ij->i", block, block)
             approx = norms[:, None] + block_norms - 2 * gram
             kth = np.partition(approx, model.k - 1, axis=0)[model.k - 1]

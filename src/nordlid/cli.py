@@ -55,7 +55,6 @@ from .features import (
     char_frequency_profile,
     check_learning_rate,
     label_indices,
-    to_dense,
 )
 from .modelio import (
     EMBEDDING_FEATURES,
@@ -258,11 +257,11 @@ def cmd_reduce(args) -> int:
         sentences = rng.sample(sentences, args.max_points)
     subset = Dataset(tuple(sentences), seed=args.seed)
     feature = _build_vector_feature(args, subset, not args.raw_counts)
-    x = feature.matrix(subset)  # PCA keeps a CSR matrix; t-SNE needs dense rows
+    x = feature.matrix(subset)  # a CSR matrix stays CSR for PCA and t-SNE alike
     if args.method == "pca":
         coords = reduce.pca_project(x, m=2)
     else:
-        affinities, _ = reduce.tsne_affinities(to_dense(x), perplexity=args.perplexity)
+        affinities, _ = reduce.tsne_affinities(x, perplexity=args.perplexity)
         coords = reduce.tsne_optimize(
             affinities, iterations=args.iterations, seed=args.seed
         ).positions

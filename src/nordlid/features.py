@@ -76,8 +76,8 @@ def char_codes(text: str) -> np.ndarray:
 def gram_codes(texts: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     """(text index, n-gram code) of every width-n window of ``texts``.
 
-    Windows come text by text, left to right, as :func:`extract_char_ngrams`
-    lists them; none spans two texts.
+    Windows come text by text, each text's left to right, spaces included;
+    none spans two texts.
     """
     if not 1 <= n <= MAX_ORDER:
         raise ValueError(f"gram order must lie in 1..{MAX_ORDER}, got {n}")
@@ -96,9 +96,8 @@ def gram_codes(texts: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
 def gram_keys(texts: list[str], nmin: int, nmax: int) -> tuple[np.ndarray, np.ndarray]:
     """(text index, key) of every n-gram of orders nmin..nmax of ``texts``.
 
-    The keys come text by text; within a text, order nmin first and each
-    order left to right, as the :func:`extract_char_ngrams` lists of the
-    orders would follow one another.
+    The keys come text by text; within a text, all grams of order nmin
+    left to right, then those of each higher order.
     """
     orders = range(nmin, nmax + 1)
     parts = [gram_codes(texts, n) for n in orders]
@@ -177,13 +176,6 @@ class CodeIndex:
             at = np.minimum(at, len(self.ordered) - 1)
             out[~low] = np.where(self.ordered[at] == high, self.rows[at], -1)
         return out
-
-
-def extract_char_ngrams(text: str, n: int) -> list[str]:
-    """All width-n windows of ``text`` (spaces included), left to right."""
-    if n < 1:
-        raise ValueError(f"gram order must be >= 1, got {n}")
-    return [text[i : i + n] for i in range(len(text) - n + 1)]
 
 
 def word_tokenize(text: str) -> list[str]:
@@ -487,6 +479,23 @@ class CsrMatrix:
         with np.errstate(over="ignore"):
             squares = self.data**2
         return np.bincount(self._row_ids(), weights=squares, minlength=self.shape[0])
+
+    def times_rows(self, block: np.ndarray, cells: int) -> np.ndarray:
+        """``self @ block.T`` (n x m) for a dense m x d ``block``.
+
+        The product goes over ranges of rows whose m x nnz terms stay
+        within ``cells`` float64 values, or over one row at a time.
+        """
+        n = self.shape[0]
+        out = np.empty((n, len(block)))
+        terms = cells // max(len(block), 1)  # non-zeros per product
+        lo = 0
+        while lo < n:
+            hi = int(np.searchsorted(self.indptr, self.indptr[lo] + terms, "right"))
+            hi = max(lo + 1, hi - 1)
+            out[lo:hi] = self.row_block(lo, hi) @ block.T
+            lo = hi
+        return out
 
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)

@@ -13,8 +13,12 @@ same routine on an explicit symmetric matrix.
 t-SNE is the exact O(n^2) algorithm: Gaussian input affinities with
 per-point bandwidths tuned by bisection to a target perplexity (all rows
 at once), Student-t low-dimensional affinities, and momentum gradient
-descent on the KL divergence with early exaggeration. It works on dense
-input.
+descent on the KL divergence with early exaggeration. The input may be
+dense or a ``CsrMatrix``, whose Gram matrix comes from CSR products over
+blocks of rows. Each iteration splits the exact gradient into attractive
+and repulsive sums (van der Maaten 2014) and forms the Student-t kernel
+one row block at a time, so P is the only n x n array an iteration
+reads; the KL divergence is computed only on request.
 """
 
 from __future__ import annotations
@@ -174,10 +178,33 @@ def pca_project(data: np.ndarray | CsrMatrix, m: int = 2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _squared_distances(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Pairwise squared distances, zero diagonal, clipped at 0; into ``out`` if given."""
-    sq = (x**2).sum(axis=1)
-    d2 = np.matmul(x, x.T, out=out)
+#: Bytes of one row block of the n x n Student-t kernel in a t-SNE gradient.
+#: The block's rows depend on n alone, so the result does not depend on the
+#: machine. At n = 300 a block is 109 rows, at n = 1000 it is 32.
+TSNE_BLOCK_BYTES = 256 * 2**10
+#: Bytes of the dense rows and products a CSR Gram matrix takes at a time,
+#: as ``classifiers.KNN_BLOCK_BYTES`` bounds a KNN search.
+GRAM_BLOCK_BYTES = 16 * 2**20
+
+
+def _csr_gram(x: CsrMatrix) -> np.ndarray:
+    """X Xᵀ of a CSR matrix: m dense rows at a time, m·max(n, d) cells at most."""
+    n, d = x.shape
+    cells = GRAM_BLOCK_BYTES // 8
+    step = max(1, cells // max(n, d))
+    gram = np.empty((n, n))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        gram[:, lo:hi] = x.times_rows(x.row_block(lo, hi).toarray(), cells)
+    return gram
+
+
+def _squared_distances(x: np.ndarray | CsrMatrix) -> np.ndarray:
+    """Pairwise squared distances of the rows, zero diagonal, clipped at 0."""
+    if isinstance(x, CsrMatrix):
+        sq, d2 = x.row_sq_norms(), _csr_gram(x)
+    else:
+        sq, d2 = (x**2).sum(axis=1), x @ x.T
     d2 *= -2.0
     d2 += sq[:, None]
     d2 += sq[None, :]
@@ -186,19 +213,20 @@ def _squared_distances(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
 
 
 def tsne_affinities(
-    data: np.ndarray,
+    data: np.ndarray | CsrMatrix,
     perplexity: float = 30.0,
     tol: float = 1e-5,
     max_tries: int = 50,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrized joint affinities P and the per-point bandwidths sigma.
 
-    Every point's Gaussian precision beta is tuned at once by bisection
-    (with bracket expansion) until its conditional distribution's
-    perplexity matches the target within ``tol``; a row that matches stops
-    moving.
+    ``data`` may be a dense array or a ``CsrMatrix``, whose Gram matrix is
+    taken by CSR products over blocks of rows. Every point's Gaussian
+    precision beta is tuned at once by bisection (with bracket expansion)
+    until its conditional distribution's perplexity matches the target
+    within ``tol``; a row that matches stops moving.
     """
-    x = np.asarray(data, dtype=np.float64)
+    x = design_array(data)
     n = x.shape[0]
     if n < 4:
         raise TooFewPoints(f"need at least 4 points, got {n}")
@@ -261,8 +289,43 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 @dataclass
 class TsneResult:
     positions: np.ndarray  # n x 2
-    kl_history: list[float]
-    clamped_steps: int
+    kl_history: list[float] | None  # one KL per iteration, if asked for
+
+
+def tsne_gradient(p: np.ndarray, y: np.ndarray, exaggeration: float = 1.0) -> np.ndarray:
+    """Exact gradient 4 sum_j (a p_ij - q_ij) w_ij (y_i - y_j) of KL(P || Q).
+
+    Here w_ij = 1 / (1 + ||y_i - y_j||^2), q_ij = w_ij / z with z the sum
+    of all w_ij (i != j), and a the exaggeration. The sum splits into an
+    attractive and a repulsive part (van der Maaten 2014), both taken from
+    [y, 1]: with A = (P * W) [y, 1] and R = (W * W) [y, 1], the gradient is
+    4 (a (A_3 y - A_12) - (R_3 y - R_12) / z). W is formed in row blocks of
+    about ``TSNE_BLOCK_BYTES``: one product [y, |y|^2 + 1, 1] [-2yᵀ; 1; |y|^2]
+    gives 1 + ||y_i - y_j||^2, floored at 1 where rounding takes it below.
+    """
+    n = len(y)
+    sq = np.einsum("ij,ij->i", y, y)
+    ones = np.ones((n, 1))
+    left = np.hstack([y, sq[:, None] + 1.0, ones])  # n x 4
+    right = np.vstack([-2.0 * y.T, ones.T, sq])  # 4 x n
+    y1 = np.hstack([y, ones])  # n x 3
+    attract, repel = np.empty((n, 3)), np.empty((n, 3))
+    z = 0.0
+    step = max(1, TSNE_BLOCK_BYTES // (8 * n))
+    work = np.empty((2, step, n))  # W and P * W of a block, reused by every block
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        w, pw = work[0, : hi - lo], work[1, : hi - lo]
+        np.matmul(left[lo:hi], right, out=w)
+        np.maximum(w, 1.0, out=w)
+        np.reciprocal(w, out=w)
+        np.fill_diagonal(w[:, lo:hi], 0.0)
+        z += float((w @ ones).sum())
+        np.matmul(np.multiply(p[lo:hi], w, out=pw), y1, out=attract[lo:hi])
+        np.square(w, out=w)
+        np.matmul(w, y1, out=repel[lo:hi])
+    return 4.0 * (exaggeration * (attract[:, 2:] * y - attract[:, :2])
+                  - (repel[:, 2:] * y - repel[:, :2]) / z)
 
 
 def tsne_optimize(
@@ -277,18 +340,18 @@ def tsne_optimize(
     momentum_switch: int = 250,
     init_scale: float = 1e-4,
     grad_norm_clamp: float = 1e6,
+    record_kl: bool = False,
 ) -> TsneResult:
     """Momentum gradient descent on KL(P || Q) from a tiny Gaussian init.
 
-    The gradient at point i is 4 sum_j (p_ij - q_ij)(y_i - y_j) /
-    (1 + ||y_i - y_j||^2), computed as 4 (rowsum(M) y - M y) with
-    M = (P - Q) * W. Affinities are multiplied by the exaggeration factor
-    for the first ``exaggeration_iters`` iterations. Per-coordinate gains
-    (+0.2 on sign disagreement with the velocity, x0.8 on agreement,
-    floored at 0.01) follow the original reference implementation and keep
-    the fixed learning rate stable late in the run. KL against the
-    unexaggerated P is recorded every iteration, as sum p log p minus
-    sum p log max(q, 1e-12). The n x n work reuses two buffers.
+    Each step takes :func:`tsne_gradient`, with P multiplied by the
+    exaggeration factor for the first ``exaggeration_iters`` iterations.
+    Per-coordinate gains (+0.2 on sign disagreement with the velocity, x0.8
+    on agreement, floored at 0.01) follow the original reference
+    implementation and keep the fixed learning rate stable late in the run.
+    With ``record_kl`` the KL divergence of the unexaggerated P from the
+    positions' Q is recorded at the top of every iteration (an n x n pass
+    of its own); otherwise ``kl_history`` is None.
     """
     p = np.asarray(p, dtype=np.float64)
     n = p.shape[0]
@@ -296,32 +359,15 @@ def tsne_optimize(
     y = rng.normal(0.0, init_scale, size=(n, 2))
     velocity = np.zeros_like(y)
     gains = np.ones_like(y)
-    kl_history: list[float] = []
-    clamped = 0
-    positive = p[p > 0]
-    p_log_p = float(np.dot(positive, np.log(positive)))
-    p_total = float(p.sum())
-    p_flat = p.ravel()
-    p_exaggerated = p * early_exaggeration
-    w = np.empty((n, n))
-    m = np.empty((n, n))
+    kl_history: list[float] | None = [] if record_kl else None
     for it in range(iterations):
-        _squared_distances(y, out=w)
-        w += 1.0
-        np.reciprocal(w, out=w)
-        np.fill_diagonal(w, 0.0)
-        z = float(w.sum())
-        np.multiply(w, -1.0 / z, out=m)  # -q
-        m += p_exaggerated if it < exaggeration_iters else p
-        m *= w
-        grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
-        np.maximum(w, 1e-12 * z, out=m)
-        np.log(m, out=m)
-        kl_history.append(p_log_p - float(np.dot(p_flat, m.ravel())) + np.log(z) * p_total)
+        if kl_history is not None:
+            kl_history.append(kl_divergence(p, student_t_affinities(y)))
+        exaggeration = early_exaggeration if it < exaggeration_iters else 1.0
+        grad = tsne_gradient(p, y, exaggeration)
         norm = np.linalg.norm(grad)
         if norm > grad_norm_clamp:
             grad *= grad_norm_clamp / norm
-            clamped += 1
         same_sign = (grad > 0) == (velocity > 0)
         gains = np.where(same_sign, gains * 0.8, gains + 0.2)
         gains = np.maximum(gains, 0.01)
@@ -329,7 +375,7 @@ def tsne_optimize(
         velocity = momentum * velocity - learning_rate * (gains * grad)
         y = y + velocity
         y = y - y.mean(axis=0)
-    return TsneResult(y, kl_history, clamped)
+    return TsneResult(y, kl_history)
 
 
 def format_projection(

@@ -274,7 +274,8 @@ def test_criterion_4_tsne_suite():
     assert abs(p.sum() - 1.0) <= 1e-9
 
     # learning rate sized for n=50 (the 200 default suits corpus-scale runs)
-    result = reduce.tsne_optimize(p, iterations=1000, seed=0, learning_rate=10.0)
+    result = reduce.tsne_optimize(p, iterations=1000, seed=0, learning_rate=10.0,
+                                  record_kl=True)
     tail = result.kl_history[250:]
     windows = [np.mean(tail[i : i + 50]) for i in range(0, len(tail) - 49, 50)]
     assert all(b <= a + 1e-6 for a, b in zip(windows, windows[1:]))

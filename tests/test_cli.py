@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import struct
 import sys
 import warnings
@@ -1049,6 +1050,17 @@ class TestReduceSweepProfile:
         first = (tmp_path / "t.tsv").read_bytes()
         assert main(args) == 0
         assert (tmp_path / "t.tsv").read_bytes() == first
+
+    def test_reduce_tsne_on_csr_char3_rows(self, data_dir, tmp_path):
+        out = tmp_path / "t.tsv"
+        assert main([
+            "reduce", "--method", "tsne", "--features", "char3",
+            "--input", str(data_dir / "train.tsv"), "--out", str(out),
+            "--max-points", "30", "--perplexity", "5", "--iterations", "40",
+        ]) == 0
+        rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+        assert len(rows) == 30
+        assert all(math.isfinite(float(v)) for _, x, y in rows for v in (x, y))
 
     @pytest.mark.parametrize("method, flag, value", [
         ("pca", "--max-points", "-1"),

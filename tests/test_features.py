@@ -24,7 +24,6 @@ from nordlid.features import (
     KEY_START,
     MAX_ORDER,
     count_matrix,
-    extract_char_ngrams,
     gram_codes,
     gram_keys,
     key_string_order,
@@ -32,6 +31,15 @@ from nordlid.features import (
     to_dense,
     word_tokenize,
 )
+
+
+def extract_char_ngrams(text: str, n: int) -> list[str]:
+    """All width-n windows of ``text`` (spaces included), left to right: the
+    string reference for the package's integer gram codes."""
+    if n < 1:
+        raise ValueError(f"gram order must be >= 1, got {n}")
+    return [text[i : i + n] for i in range(len(text) - n + 1)]
+
 
 GOLDEN_CLEAN = (
     "hesbjerg er dannet ved sammenlægning af de gårde "

@@ -13,7 +13,6 @@ from nordlid.features import (
     build_ngram_vocab,
     build_word_vocab,
     count_matrix,
-    extract_char_ngrams,
     gram_keys,
     label_indices,
     word_tokenize,
@@ -29,6 +28,7 @@ from nordlid.modelio import (
 from nordlid.synth import generate_pools
 
 from test_embeddings import sentence_embedding
+from test_features import extract_char_ngrams
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from nordlid import reduce
 from nordlid.corpus import LABELS
 from nordlid.errors import ConvergenceFailure, PerplexityInfeasible, TooFewPoints
 from nordlid.features import CsrMatrix, build_ngram_vocab, count_matrix
@@ -15,6 +16,7 @@ from nordlid.reduce import (
     student_t_affinities,
     top_eigenpairs,
     tsne_affinities,
+    tsne_gradient,
     tsne_optimize,
 )
 from nordlid.synth import generate_pools
@@ -255,6 +257,35 @@ class TestTsneAffinities:
         with pytest.raises(TooFewPoints):
             tsne_affinities(np.zeros((3, 2)), perplexity=2.0)
 
+    @pytest.mark.parametrize("rows_per_block", [1, 7, None])
+    def test_csr_input_matches_dense_copy(self, monkeypatch, rows_per_block):
+        rng = np.random.default_rng(19)
+        dense = rng.random((50, 120)) * (rng.random((50, 120)) < 0.08)
+        if rows_per_block is not None:  # blocks of dense rows, and product ranges of a few rows
+            monkeypatch.setattr(reduce, "GRAM_BLOCK_BYTES", 8 * 120 * rows_per_block)
+        expected, expected_sigmas = tsne_affinities(dense, perplexity=8.0)
+        got, sigmas = tsne_affinities(CsrMatrix.from_dense(dense), perplexity=8.0)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert np.abs(sigmas - expected_sigmas).max() <= 1e-12 * expected_sigmas.max()
+
+    def test_char3_csr_allocates_no_dense_design(self, monkeypatch):
+        pools = generate_pools(10, "wiki", seed=20)
+        sentences = [s for code in LABELS for s in pools[code]]
+        x = count_matrix(sentences, build_ngram_vocab(sentences, (3, 3)), normalize=True,
+                         sparse=True)
+        n, d = x.shape
+        assert d > 10 * n
+        monkeypatch.setattr(reduce, "GRAM_BLOCK_BYTES", 8 * d * 4)  # four dense rows
+        expected, _ = tsne_affinities(x.toarray(), perplexity=5.0)
+        tracemalloc.start()
+        try:
+            got, _ = tsne_affinities(x, perplexity=5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+        assert peak < n * d * 8 / 4
+
 
 def two_cluster_data(n=20, seed=9):
     rng = np.random.default_rng(seed)
@@ -263,7 +294,95 @@ def two_cluster_data(n=20, seed=9):
     return np.concatenate([a, b]), np.array([0] * (n // 2) + [1] * (n // 2))
 
 
+def pairwise_gradient(p: np.ndarray, y: np.ndarray, exaggeration: float) -> np.ndarray:
+    """4 sum_j (a p_ij - q_ij) w_ij (y_i - y_j), one pair at a time."""
+    n = len(y)
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                w[i, j] = 1.0 / (1.0 + float(((y[i] - y[j]) ** 2).sum()))
+    z = w.sum()
+    grad = np.zeros_like(y)
+    for i in range(n):
+        for j in range(n):
+            grad[i] += 4.0 * (exaggeration * p[i, j] - w[i, j] / z) * w[i, j] * (y[i] - y[j])
+    return grad
+
+
+def dense_tsne(p, iterations, seed=0, learning_rate=200.0, early_exaggeration=12.0,
+               exaggeration_iters=250, momentum_start=0.5, momentum_final=0.8,
+               momentum_switch=250, init_scale=1e-4, grad_norm_clamp=1e6):
+    """The earlier loop over two n x n buffers, KL left out: the reference
+    for the row-block gradient."""
+    n = p.shape[0]
+    rng = np.random.default_rng(seed)
+    y = rng.normal(0.0, init_scale, size=(n, 2))
+    velocity = np.zeros_like(y)
+    gains = np.ones_like(y)
+    p_exaggerated = p * early_exaggeration
+    w = np.empty((n, n))
+    m = np.empty((n, n))
+    for it in range(iterations):
+        sq = (y**2).sum(axis=1)
+        np.matmul(y, y.T, out=w)
+        w *= -2.0
+        w += sq[:, None]
+        w += sq[None, :]
+        np.fill_diagonal(w, 0.0)
+        np.maximum(w, 0.0, out=w)
+        w += 1.0
+        np.reciprocal(w, out=w)
+        np.fill_diagonal(w, 0.0)
+        z = float(w.sum())
+        np.multiply(w, -1.0 / z, out=m)  # -q
+        m += p_exaggerated if it < exaggeration_iters else p
+        m *= w
+        grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+        norm = np.linalg.norm(grad)
+        if norm > grad_norm_clamp:
+            grad *= grad_norm_clamp / norm
+        same_sign = (grad > 0) == (velocity > 0)
+        gains = np.where(same_sign, gains * 0.8, gains + 0.2)
+        gains = np.maximum(gains, 0.01)
+        momentum = momentum_start if it < momentum_switch else momentum_final
+        velocity = momentum * velocity - learning_rate * (gains * grad)
+        y = y + velocity
+        y = y - y.mean(axis=0)
+    return y
+
+
+class TestTsneGradient:
+    @pytest.mark.parametrize("rows_per_block", [1, 5, 100])  # 1-row, uneven (5, 5, 4), one block
+    @pytest.mark.parametrize("exaggeration", [1.0, 12.0])
+    def test_matches_pairwise_sum(self, monkeypatch, rows_per_block, exaggeration):
+        data, _ = two_cluster_data(n=14, seed=21)
+        p, _ = tsne_affinities(data, perplexity=4.0)
+        y = np.random.default_rng(22).normal(0.0, 1.0, size=(14, 2))
+        monkeypatch.setattr(reduce, "TSNE_BLOCK_BYTES", 8 * 14 * rows_per_block)
+        expected = pairwise_gradient(p, y, exaggeration)
+        got = tsne_gradient(p, y, exaggeration)
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 class TestTsneOptimize:
+    @pytest.mark.parametrize("steps", [1, 5])
+    def test_positions_match_dense_loop(self, steps):
+        data, _ = two_cluster_data(n=40, seed=23)
+        p, _ = tsne_affinities(data, perplexity=8.0)
+        expected = dense_tsne(p, steps, seed=4)
+        got = tsne_optimize(p, iterations=steps, seed=4).positions
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_kl_history_only_on_request(self):
+        data, _ = two_cluster_data(n=16, seed=24)
+        p, _ = tsne_affinities(data, perplexity=4.0)
+        assert tsne_optimize(p, iterations=3, seed=0).kl_history is None
+        assert tsne_optimize(p, iterations=0, seed=0, record_kl=True).kl_history == []
+        kept = tsne_optimize(p, iterations=3, seed=0, record_kl=True)
+        assert len(kept.kl_history) == 3
+        assert np.array_equal(kept.positions, tsne_optimize(p, iterations=3, seed=0).positions)
+
     def test_two_clusters_separate(self):
         data, labels = two_cluster_data()
         p, _ = tsne_affinities(data, perplexity=5.0)
@@ -279,7 +398,7 @@ class TestTsneOptimize:
     def test_kl_non_increasing_after_exaggeration(self):
         data, _ = two_cluster_data(n=24, seed=10)
         p, _ = tsne_affinities(data, perplexity=6.0)
-        result = tsne_optimize(p, iterations=600, seed=1)
+        result = tsne_optimize(p, iterations=600, seed=1, record_kl=True)
         tail = result.kl_history[250:]
         windows = [np.mean(tail[i : i + 50]) for i in range(0, len(tail) - 49, 50)]
         assert all(b <= a + 1e-6 for a, b in zip(windows, windows[1:]))
@@ -294,7 +413,7 @@ class TestTsneOptimize:
     def test_kl_history_matches_reference_formula(self):
         data, _ = two_cluster_data(n=16, seed=18)
         p, _ = tsne_affinities(data, perplexity=4.0)
-        result = tsne_optimize(p, iterations=1, seed=2)
+        result = tsne_optimize(p, iterations=1, seed=2, record_kl=True)
         start = np.random.default_rng(2).normal(0.0, 1e-4, size=(16, 2))
         expected = kl_divergence(p, student_t_affinities(start))
         assert result.kl_history[0] == pytest.approx(expected, rel=1e-12)

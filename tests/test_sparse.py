@@ -17,12 +17,13 @@ from nordlid.features import (
     build_word_vocab,
     count_matrix,
     label_indices,
-    extract_char_ngrams,
     gram_keys,
     to_dense,
     word_tokenize,
 )
 from nordlid.synth import generate_pools
+
+from test_features import extract_char_ngrams
 
 
 @st.composite
