@@ -311,10 +311,15 @@ def svm_objective(
     x: np.ndarray,
     y_signs: np.ndarray,
 ) -> float:
-    """Sum over classes of (lam/2)||w||^2 + mean hinge loss."""
+    """Sum over classes of (lam/2)||w||^2 + mean hinge loss.
+
+    Weights of a tiny ``lam`` can square past the float64 range; the
+    objective then reads inf, without a warning.
+    """
     margins = y_signs * (x @ weights.T + biases)
     hinge = np.maximum(0.0, 1.0 - margins).mean(axis=0)
-    return float((0.5 * lam * (weights**2).sum(axis=1) + hinge).sum())
+    with np.errstate(over="ignore"):
+        return float((0.5 * lam * (weights**2).sum(axis=1) + hinge).sum())
 
 
 def train_svm(
@@ -325,47 +330,69 @@ def train_svm(
     seed: int = 0,
     average: bool = False,
 ) -> SvmModel:
-    """Six one-vs-rest SVMs trained jointly with the 1/(lam*t) step schedule.
+    """Six one-vs-rest SVMs trained jointly by Pegasos, step size 1/(lam*t).
 
     Every class sees the same shuffled example order, so a single seed
-    fixes the whole model. The bias terms take plain subgradient steps
-    and are not regularized. With ``average`` the returned weights are
-    the mean of the iterates from the second half of training, which
-    smooths the noisy tail of the 1/(lam*t) schedule.
+    fixes the whole model. Step t sets w_t = (1 - 1/t) w_{t-1} + u_t/(lam t),
+    where u_t is y x on the classes whose margin is below 1. Hence
+    w_t = U_t/(lam t) with U_t the sum of the u up to t (Shalev-Shwartz et
+    al. 2011), and a step reads and adds only the columns of its row's
+    non-zeros: O(6 nnz) per step, on CSR or dense input alike. The bias
+    terms take plain subgradient steps and are not regularized.
+
+    With ``average`` the returned weights are the mean of the iterates
+    from the second half of training, which smooths the noisy tail of the
+    schedule. Their sum is kept lazily as well: over tail steps t0 < t <= T
+    it is (H U_T - L)/lam, where H is the sum of 1/t over the tail and L
+    sums H_{t-1} u_t, H_{t-1} being the part of H before step t.
     """
-    if not (np.isfinite(lam) and lam > 0) or epochs < 0:
-        raise ValueError(f"need a finite lam > 0 and epochs >= 0, got {lam} and {epochs}")
-    x = design_array(train_x)  # x[i] is a dense row either way
+    lam = float(lam)
+    if not (0 < lam < np.inf and 1.0 / lam < np.inf) or epochs < 0:
+        raise ValueError(
+            f"need a finite lam > 0 with a finite 1/lam, and epochs >= 0, got {lam} and {epochs}"
+        )
+    x = design_array(train_x)
+    rows = as_csr(x)
+    starts, columns, values = rows.indptr.tolist(), rows.indices, rows.data
     y = np.asarray(train_y, dtype=np.int64)
     n, dim = x.shape
     y_signs = np.where(one_hot(y) > 0, 1.0, -1.0)  # n x 6
-    weights = np.zeros((N_CLASSES, dim))
+    u_sum = np.zeros((dim, N_CLASSES))  # U, one row per column of x
     biases = np.zeros(N_CLASSES)
+    scale = 0.0  # 1/(lam t) after step t, so that w_t = U_t * scale; w_0 = 0
     rng = np.random.default_rng(seed)
     history = []
-    total = epochs * n
-    tail_start = total // 2
-    w_sum = np.zeros_like(weights)
+    tail_start = epochs * n // 2
+    tail_u = np.zeros_like(u_sum) if average else None  # L
+    tail_h = 0.0  # H_{t-1}, then H
     b_sum = np.zeros_like(biases)
-    averaged = 0
     t = 0
     for _ in range(epochs):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
-            eta = 1.0 / (lam * t)
-            margins = y_signs[i] * (weights @ x[i] + biases)
-            violated = margins < 1.0
-            weights *= 1.0 - eta * lam
+            cols = columns[starts[i] : starts[i + 1]]
+            vals = values[starts[i] : starts[i + 1]]
+            signs = y_signs[i]
+            gathered = u_sum.take(cols, axis=0)
+            violated = signs * (vals @ gathered * scale + biases) < 1.0
+            scale = 1.0 / (lam * t)
+            tail = average and t > tail_start
             if violated.any():
-                weights[violated] += eta * np.outer(y_signs[i][violated], x[i])
-                biases[violated] += eta * y_signs[i][violated]
-            if average and t > tail_start:
-                w_sum += weights
+                step = signs * violated  # y on the violated classes, 0 elsewhere
+                update = vals[:, None] * step  # u_t on the row's columns
+                gathered += update
+                u_sum[cols] = gathered
+                biases += scale * step
+                if tail:
+                    tail_u[cols] += tail_h * update
+            if tail:
+                tail_h += 1.0 / t
                 b_sum += biases
-                averaged += 1
-        history.append(svm_objective(weights, biases, lam, x, y_signs))
-    if average and averaged:
-        weights = w_sum / averaged
+        history.append(svm_objective((u_sum * scale).T, biases, lam, x, y_signs))
+    weights = (u_sum * scale).T
+    if average and t > tail_start:
+        averaged = t - tail_start
+        weights = ((tail_h * u_sum - tail_u) / (lam * averaged)).T
         biases = b_sum / averaged
         history.append(svm_objective(weights, biases, lam, x, y_signs))
-    return SvmModel(weights, biases, lam, epochs, seed, history)
+    return SvmModel(np.ascontiguousarray(weights), biases, lam, epochs, seed, history)

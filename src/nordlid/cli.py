@@ -185,8 +185,8 @@ def cmd_train(args) -> int:
         check_learning_rate(args.lr)
     if not 0 <= args.alpha < float("inf"):  # nan fails both comparisons
         raise ValueError(f"--alpha must be finite and >= 0, got {args.alpha}")
-    if not 0 < args.lam < float("inf"):
-        raise ValueError(f"--lam must be finite and > 0, got {args.lam}")
+    if not 0 < args.lam < float("inf") or 1.0 / args.lam == float("inf"):
+        raise ValueError(f"--lam must be finite and > 0 with a finite reciprocal, got {args.lam}")
     dataset = load_dataset_tsv(args.train)
     if kind.reads_text:
         feature, inputs = None, dataset.sentences

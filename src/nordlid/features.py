@@ -403,9 +403,10 @@ GATHER_BYTES = 4 * 2**20
 #: a dense array otherwise. Measured on the 4800-sentence synthetic
 #: training set with one BLAS thread: at char3 (0.3% dense) CSR takes
 #: 7 MB instead of 1 GB and one logistic-regression gradient 20 ms
-#: instead of 400 ms; at char2 (5.5% dense) the dense matrix is 50 MB,
-#: CSR speeds the gradient up by only about 20%, and the SVM, which
-#: expands one row per step, trains 1.8x slower on CSR. 2% sits between.
+#: instead of 400 ms; at char2 (5.5% dense) the dense matrix is 50 MB and
+#: CSR speeds the gradient up by only about 20%. 2% sits between. The SVM
+#: steps through a row's non-zeros on either form, so the choice does not
+#: change its cost.
 SPARSE_DENSITY = 0.02
 
 

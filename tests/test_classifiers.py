@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,7 @@ from nordlid.classifiers import (
     train_svm,
 )
 from nordlid.errors import DimensionMismatch, NegativeCount
-from nordlid.features import CsrMatrix
+from nordlid.features import CsrMatrix, one_hot, to_dense
 
 
 def python_distance(row, x):
@@ -312,6 +313,51 @@ class TestNaiveBayes:
                     assert a == pytest.approx(b, abs=1e-12)
 
 
+def dense_pegasos(x, y, lam, epochs, seed, average=False):
+    """The earlier per-step loop over dense rows, rescaling all 6 x d weights
+    each step: the reference for the O(nnz) steps of ``train_svm``.
+    Returns the weights, the biases and the objective history."""
+    x = to_dense(x)
+    n, dim = x.shape
+    y_signs = np.where(one_hot(y) > 0, 1.0, -1.0)
+    weights = np.zeros((6, dim))
+    biases = np.zeros(6)
+    rng = np.random.default_rng(seed)
+    history = []
+    tail_start = epochs * n // 2
+    w_sum = np.zeros_like(weights)
+    b_sum = np.zeros_like(biases)
+    averaged = 0
+    t = 0
+    for _ in range(epochs):
+        for i in rng.permutation(n):
+            t += 1
+            eta = 1.0 / (lam * t)
+            margins = y_signs[i] * (weights @ x[i] + biases)
+            violated = margins < 1.0
+            weights *= 1.0 - eta * lam
+            if violated.any():
+                weights[violated] += eta * np.outer(y_signs[i][violated], x[i])
+                biases[violated] += eta * y_signs[i][violated]
+            if average and t > tail_start:
+                w_sum += weights
+                b_sum += biases
+                averaged += 1
+        history.append(svm_objective(weights, biases, lam, x, y_signs))
+    if average and averaged:
+        weights = w_sum / averaged
+        biases = b_sum / averaged
+        history.append(svm_objective(weights, biases, lam, x, y_signs))
+    return weights, biases, history
+
+
+def assert_close_relative(got, expected, rtol=1e-12):
+    """Equal within ``rtol`` of the largest magnitude in ``expected``."""
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max(initial=0.0) <= rtol * np.abs(expected).max(initial=0.0)
+
+
 class TestSvm:
     def test_positive_class_weight_sign(self):
         # 1-D set: label dk at +1, label sv at -1
@@ -358,11 +404,40 @@ class TestSvm:
         expected = np.array([w @ x + b for w, b in zip(weights, biases)])
         assert np.allclose(model.scores(x[None])[0], expected, atol=1e-12)
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf"), 1e-320, 5e-324])
     def test_lam_that_is_not_finite_and_positive_rejected(self, lam):
-        """An infinite lam once trained all-NaN weights: 1/(inf*t) * inf is NaN."""
+        """An infinite lam once trained all-NaN weights: 1/(inf*t) * inf is NaN.
+        So did a subnormal one, whose 1/lam overflows to inf."""
         with pytest.raises(ValueError, match="lam"):
             train_svm(np.ones((2, 2)), np.array([0, 1]), lam=lam)
+
+    @pytest.mark.parametrize("form", ["dense", "csr"])
+    @pytest.mark.parametrize("average", [False, True])
+    @pytest.mark.parametrize("lam", [1.0, 1e-5])
+    @pytest.mark.parametrize("n,epochs", [(1, 1), (1, 3), (23, 0), (23, 1), (23, 3)])
+    def test_matches_dense_reference(self, form, average, lam, n, epochs):
+        rng = np.random.default_rng(n + epochs)
+        x = rng.normal(size=(n, 9))
+        x[rng.random(x.shape) < 0.6] = 0.0
+        if n > 1:
+            x[n // 2] = 0.0  # an all-zero row
+        y = rng.integers(0, 6, size=n)
+        design = CsrMatrix.from_dense(x) if form == "csr" else x
+        model = train_svm(design, y, lam=lam, epochs=epochs, seed=11, average=average)
+        weights, biases, history = dense_pegasos(x, y, lam, epochs, 11, average)
+        assert np.abs(weights).max() > 0 or epochs == 0
+        assert_close_relative(model.weights, weights)
+        assert_close_relative(model.biases, biases)
+        assert len(model.objective_history) == len(history)
+        assert np.allclose(model.objective_history, history, rtol=1e-12, atol=0.0)
+
+    def test_tiny_lam_objective_reads_inf_without_warning(self):
+        x = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train_svm(x, np.array([0, 1]), lam=1e-300, epochs=1)
+        assert np.isfinite(model.weights).all()
+        assert model.objective_history == [math.inf]
 
     def test_determinism_per_seed(self):
         rng = np.random.default_rng(10)

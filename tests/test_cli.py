@@ -8,6 +8,7 @@ import sys
 import warnings
 from contextlib import contextmanager, redirect_stderr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -264,6 +265,7 @@ class TestTrainEvalPredict:
         ("svm", "char2", ["--lam", "inf"]),
         ("svm", "char2", ["--lam", "nan"]),
         ("svm", "char2", ["--lam=-1"]),
+        ("svm", "char2", ["--lam", "1e-320"]),
         ("logreg", "char1", ["--lam", "0"]),
         ("logreg", "cbow", ["--cap", "5"]),
         ("svm", "skipgram", ["--cap", "5"]),
@@ -287,6 +289,21 @@ class TestTrainEvalPredict:
                     "--cap", "--raw-counts"):
             assert flag in err
         assert not (tmp_path / "m.ndsl").exists()
+
+    def test_tiny_lam_trains_without_stderr(self, data_dir, tmp_path, capsys):
+        """Weights near 1e300 square past the float64 range in the objective,
+        which once printed numpy's overflow warning on a successful train."""
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([
+                "train", "--model", "svm", "--features", "char2", "--lam", "1e-300",
+                "--epochs", "1", "--train", str(data_dir / "train.tsv"),
+                "--out", str(tmp_path / "m.ndsl"),
+            ]) == 0
+        assert capsys.readouterr().err == ""
+        svm = load_model(tmp_path / "m.ndsl").model
+        assert np.isfinite(svm.weights).all() and np.isfinite(svm.biases).all()
 
     @pytest.mark.parametrize("model,flags", [
         ("nb", ["--alpha", "0"]),

@@ -166,11 +166,12 @@ class TestTrainersOnCsr:
 
     def test_svm_bit_identical(self, design):
         _, x, y = design
-        sparse = classifiers.train_svm(x, y, epochs=2, seed=5)
-        dense = classifiers.train_svm(to_dense(x), y, epochs=2, seed=5)
-        assert sparse.weights.tobytes() == dense.weights.tobytes()
-        assert sparse.biases.tobytes() == dense.biases.tobytes()
-        assert np.allclose(sparse.objective_history, dense.objective_history, rtol=1e-12)
+        for average in (False, True):
+            sparse = classifiers.train_svm(x, y, epochs=2, seed=5, average=average)
+            dense = classifiers.train_svm(to_dense(x), y, epochs=2, seed=5, average=average)
+            assert sparse.weights.tobytes() == dense.weights.tobytes()
+            assert sparse.biases.tobytes() == dense.biases.tobytes()
+            assert np.allclose(sparse.objective_history, dense.objective_history, rtol=1e-12)
 
     def test_mlp_bit_identical(self, design):
         _, x, y = design
