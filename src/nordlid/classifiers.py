@@ -187,13 +187,6 @@ def _augment(x: np.ndarray | CsrMatrix) -> np.ndarray | CsrMatrix:
     return np.concatenate([x, ones], axis=-1)
 
 
-def logreg_loss(theta: np.ndarray, x_aug: np.ndarray, y: np.ndarray) -> float:
-    """Mean categorical cross-entropy of softmax(x theta^T) against y."""
-    posterior = softmax(x_aug @ theta.T)
-    picked = np.clip(posterior[np.arange(len(y)), y], 1e-12, None)
-    return float(-np.log(picked).mean())
-
-
 def logreg_gradient(theta: np.ndarray, x_aug: np.ndarray, y: np.ndarray) -> np.ndarray:
     posterior = softmax(x_aug @ theta.T)
     return (posterior - one_hot(y)).T @ x_aug / len(y)

@@ -220,12 +220,12 @@ def cmd_predict(args) -> int:
 def cmd_eval(args) -> int:
     pipeline = load_model(args.model_file)
     dataset = load_dataset_tsv(args.test)
-    gold = [s.label for s in dataset]
-    predicted = pipeline.labels([s.text for s in dataset])
+    truth = label_indices(dataset)
+    guess = pipeline.scores([s.text for s in dataset]).argmax(axis=1)
     report = evaluation.evaluate(
-        gold, predicted, dataset_id=str(args.test), model_id=str(args.model_file)
+        truth, guess, dataset_id=str(args.test), model_id=str(args.model_file)
     )
-    lengths = evaluation.length_failure_analysis(gold, predicted, [s.length for s in dataset])
+    lengths = evaluation.length_failure_analysis(truth, guess, [s.length for s in dataset])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "confusion.csv").write_text(
@@ -311,26 +311,35 @@ def cmd_profile(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
+def _add_feature_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of the feature a design matrix is built from: ``train`` and ``reduce``."""
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--lr", type=float, default=None, help="learning rate (per-model default)")
-    p.add_argument("--epochs", type=int, default=None, help="epochs (per-model default)")
-    p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--cap", type=int, default=None, help="vocabulary cap (top-K by frequency)")
-    p.add_argument("--k", type=int, default=3, help="KNN neighbor count")
-    p.add_argument("--alpha", type=float, default=1.0, help="NB Laplace smoothing")
-    p.add_argument("--lam", type=float, default=1e-4, help="SVM regularization")
-    p.add_argument("--hidden", type=int, default=128, help="MLP hidden width")
-    p.add_argument("--kernel", type=int, default=3, help="CNN filter width")
-    p.add_argument("--filters", type=int, default=64, help="CNN filter count")
-    p.add_argument("--embed-dim", type=int, default=16, help="CNN embedding size")
-    p.add_argument("--max-len", type=int, default=128, help="CNN max token sequence length")
     p.add_argument("--dim", type=int, default=100, help="embedding dimension (cbow/skipgram/fasttext)")
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--negatives", type=int, default=5)
     p.add_argument("--embed-epochs", type=int, default=5)
     p.add_argument("--embed-lr", type=float, default=0.05)
     p.add_argument("--raw-counts", action="store_true", help="skip L1 normalization of count features")
+
+
+def _add_sgd_flags(p: argparse.ArgumentParser) -> None:
+    """Flags of SGD and the CNN: ``train`` and ``sweep``."""
+    p.add_argument("--lr", type=float, default=None, help="learning rate (per-model default)")
+    p.add_argument("--epochs", type=int, default=None, help="epochs (per-model default)")
+    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--filters", type=int, default=64, help="CNN filter count")
+    p.add_argument("--embed-dim", type=int, default=16, help="CNN embedding size")
+    p.add_argument("--max-len", type=int, default=128, help="CNN max token sequence length")
+
+
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    """The other model flags: ``train`` alone."""
+    p.add_argument("--k", type=int, default=3, help="KNN neighbor count")
+    p.add_argument("--alpha", type=float, default=1.0, help="NB Laplace smoothing")
+    p.add_argument("--lam", type=float, default=1e-4, help="SVM regularization")
+    p.add_argument("--hidden", type=int, default=128, help="MLP hidden width")
+    p.add_argument("--kernel", type=int, default=3, help="CNN filter width")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["char1", "char2", "char3", "bow", "cbow", "skipgram", "char1_5"])
     train.add_argument("--train", required=True)
     train.add_argument("--out", required=True)
-    _add_train_flags(train)
+    for add_flags in (_add_feature_flags, _add_sgd_flags, _add_model_flags):
+        add_flags(train)
     train.set_defaults(func=cmd_train)
 
     predict = sub.add_parser("predict", help="one label per input line")
@@ -393,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     reducep.add_argument("--iterations", type=int, default=1000)
     reducep.add_argument("--features", default="char2",
                          choices=["char1", "char2", "char3", "bow", "cbow", "skipgram"])
-    _add_train_flags(reducep)
+    _add_feature_flags(reducep)
     reducep.set_defaults(func=cmd_reduce)
 
     sweep = sub.add_parser("sweep", help="CNN kernel-size sweep")
@@ -403,12 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--grams", default="1,2,3")
     sweep.add_argument("--kernels", default="1,2,3,4,5,6,7,8,9,10,11")
     sweep.add_argument("--seed", type=int, default=42)
-    sweep.add_argument("--lr", type=float, default=None)
-    sweep.add_argument("--epochs", type=int, default=None)
-    sweep.add_argument("--batch-size", type=int, default=32)
-    sweep.add_argument("--filters", type=int, default=64)
-    sweep.add_argument("--embed-dim", type=int, default=16)
-    sweep.add_argument("--max-len", type=int, default=128)
+    _add_sgd_flags(sweep)
     sweep.set_defaults(func=cmd_sweep)
 
     profile = sub.add_parser("profile", help="per-language character frequencies")

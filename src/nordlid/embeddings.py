@@ -113,7 +113,7 @@ def _init_embedding(
     ids = [tokens for tokens in ids if len(tokens)]
     n_words = vocab.size
     if mode == "skipgram":
-        composition = _subword_composition(list(vocab.entries))
+        composition = _subword_composition(list(vocab.words))
     else:
         composition = CsrMatrix((n_words, n_words), np.arange(n_words + 1),
                                 np.arange(n_words), np.ones(n_words))
@@ -283,6 +283,7 @@ def supervised_grads(
     ``output_weights``'s."""
     mean = weights @ model.input_vectors[columns]
     g = softmax(mean @ model.output_weights + model.output_bias)
+    # features.cross_entropy on this one row would cost about 6x as much, once per document
     loss = float(-np.log(max(g[label], 1e-12)))
     g[label] -= 1.0
     return loss, np.outer(weights, model.output_weights @ g), np.outer(mean, g)
@@ -326,8 +327,3 @@ def train_fasttext_supervised(
         model.epoch_losses.append(epoch_loss / max(n, 1))
     return model
 
-
-def supervised_loss(model: FastTextClassifier, x: np.ndarray | CsrMatrix, label: int) -> float:
-    """Cross-entropy of a one-row design, scored as predictions are, for
-    gradient verification."""
-    return float(-np.log(max(model.scores(x)[0, label], 1e-12)))

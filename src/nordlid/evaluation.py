@@ -1,4 +1,9 @@
-"""Accuracy, confusion matrices, length statistics, and cross-domain deltas."""
+"""Accuracy, confusion matrices and length statistics of label indices.
+
+Gold labels come as ``features.label_indices(dataset)`` and predictions
+as a model's ``scores(...).argmax(axis=1)``; label strings appear only in
+the report text.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import ISO_CODES, LABEL_INDEX, LABELS
+from .corpus import ISO_CODES, LABELS
 from .errors import PredictionError
 
 
@@ -15,8 +20,8 @@ from .errors import PredictionError
 class EvalReport:
     accuracy: float
     confusion: np.ndarray  # 6x6 ints; rows true label, columns predicted
-    precision: dict[str, float]
-    recall: dict[str, float]
+    precision: np.ndarray  # 6 floats in LABELS order; 0.0 for a label never predicted
+    recall: np.ndarray  # 6 floats in LABELS order; 0.0 for a label absent from gold
     dataset_id: str = ""
     model_id: str = ""
 
@@ -50,65 +55,52 @@ def _group_stats(lengths: np.ndarray) -> GroupStats | None:
     return GroupStats(float(arr.mean()), float(arr.std()), len(lengths))
 
 
-def _label_indices(gold: Sequence[str], predicted: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Class indices of gold and predicted labels; an unknown prediction
-    raises PredictionError with its index."""
-    if len(gold) != len(predicted):
-        raise ValueError(f"{len(gold)} gold labels but {len(predicted)} predictions")
-    for index, label in enumerate(predicted):
-        if label not in LABEL_INDEX:
-            raise PredictionError(index)
-    return (np.array([LABEL_INDEX[g] for g in gold], dtype=np.int64),
-            np.array([LABEL_INDEX[p] for p in predicted], dtype=np.int64))
+def _checked(truth, guess) -> tuple[np.ndarray, np.ndarray]:
+    """Gold and predicted label indices as int64 arrays. Raises ValueError
+    on a length mismatch or a gold index outside the labels, and
+    PredictionError with the position of the first predicted index outside
+    them."""
+    truth = np.asarray(truth, dtype=np.int64)
+    guess = np.asarray(guess, dtype=np.int64)
+    if len(truth) != len(guess):
+        raise ValueError(f"{len(truth)} gold labels but {len(guess)} predictions")
+    n = len(LABELS)
+    outside = np.flatnonzero((guess < 0) | (guess >= n))
+    if outside.size:
+        raise PredictionError(int(outside[0]))
+    if ((truth < 0) | (truth >= n)).any():
+        raise ValueError(f"a gold label index is not in 0..{n - 1}")
+    return truth, guess
 
 
 def evaluate(
-    gold: Sequence[str],
-    predicted: Sequence[str],
+    truth: np.ndarray,
+    guess: np.ndarray,
     dataset_id: str = "",
     model_id: str = "",
 ) -> EvalReport:
-    """Tabulate the confusion matrix of predicted against gold labels."""
-    truth, guess = _label_indices(gold, predicted)
+    """Tabulate the confusion matrix of predicted against gold label indices."""
+    truth, guess = _checked(truth, guess)
     n = len(LABELS)
     confusion = np.bincount(truth * n + guess, minlength=n * n).reshape(n, n)
     total = int(confusion.sum())
     accuracy = float(np.trace(confusion)) / total if total else 0.0
-    row_sums = confusion.sum(axis=1)
+    diag = np.diag(confusion).astype(np.float64)
     col_sums = confusion.sum(axis=0)
-    diag = np.diag(confusion)
-    precision = {
-        code: float(diag[k]) / col_sums[k] if col_sums[k] else 0.0
-        for k, code in enumerate(LABELS)
-    }
-    recall = {
-        code: float(diag[k]) / row_sums[k] if row_sums[k] else 0.0
-        for k, code in enumerate(LABELS)
-    }
+    row_sums = confusion.sum(axis=1)
+    precision = np.divide(diag, col_sums, out=np.zeros(n), where=col_sums > 0)
+    recall = np.divide(diag, row_sums, out=np.zeros(n), where=row_sums > 0)
     return EvalReport(accuracy, confusion, precision, recall, dataset_id, model_id)
 
 
 def length_failure_analysis(
-    gold: Sequence[str], predicted: Sequence[str], lengths: Sequence[int]
+    truth: np.ndarray, guess: np.ndarray, lengths: Sequence[int]
 ) -> LengthStats:
     """Mean/std of cleaned-character length for correct vs wrong predictions."""
-    truth, guess = _label_indices(gold, predicted)
+    truth, guess = _checked(truth, guess)
     lengths = np.asarray(lengths, dtype=np.int64).reshape(len(truth))
     correct = truth == guess
     return LengthStats(_group_stats(lengths[correct]), _group_stats(lengths[~correct]))
-
-
-def cross_domain_eval(
-    in_gold: Sequence[str],
-    in_predicted: Sequence[str],
-    out_gold: Sequence[str],
-    out_predicted: Sequence[str],
-    model_id: str = "",
-) -> tuple[EvalReport, EvalReport, float]:
-    """Evaluate on both domains; the delta is in-domain minus out-of-domain."""
-    in_report = evaluate(in_gold, in_predicted, "in-domain", model_id)
-    out_report = evaluate(out_gold, out_predicted, "out-of-domain", model_id)
-    return in_report, out_report, in_report.accuracy - out_report.accuracy
 
 
 def confusion_csv(report: EvalReport, iso_codes: bool = False) -> str:
@@ -136,10 +128,10 @@ def report_text(
         f"sentences: {report.total}",
         f"accuracy: {report.accuracy:.17g}",
     ]
-    for code in LABELS:
+    for k, code in enumerate(LABELS):
         lines.append(
-            f"{name(code)}: precision={report.precision[code]:.17g} "
-            f"recall={report.recall[code]:.17g}"
+            f"{name(code)}: precision={report.precision[k]:.17g} "
+            f"recall={report.recall[k]:.17g}"
         )
     if lengths is not None:
         for tag, group in (("correct", lengths.correct), ("misclassified", lengths.misclassified)):

@@ -10,15 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .classifiers import train_logreg, train_nb, train_svm
-from .corpus import LABELS, Dataset, stratified_sample, train_test_split
-from .evaluation import (
-    EvalReport,
-    LengthStats,
-    cross_domain_eval,
-    evaluate,
-    length_failure_analysis,
-)
+from .corpus import Dataset, stratified_sample, train_test_split
+from .evaluation import EvalReport, LengthStats, evaluate, length_failure_analysis
 from .features import build_ngram_vocab, label_indices
 from .modelio import VectorFeature
 from .synth import generate_pools
@@ -74,20 +70,21 @@ def run_mini_experiment(
         "nb+char2": fit(train_nb, char2),
     }
 
-    def predict(model_id: str, sentences: Dataset) -> list[str]:
+    def predict(model_id: str, sentences: Dataset) -> np.ndarray:
         model, feature = models[model_id]
-        return [LABELS[k] for k in model.scores(feature.matrix(sentences)).argmax(axis=1)]
+        return model.scores(feature.matrix(sentences)).argmax(axis=1)
 
-    gold = [s.label for s in test]
+    gold = label_indices(test)
     predictions = {model_id: predict(model_id, test) for model_id in models}
     for model_id, predicted in predictions.items():
         result.accuracies[model_id] = evaluate(gold, predicted, model_id=model_id).accuracy
 
     best = result.best_model_id = max(result.accuracies, key=result.accuracies.get)
-    result.in_domain, result.out_domain, result.cross_domain_delta = cross_domain_eval(
-        gold, predictions[best], [s.label for s in out_test], predict(best, out_test),
-        model_id=best,
+    result.in_domain = evaluate(gold, predictions[best], "in-domain", best)
+    result.out_domain = evaluate(
+        label_indices(out_test), predict(best, out_test), "out-of-domain", best
     )
+    result.cross_domain_delta = result.in_domain.accuracy - result.out_domain.accuracy
     result.length_stats = length_failure_analysis(
         gold, predictions[best], [s.length for s in test]
     )

@@ -15,7 +15,8 @@ n-gram, hashed or word, and :func:`ngram_hits` alone maps a block of texts
 to its columns.
 
 The label-space helpers every classifier family shares live here too:
-``N_CLASSES``, :func:`one_hot`, :func:`softmax` and the trainers' check
+``N_CLASSES``, :func:`label_indices`, :func:`one_hot`, :func:`softmax`,
+the loss :func:`cross_entropy` and the trainers' check
 :func:`check_learning_rate`.
 """
 
@@ -228,43 +229,25 @@ class NgramVocabulary:
 
 @dataclass(frozen=True)
 class WordVocabulary:
-    """Word -> rank map (rank 1 = most frequent; ties lexicographic)."""
+    """Column j is ``words[j]``: as built, the most frequent word first,
+    ties in string order."""
 
-    entries: dict[str, int]
+    words: tuple[str, ...]
 
     def __post_init__(self):
-        self._check_strings()
-        if sorted(self.entries.values()) != list(range(1, self.size + 1)):
-            raise ValueError(f"word vocabulary ranks are not 1..{self.size}")
-
-    @classmethod
-    def from_ranked(cls, words: list[str]) -> WordVocabulary:
-        """The vocabulary giving ``words[i]`` rank i + 1.
-
-        The ranks are 1..n by construction, so nothing is sorted: the words
-        must be strings, and distinct, which holds when the map is as long
-        as the list.
-        """
-        entries = {word: rank for rank, word in enumerate(words, start=1)}
-        if len(entries) != len(words):
-            raise ValueError("word vocabulary lists a word twice")
-        vocab = cls.__new__(cls)
-        object.__setattr__(vocab, "entries", entries)
-        vocab._check_strings()
-        return vocab
-
-    def _check_strings(self) -> None:
-        if not set(map(type, self.entries)) <= {str}:
+        if not set(map(type, self.words)) <= {str}:
             raise ValueError("word vocabulary holds an entry that is not a string")
+        if len(self.column) != len(self.words):
+            raise ValueError("word vocabulary lists a word twice")
 
     @property
     def size(self) -> int:
-        return len(self.entries)
+        return len(self.words)
 
-    def index(self, word: str) -> int | None:
-        """0-based vector index for a word, or None if out of vocabulary."""
-        rank = self.entries.get(word)
-        return None if rank is None else rank - 1
+    @cached_property
+    def column(self) -> dict[str, int]:
+        """Word -> column."""
+        return {word: j for j, word in enumerate(self.words)}
 
 
 #: The odd integer nearest 2**64 over the golden ratio (Weinberger et al.
@@ -343,7 +326,7 @@ def build_word_vocab(
     counts: Counter = Counter()
     for sentence in corpus:
         counts.update(word_tokenize(sentence.text))
-    return WordVocabulary.from_ranked(rank_words(counts)[:cap])
+    return WordVocabulary(tuple(rank_words(counts)[:cap]))
 
 
 def rank_words(counts: Counter) -> list[str]:
@@ -361,10 +344,10 @@ def ngram_hits(texts: list[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndar
         columns = vocab.columns(keys)
         found = columns >= 0
         return rows[found], columns[found]
-    entries = vocab.entries
-    ranks = [[entries[w] for w in word_tokenize(text) if w in entries] for text in texts]
-    rows = np.repeat(np.arange(len(texts)), [len(r) for r in ranks])
-    columns = np.fromiter(chain.from_iterable(ranks), np.int64, len(rows)) - 1
+    column = vocab.column
+    hits = [[column[w] for w in word_tokenize(text) if w in column] for text in texts]
+    rows = np.repeat(np.arange(len(texts)), [len(h) for h in hits])
+    columns = np.fromiter(chain.from_iterable(hits), np.int64, len(rows))
     return rows, columns
 
 
@@ -631,6 +614,13 @@ def one_hot(y: np.ndarray) -> np.ndarray:
     out = np.zeros((len(y), N_CLASSES))
     out[np.arange(len(y)), y] = 1.0
     return out
+
+
+def cross_entropy(posterior: np.ndarray, y: np.ndarray) -> float:
+    """-ln posterior[i, y[i]], averaged over the rows; posteriors clamped at 1e-12."""
+    posterior = np.asarray(posterior, dtype=np.float64)
+    picked = np.clip(posterior[np.arange(posterior.shape[0]), y], 1e-12, None)
+    return float(-np.log(picked).mean())
 
 
 def check_learning_rate(learning_rate: float) -> None:

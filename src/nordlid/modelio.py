@@ -355,14 +355,14 @@ def _dec_optional(section: _Section, obj: dict | None) -> np.ndarray | None:
 
 def _enc_vocab(arrays: list[np.ndarray], vocab: Vocabulary) -> dict | list[str]:
     if isinstance(vocab, WordVocabulary):
-        return sorted(vocab.entries, key=vocab.entries.get)
+        return list(vocab.words)
     return {"orders": list(vocab.orders), "keys": _enc(arrays, vocab.keys)}
 
 
 def _dec_vocab(section: _Section, obj: dict | list) -> Vocabulary:
     """The vocabulary, which checks its orders, keys or words on construction."""
     if isinstance(obj, list):
-        return WordVocabulary.from_ranked(obj)
+        return WordVocabulary(tuple(obj))
     if not isinstance(obj, dict):
         raise ModelFormatError("vocabulary is neither an {orders, keys} object nor a word list")
     return NgramVocabulary(tuple(obj["orders"]), _dec(section, obj["keys"]))

@@ -18,15 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import LABEL_INDEX, Sentence
+from .corpus import Sentence
 from .errors import DimensionMismatch, SequenceTooShort
+from .evaluation import evaluate
 from .features import (
     N_CLASSES,
     NgramVocabulary,
     Vocabulary,
     build_ngram_vocab,
     check_learning_rate,
+    cross_entropy,
     design_array,
+    label_indices,
     ngram_hits,
     one_hot,
     softmax,
@@ -35,13 +38,6 @@ from .features import (
 
 def relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.asarray(z, dtype=np.float64))
-
-
-def cce_loss(pred: np.ndarray, y: np.ndarray) -> float:
-    """-ln pred[i, y[i]], averaged over the rows; predictions clamped at 1e-12."""
-    pred = np.asarray(pred, dtype=np.float64)
-    picked = np.clip(pred[np.arange(pred.shape[0]), y], 1e-12, None)
-    return float(-np.log(picked).mean())
 
 
 @dataclass(frozen=True)
@@ -101,10 +97,6 @@ def mlp_forward(model: MlpModel, x) -> np.ndarray:
     return softmax(h @ model.weights[-1].T + model.biases[-1])
 
 
-def mlp_loss(model: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
-    return cce_loss(mlp_forward(model, x), y)
-
-
 def mlp_grads(
     model: MlpModel, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
@@ -121,7 +113,7 @@ def mlp_grads(
         activations.append(h)
     logits = h @ model.weights[-1].T + model.biases[-1]
     posterior = softmax(logits)
-    loss = cce_loss(posterior, y)
+    loss = cross_entropy(posterior, y)
 
     n = x.shape[0]
     delta = (posterior - one_hot(y)) / n
@@ -273,10 +265,6 @@ def cnn_forward(model: CnnModel, ids: np.ndarray) -> np.ndarray:
     return posterior
 
 
-def cnn_loss(model: CnnModel, ids: np.ndarray, y: np.ndarray) -> float:
-    return cce_loss(cnn_forward(model, ids), y)
-
-
 def cnn_grads(model: CnnModel, ids: np.ndarray, y: np.ndarray) -> tuple[float, dict]:
     """Mean batch loss and gradients for every parameter array.
 
@@ -289,7 +277,7 @@ def cnn_grads(model: CnnModel, ids: np.ndarray, y: np.ndarray) -> tuple[float, d
     n_batch, width = len(ids), model.filters.shape[1]
     arg = pre.argmax(axis=1)  # B x F
     pooled, posterior = _cnn_head(model, np.take_along_axis(pre, arg[:, None], axis=1)[:, 0])
-    loss = cce_loss(posterior, y)
+    loss = cross_entropy(posterior, y)
 
     dlogits = (posterior - one_hot(y)) / n_batch
     dpre = (dlogits @ model.dense_w.T) * (pooled > 0)  # B x F, at the winning windows
@@ -322,7 +310,7 @@ def cnn_train(
     vocab = build_ngram_vocab(train, (gram, gram), cap=vocab_cap)
     model = init_cnn(vocab, kernel, filters, embed_dim, cfg.max_len, cfg.seed)
     ids = _training_ids(model, [s.text for s in train])
-    labels = np.array([LABEL_INDEX[s.label] for s in train], dtype=np.int64)
+    labels = label_indices(train)
     rng = np.random.default_rng(cfg.seed + 1)
     n = len(train)
     for _ in range(cfg.epochs):
@@ -336,13 +324,6 @@ def cnn_train(
             model.dense_w -= cfg.learning_rate * grads["dense_w"]
             model.dense_b -= cfg.learning_rate * grads["dense_b"]
     return model
-
-
-def cnn_accuracy(model: CnnModel, test: Iterable[Sentence]) -> float:
-    test = list(test)
-    labels = np.array([LABEL_INDEX[s.label] for s in test], dtype=np.int64)
-    predicted = model.scores([s.text for s in test]).argmax(axis=1)
-    return float((predicted == labels).mean())
 
 
 @dataclass
@@ -370,6 +351,7 @@ def kernel_size_sweep(
     """Train one CNN per (gram, kernel) pair and record test accuracy."""
     train = list(train)
     test = list(test)
+    texts, truth = [s.text for s in test], label_indices(test)
     result = SweepResult()
     for gram in gram_orders:
         for kernel in kernels:
@@ -377,5 +359,6 @@ def kernel_size_sweep(
                 train, cfg, gram=gram, kernel=kernel, filters=filters,
                 embed_dim=embed_dim,
             )
-            result.entries[(gram, kernel)] = cnn_accuracy(model, test)
+            guess = model.scores(texts).argmax(axis=1)
+            result.entries[(gram, kernel)] = evaluate(truth, guess).accuracy
     return result

@@ -22,13 +22,16 @@ from nordlid.corpus import (
     stratified_sample,
     train_test_split,
 )
+from nordlid.evaluation import evaluate
 from nordlid.experiments import run_mini_experiment
 from nordlid.features import (
     CsrMatrix,
     NgramVocabulary,
     build_word_vocab,
     count_matrix,
+    cross_entropy,
     label_indices,
+    softmax,
 )
 from nordlid.modelio import load_model
 from nordlid.synth import generate_pools
@@ -176,9 +179,9 @@ def test_criterion_3_gradient_checks():
         analytic = classifiers.logreg_gradient(theta, x_aug, y)
         for index in np.ndindex(theta.shape):
             theta[index] += step
-            up = classifiers.logreg_loss(theta, x_aug, y)
+            up = cross_entropy(softmax(x_aug @ theta.T), y)
             theta[index] -= 2 * step
-            down = classifiers.logreg_loss(theta, x_aug, y)
+            down = cross_entropy(softmax(x_aug @ theta.T), y)
             theta[index] += step
             assert relative_error(analytic[index], (up - down) / (2 * step)) < 1e-4
 
@@ -197,17 +200,17 @@ def test_criterion_3_gradient_checks():
         _, d_rows, d_out = embeddings.supervised_grads(model, columns, weights, label)
         for index in np.ndindex(model.output_weights.shape):
             model.output_weights[index] += step
-            up = embeddings.supervised_loss(model, row, label)
+            up = cross_entropy(model.scores(row), [label])
             model.output_weights[index] -= 2 * step
-            down = embeddings.supervised_loss(model, row, label)
+            down = cross_entropy(model.scores(row), [label])
             model.output_weights[index] += step
             assert relative_error(d_out[index], (up - down) / (2 * step)) < 1e-4
         for r, column in enumerate(columns):
             for j in range(4):
                 model.input_vectors[column, j] += step
-                up = embeddings.supervised_loss(model, row, label)
+                up = cross_entropy(model.scores(row), [label])
                 model.input_vectors[column, j] -= 2 * step
-                down = embeddings.supervised_loss(model, row, label)
+                down = cross_entropy(model.scores(row), [label])
                 model.input_vectors[column, j] += step
                 assert relative_error(d_rows[r, j], (up - down) / (2 * step)) < 1e-4
 
@@ -219,16 +222,16 @@ def test_criterion_3_gradient_checks():
         for layer in range(2):
             for index in np.ndindex(model.weights[layer].shape):
                 model.weights[layer][index] += step
-                up = neural.mlp_loss(model, x, y)
+                up = cross_entropy(neural.mlp_forward(model, x), y)
                 model.weights[layer][index] -= 2 * step
-                down = neural.mlp_loss(model, x, y)
+                down = cross_entropy(neural.mlp_forward(model, x), y)
                 model.weights[layer][index] += step
                 assert relative_error(w_grads[layer][index], (up - down) / (2 * step)) < 1e-4
             for index in np.ndindex(model.biases[layer].shape):
                 model.biases[layer][index] += step
-                up = neural.mlp_loss(model, x, y)
+                up = cross_entropy(neural.mlp_forward(model, x), y)
                 model.biases[layer][index] -= 2 * step
-                down = neural.mlp_loss(model, x, y)
+                down = cross_entropy(neural.mlp_forward(model, x), y)
                 model.biases[layer][index] += step
                 assert relative_error(b_grads[layer][index], (up - down) / (2 * step)) < 1e-4
 
@@ -242,9 +245,9 @@ def test_criterion_3_gradient_checks():
             param = getattr(model, name)
             for index in np.ndindex(param.shape):
                 param[index] += step
-                up = neural.cnn_loss(model, ids, y)
+                up = cross_entropy(neural.cnn_forward(model, ids), y)
                 param[index] -= 2 * step
-                down = neural.cnn_loss(model, ids, y)
+                down = cross_entropy(neural.cnn_forward(model, ids), y)
                 param[index] += step
                 assert relative_error(grads[name][index], (up - down) / (2 * step)) < 1e-4
     _pass(3, "gradient checks: logreg, fasttext, MLP, CNN")
@@ -393,9 +396,10 @@ def test_criterion_8_kernel_sweep_smoke(corpus_files, tmp_path):
     # adjacency-signal corpus: only token adjacency separates the classes
     train = [Sentence("ab " * 6 + "ab", "dk")] * 40 + [Sentence("ba " * 6 + "ba", "sv")] * 40
     test = train[:10] + train[-10:]
+    texts, truth = [s.text for s in test], label_indices(test)
     cfg = neural.TrainConfig(learning_rate=0.1, epochs=8, batch_size=8, seed=1, max_len=16)
     bigram = neural.cnn_train(train, cfg, gram=2, kernel=1, filters=8, embed_dim=8)
-    assert neural.cnn_accuracy(bigram, test) == 1.0
+    assert evaluate(truth, bigram.scores(texts).argmax(axis=1)).accuracy == 1.0
     unigram = neural.cnn_train(train, cfg, gram=1, kernel=1, filters=8, embed_dim=8)
-    assert abs(neural.cnn_accuracy(unigram, test) - 0.5) < 0.01
+    assert abs(evaluate(truth, unigram.scores(texts).argmax(axis=1)).accuracy - 0.5) < 0.01
     _pass(8, "kernel sweep completes; adjacency signal needs bigrams")

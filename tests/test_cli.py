@@ -6,6 +6,7 @@ import math
 import struct
 import sys
 import warnings
+from collections import Counter
 from contextlib import contextmanager, redirect_stderr
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from nordlid.cli import main
 from nordlid.corpus import ALPHABET, LABELS, Sentence, save_dataset_tsv
+from nordlid.features import CsrMatrix
 from nordlid.modelio import load_model
 from nordlid.synth import generate_pools
 
@@ -342,6 +344,62 @@ class TestTrainEvalPredict:
         assert code == 3
         assert err == f"error: {argv[-2]} must be at least 1, got {argv[-1]}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [
+        *(["reduce", "--method", "pca", flag, value] for flag, value in (
+            ("--k", "3"), ("--alpha", "1"), ("--lam", "0"), ("--hidden", "8"), ("--kernel", "3"),
+            ("--filters", "4"), ("--embed-dim", "4"), ("--max-len", "16"),
+            ("--lr", "-1"), ("--epochs", "-5"), ("--batch-size", "8"),
+        )),
+        ["sweep", "--alpha", "1"],
+        ["sweep", "--lam", "0"],
+        ["sweep", "--cap", "10"],
+        ["sweep", "--dim", "4"],
+    ], ids=lambda v: " ".join(v))
+    def test_flag_the_command_does_not_read_exits_2(self, data_dir, tmp_path, capsys, argv):
+        paths = {"reduce": ["--input", "train.tsv"],
+                 "sweep": ["--train", "train.tsv", "--test", "test.tsv"]}[argv[0]]
+        paths = [str(data_dir / p) if p.endswith(".tsv") else p for p in paths]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *paths, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model,features,flags,sparse", [
+        ("nb", "char2", [], False),
+        ("svm", "char3", ["--epochs", "2"], True),
+        ("cnn", "char2", ["--epochs", "1", "--filters", "4", "--embed-dim", "4"], None),
+    ], ids=["nb-char2", "svm-char3", "cnn-char2"])
+    def test_eval_tabulates_predict_labels(self, data_dir, tmp_path, capsys, model, features,
+                                           flags, sparse):
+        """``eval``'s confusion.csv counts (gold, ``predict`` line) pairs and
+        its accuracy is the share of matches, on a dense, a CSR and a CNN model."""
+        model_file, lines, out_dir = tmp_path / "m.ndsl", tmp_path / "lines.txt", tmp_path / "rep"
+        assert main(["train", "--model", model, "--features", features, *flags,
+                     "--train", str(data_dir / "train.tsv"), "--out", str(model_file)]) == 0
+        rows = [r.split("\t") for r in (data_dir / "test.tsv").read_text(encoding="utf-8").splitlines()]
+        gold = [label for label, _ in rows]
+        lines.write_text("".join(text + "\n" for _, text in rows), encoding="utf-8")
+        feature = load_model(model_file).feature
+        if sparse is not None:  # the design the model scores is dense or CSR as named
+            design = feature.matrix([text for _, text in rows])
+            assert isinstance(design, CsrMatrix) == sparse
+        assert main(["predict", "--model-file", str(model_file), "--input", str(lines),
+                     "--out", str(tmp_path / "pred.txt")]) == 0
+        predicted = (tmp_path / "pred.txt").read_text(encoding="utf-8").splitlines()
+        capsys.readouterr()
+        assert main(["eval", "--model-file", str(model_file), "--test", str(data_dir / "test.tsv"),
+                     "--out-dir", str(out_dir)]) == 0
+        pairs = Counter(zip(gold, predicted))
+        expected = "".join(
+            f"{t}," + ",".join(str(pairs[t, p]) for p in LABELS) + "\n" for t in LABELS
+        )
+        confusion = (out_dir / "confusion.csv").read_text(encoding="utf-8")
+        assert confusion == "true\\pred," + ",".join(LABELS) + "\n" + expected
+        hits = sum(pairs[code, code] for code in LABELS)
+        assert capsys.readouterr().out == f"accuracy\t{hits / len(gold):.17g}\n"
 
     @pytest.mark.parametrize("model", ["nb", "logreg"])
     def test_raw_counts_where_it_applies(self, data_dir, tmp_path, model):

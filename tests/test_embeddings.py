@@ -16,7 +16,6 @@ from nordlid.embeddings import (
     EmbeddingConfig,
     SupervisedConfig,
     supervised_grads,
-    supervised_loss,
     train_cbow,
     train_fasttext_supervised,
     train_skipgram,
@@ -28,6 +27,7 @@ from nordlid.features import (
     build_ngram_vocab,
     build_word_vocab,
     count_matrix,
+    cross_entropy,
     gram_keys,
     label_indices,
     word_tokenize,
@@ -47,13 +47,14 @@ def subword_ngrams(word: str, nmin: int = 3, nmax: int = 6) -> list[str]:
 
 def pair_score(emb, center: str, context: str) -> float:
     """Inner-product score the model assigns to (center -> context)."""
-    rank = emb.vocab.entries
-    return float(emb.composed[rank[center] - 1] @ emb.output_vectors[rank[context] - 1])
+    column = emb.vocab.column
+    return float(emb.composed[column[center]] @ emb.output_vectors[column[context]])
 
 
 def sentence_embedding(text: str, emb) -> np.ndarray:
     """Mean of in-vocabulary token vectors; zero vector when none match."""
-    hits = [i for i in map(emb.vocab.index, word_tokenize(text)) if i is not None]
+    column = emb.vocab.column
+    hits = [column[w] for w in word_tokenize(text) if w in column]
     if not hits:
         return np.zeros(emb.composed.shape[1])
     return emb.composed[hits].mean(axis=0)
@@ -124,7 +125,7 @@ def test_word_rows_follow_per_gram_hash():
     corpus = [Sentence("hej med dig og hej igen", "dk"), Sentence("þórður rød grød", "is")]
     with mock.patch.multiple(embeddings, SUBWORD_ORDERS=(2, 4), BUCKETS=97):
         emb = train_skipgram(corpus, EmbeddingConfig(dim=4, epochs=0))
-        check_composition(emb.composition, list(emb.vocab.entries))
+        check_composition(emb.composition, list(emb.vocab.words))
     assert emb.vectors.shape == (emb.composition.shape[1], 4)
 
 
@@ -168,7 +169,7 @@ def test_subword_rows_memory_is_bounded_by_blocks():
     vocabulary, the marked words and one block's arrays. Counting every
     word in one block peaked 108 MiB above the result instead of 20."""
     pools = generate_pools(1000, "wiki", seed=0)
-    words = list(build_word_vocab([s for p in pools.values() for s in p]).entries)
+    words = list(build_word_vocab([s for p in pools.values() for s in p]).words)
     tracemalloc.start()
     try:
         with mock.patch.object(embeddings, "BATCH_LINES", 256), \
@@ -228,7 +229,7 @@ class TestSkipgram:
     def test_word_vector_composes_subwords(self):
         cfg = EmbeddingConfig(dim=4, epochs=0, seed=7)
         emb = train_skipgram([Sentence("hej du", "dk")] * 3, cfg)
-        i = emb.vocab.index("hej")
+        i = emb.vocab.column["hej"]
         row = emb.composition.take([i])
         assert row.nnz > 1  # own row plus subword buckets
         assert row.data.sum() == pytest.approx(1.0, abs=1e-15)
@@ -263,12 +264,12 @@ class TestSentenceEmbedding:
     def test_single_known_word(self):
         emb = train_cbow(repeated_pair_corpus(), EmbeddingConfig(dim=8, epochs=0))
         vec = sentence_embedding("a", emb)
-        assert np.array_equal(vec, emb.composed[emb.vocab.index("a")])
+        assert np.array_equal(vec, emb.composed[emb.vocab.column["a"]])
 
     def test_mean_of_two_words(self):
         emb = train_cbow(repeated_pair_corpus(), EmbeddingConfig(dim=8, epochs=0))
         vec = sentence_embedding("a b", emb)
-        manual = (emb.composed[emb.vocab.index("a")] + emb.composed[emb.vocab.index("b")]) / 2
+        manual = (emb.composed[emb.vocab.column["a"]] + emb.composed[emb.vocab.column["b"]]) / 2
         assert np.allclose(vec, manual, atol=1e-12)
 
 
@@ -330,7 +331,7 @@ class TestFastTextSupervised:
         vocab = build_word_vocab(corpus)
         model = train_fasttext(corpus, SupervisedConfig(dim=8, epochs=2, seed=4), vocab)
         rng = np.random.default_rng(0)
-        words = list(vocab.entries)
+        words = list(vocab.words)
         for _ in range(20):
             text = " ".join(rng.choice(words, size=3))
             posterior = fasttext_scores(model, vocab, [text])[0]
@@ -352,9 +353,9 @@ class TestFastTextSupervised:
         step = 1e-6
         for index in np.ndindex(model.output_weights.shape):
             model.output_weights[index] += step
-            up = supervised_loss(model, x, label)
+            up = cross_entropy(model.scores(x), [label])
             model.output_weights[index] -= 2 * step
-            down = supervised_loss(model, x, label)
+            down = cross_entropy(model.scores(x), [label])
             model.output_weights[index] += step
             numeric = (up - down) / (2 * step)
             denom = max(1e-8, abs(numeric), abs(analytic_w[index]))
@@ -369,7 +370,7 @@ class TestFastTextSupervised:
         start = train_fasttext(corpus, SupervisedConfig(dim=4, epochs=0, seed=0), vocab)
         moved = train_fasttext(corpus, SupervisedConfig(dim=4, epochs=2, seed=0), vocab)
         step = moved.input_vectors - start.input_vectors
-        ab, cd = vocab.index("ab"), vocab.index("cd")
+        ab, cd = vocab.column["ab"], vocab.column["cd"]
         assert np.abs(step[cd]).min() > 0
         np.testing.assert_allclose(step[ab], 2 * step[cd], rtol=1e-9)
 
@@ -421,7 +422,7 @@ def decode_key(key: int) -> str:
 def reference_rows(vocab) -> dict[str, int]:
     """feature string -> row of ``input_vectors``, from the vocabulary's own fields."""
     if isinstance(vocab, WordVocabulary):
-        return {w: rank - 1 for w, rank in vocab.entries.items()}
+        return {w: i for i, w in enumerate(vocab.words)}
     return {decode_key(int(k)): i for i, k in enumerate(vocab.keys)}
 
 
@@ -562,12 +563,12 @@ def reference_embedding(corpus, cfg, mode):
     """
     train = train_skipgram if mode == "skipgram" else train_cbow
     start = train(corpus, replace(cfg, epochs=0))
-    word_rows = reference_word_rows(list(start.vocab.entries))[0]
+    word_rows = reference_word_rows(list(start.vocab.words))[0]
     vectors, outputs = start.vectors.copy(), start.output_vectors.copy()
     sentences = [word_tokenize(s.text) for s in corpus]
-    ids = [[start.vocab.index(w) for w in tokens] for tokens in sentences if tokens]
+    ids = [[start.vocab.column[w] for w in tokens] for tokens in sentences if tokens]
     counts = Counter(w for tokens in sentences for w in tokens)
-    weights = np.array([counts[w] for w in start.vocab.entries], dtype=np.float64) ** 0.75
+    weights = np.array([counts[w] for w in start.vocab.words], dtype=np.float64) ** 0.75
     table = np.cumsum(weights / weights.sum())
     rng = np.random.default_rng(cfg.seed + 1)
     total = sum(map(len, ids)) * cfg.epochs
@@ -646,7 +647,7 @@ def test_composed_is_mean_of_word_rows(synth_corpus, mode):
     repeated gram's row counted as often as it occurs."""
     cfg = EmbeddingConfig(dim=5, window=2, negatives=2, epochs=1, seed=4)
     emb = (train_skipgram if mode == "skipgram" else train_cbow)(synth_corpus, cfg)
-    words = list(emb.vocab.entries)
+    words = list(emb.vocab.words)
     word_rows = (reference_word_rows(words)[0] if mode == "skipgram"
                  else [[i] for i in range(len(words))])
     assert emb.composition.shape == (len(words), len(emb.vectors))
@@ -661,5 +662,5 @@ def test_word_ranks_equal_build_word_vocab(synth_corpus, train):
     feature ranks them."""
     emb = train(synth_corpus, EmbeddingConfig(dim=2, epochs=0))
     counts = Counter(w for s in synth_corpus for w in s.text.split(" ") if w)
-    assert emb.vocab.entries == build_word_vocab(synth_corpus).entries
-    assert list(emb.vocab.entries) == sorted(counts, key=lambda w: (-counts[w], w))
+    assert emb.vocab == build_word_vocab(synth_corpus)
+    assert list(emb.vocab.words) == sorted(counts, key=lambda w: (-counts[w], w))

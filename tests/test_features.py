@@ -147,30 +147,20 @@ class TestWordVocabulary:
     def test_most_frequent_gets_rank_one(self):
         corpus = _sentences(["i og er i", "i og", "er i"])
         vocab = build_word_vocab(corpus)
-        assert vocab.entries["i"] == 1
+        assert vocab.words[0] == "i"
 
     def test_single_sentence(self):
         vocab = build_word_vocab(_sentences(["a b a"]))
-        assert vocab.entries == {"a": 1, "b": 2}
+        assert vocab.words == ("a", "b")
 
     def test_tie_broken_lexicographically(self):
         vocab = build_word_vocab(_sentences(["b a", "a b"]))
-        assert vocab.entries == {"a": 1, "b": 2}
+        assert vocab.words == ("a", "b")
 
     def test_index_is_rank_minus_one(self):
         vocab = build_word_vocab(_sentences(["a b a"]))
-        assert vocab.index("a") == 0
-        assert vocab.index("b") == 1
-        assert vocab.index("zz") is None
-
-    def test_from_ranked_equals_rank_map(self):
-        assert WordVocabulary.from_ranked(["og", "i", "er"]) == WordVocabulary(
-            {"og": 1, "i": 2, "er": 3})
-
-    @pytest.mark.parametrize("words", [["og", "i", "og"], ["og", 5]])
-    def test_from_ranked_rejects_repeated_or_non_string_words(self, words):
-        with pytest.raises(ValueError):
-            WordVocabulary.from_ranked(words)
+        assert vocab.column == {"a": 0, "b": 1}
+        assert "zz" not in vocab.column
 
 
 def vectorize(text, vocab, normalize=False) -> np.ndarray:
@@ -419,7 +409,9 @@ class TestArrayFeaturizer:
             vocab = NgramVocabulary((n, n), np.array([last, first], dtype=np.int64))
             assert vocab.columns(np.array([first, last, first + 1])).tolist() == [1, 0, -1]
 
-    @pytest.mark.parametrize("entries", [{"ab": 1, 5: 2}, {"ab": 1, "ba": 3}])
+    @pytest.mark.parametrize("entries", [
+        ("ab", 5), ("ab", "ba", "ab"), (["ab"], "ba"),
+    ])
     def test_malformed_word_vocabulary_rejected_on_construction(self, entries):
         with pytest.raises(ValueError):
             WordVocabulary(entries)

@@ -157,8 +157,7 @@ def test_fasttext_rows_must_match_features(tmp_path, corpus, mode):
     pipeline = fasttext_pipeline(corpus, "bow" if mode == "words" else "char1_5", cfg)
     vocab = pipeline.feature.vocab
     if mode == "words":
-        words = sorted(vocab.entries, key=vocab.entries.get)
-        pipeline.feature.vocab = features.WordVocabulary.from_ranked(words[:-1])
+        pipeline.feature.vocab = features.WordVocabulary(vocab.words[:-1])
     else:
         pipeline.feature.vocab = features.NgramVocabulary((1, 5), vocab.keys[:-1])
     path = tmp_path / "model.ndsl"
@@ -176,7 +175,7 @@ def test_embedding_feature_roundtrip(tmp_path, corpus):
     pipeline = PipelineModel("logreg", 6, model, feature)
     loaded = roundtrip(pipeline, tmp_path, corpus)
     assert np.array_equal(loaded.feature.vectors, matrix.composed)
-    assert loaded.feature.vocab.entries == matrix.vocab.entries
+    assert loaded.feature.vocab.words == matrix.vocab.words
 
 
 def test_bow_feature_roundtrip(tmp_path, corpus):
@@ -186,7 +185,7 @@ def test_bow_feature_roundtrip(tmp_path, corpus):
     model = classifiers.train_logreg(x, label_indices(corpus), epochs=10)
     pipeline = PipelineModel("logreg", 7, model, feature)
     loaded = roundtrip(pipeline, tmp_path, corpus)
-    assert loaded.feature.vocab.entries == vocab.entries
+    assert loaded.feature.vocab.words == vocab.words
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -251,7 +250,8 @@ def reference_vector(text: str, feature: VectorFeature) -> np.ndarray:
     if isinstance(feature.vocab, features.NgramVocabulary):
         hits = reference_columns(text, feature.vocab)
     else:
-        hits = [feature.vocab.index(w) for w in word_tokenize(text) if w in feature.vocab.entries]
+        words = feature.vocab.words
+        hits = [words.index(w) for w in word_tokenize(text) if w in words]
     if feature.vectors is not None:
         return feature.vectors[hits].mean(axis=0) if hits else np.zeros(feature.dim)
     row = np.zeros(feature.dim)

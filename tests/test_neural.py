@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 
 from nordlid.corpus import Sentence
 from nordlid.errors import DimensionMismatch, SequenceTooShort
-from nordlid.features import KEY_START, NgramVocabulary, gram_keys, one_hot
+from nordlid.features import KEY_START, NgramVocabulary, cross_entropy, gram_keys, one_hot
 from nordlid.neural import (
     MlpModel,
     TrainConfig,
     _training_ids,
-    cce_loss,
-    cnn_accuracy,
     cnn_forward,
     cnn_grads,
-    cnn_loss,
     cnn_token_ids,
     cnn_train,
     init_cnn,
@@ -26,7 +23,6 @@ from nordlid.neural import (
     kernel_size_sweep,
     mlp_forward,
     mlp_grads,
-    mlp_loss,
     mlp_train,
     relu,
     softmax,
@@ -68,10 +64,10 @@ class TestLosses:
     def test_cce_perfect_prediction(self):
         pred = np.zeros((1, 6))
         pred[0, 2] = 1.0
-        assert cce_loss(pred, np.array([2])) == pytest.approx(0.0, abs=1e-11)
+        assert cross_entropy(pred, np.array([2])) == pytest.approx(0.0, abs=1e-11)
 
     def test_cce_uniform(self):
-        loss = cce_loss(np.full((1, 6), 1 / 6), np.array([3]))
+        loss = cross_entropy(np.full((1, 6), 1 / 6), np.array([3]))
         assert loss == pytest.approx(math.log(6), abs=1e-12)
 
     def test_cce_matches_two_sample_hand_computation(self):
@@ -79,13 +75,13 @@ class TestLosses:
                          [0.2, 0.5, 0.1, 0.1, 0.05, 0.05]])
         y = np.array([0, 1])
         expected = -(math.log(0.7) + math.log(0.5)) / 2
-        assert cce_loss(pred, y) == pytest.approx(expected, abs=1e-12)
+        assert cross_entropy(pred, y) == pytest.approx(expected, abs=1e-12)
 
     def test_cce_never_negative(self):
         rng = np.random.default_rng(0)
         for _ in range(20):
             p = softmax(rng.normal(size=(1, 6)))
-            assert cce_loss(p, rng.integers(6, size=1)) >= 0.0
+            assert cross_entropy(p, rng.integers(6, size=1)) >= 0.0
 
 
 def relative_error(a: float, b: float) -> float:
@@ -120,17 +116,17 @@ class TestMlp:
             for layer in range(2):
                 for index in np.ndindex(model.weights[layer].shape):
                     model.weights[layer][index] += step
-                    up = mlp_loss(model, x, y)
+                    up = cross_entropy(mlp_forward(model, x), y)
                     model.weights[layer][index] -= 2 * step
-                    down = mlp_loss(model, x, y)
+                    down = cross_entropy(mlp_forward(model, x), y)
                     model.weights[layer][index] += step
                     numeric = (up - down) / (2 * step)
                     assert relative_error(w_grads[layer][index], numeric) < 1e-4
                 for index in np.ndindex(model.biases[layer].shape):
                     model.biases[layer][index] += step
-                    up = mlp_loss(model, x, y)
+                    up = cross_entropy(mlp_forward(model, x), y)
                     model.biases[layer][index] -= 2 * step
-                    down = mlp_loss(model, x, y)
+                    down = cross_entropy(mlp_forward(model, x), y)
                     model.biases[layer][index] += step
                     numeric = (up - down) / (2 * step)
                     assert relative_error(b_grads[layer][index], numeric) < 1e-4
@@ -141,9 +137,9 @@ class TestMlp:
         y = np.array([0] * 30 + [5] * 30)
         cfg = TrainConfig(learning_rate=0.1, epochs=1, batch_size=8, seed=0)
         model = init_mlp([4, 16, 6], seed=0)
-        before = mlp_loss(model, x, y)
+        before = cross_entropy(mlp_forward(model, x), y)
         trained = mlp_train(x, y, hidden=(16,), cfg=TrainConfig(epochs=10, seed=0))
-        after = mlp_loss(trained, x, y)
+        after = cross_entropy(mlp_forward(trained, x), y)
         assert after < before
 
     def test_deterministic_given_seed(self):
@@ -256,9 +252,9 @@ class TestCnn:
                 grad = grads[name]
                 for index in np.ndindex(param.shape):
                     param[index] += step
-                    up = cnn_loss(model, ids, y)
+                    up = cross_entropy(cnn_forward(model, ids), y)
                     param[index] -= 2 * step
-                    down = cnn_loss(model, ids, y)
+                    down = cross_entropy(cnn_forward(model, ids), y)
                     param[index] += step
                     numeric = (up - down) / (2 * step)
                     assert relative_error(grad[index], numeric) < 1e-4, (name, index)
@@ -314,7 +310,7 @@ class TestCnn:
         y = rng.integers(0, 6, size=32)
         loss, grads = cnn_grads(model, ids, y)
         expected = dense_cnn_grads(model, ids, y)
-        assert loss == cce_loss(dense_cnn_forward(model, ids)[-1], y)
+        assert loss == cross_entropy(dense_cnn_forward(model, ids)[-1], y)
         for name, reference in expected.items():
             scale = np.abs(reference).max()
             assert scale > 0, name
@@ -348,11 +344,10 @@ class TestSweep:
         train = make_adjacency_corpus(40)
         test = make_adjacency_corpus(10)
         cfg = TrainConfig(learning_rate=0.1, epochs=8, batch_size=8, seed=1, max_len=16)
-        bigram = cnn_train(train, cfg, gram=2, kernel=1, filters=8, embed_dim=8)
-        assert cnn_accuracy(bigram, test) == 1.0
-        unigram = cnn_train(train, cfg, gram=1, kernel=1, filters=8, embed_dim=8)
+        result = kernel_size_sweep(train, test, (1, 2), (1,), cfg, filters=8, embed_dim=8)
+        assert result.entries[(2, 1)] == 1.0
         # identical char multisets leave a width-1 unigram CNN at chance
-        assert abs(cnn_accuracy(unigram, test) - 0.5) < 0.01
+        assert abs(result.entries[(1, 1)] - 0.5) < 0.01
 
     def test_csv_shape(self):
         corpus = make_adjacency_corpus(8)
