@@ -54,6 +54,7 @@ from .features import (
     build_word_vocab,
     char_frequency_profile,
     check_learning_rate,
+    compact_design,
     label_indices,
 )
 from .modelio import (
@@ -193,7 +194,7 @@ def cmd_train(args) -> int:
     else:
         normalize = not args.raw_counts if kind.normalize is None else kind.normalize
         feature = _build_vector_feature(args, dataset, normalize)
-        inputs = feature.matrix(dataset, sparse=kind.sparse)
+        inputs = compact_design(feature.matrix(dataset, sparse=True))
     model = kind.train(inputs, label_indices(dataset), args)
     save_model(PipelineModel(args.model, args.seed, model, feature), args.out)
     print(f"trained {args.model} on {len(dataset)} sentences -> {args.out}")
@@ -342,8 +343,16 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kernel", type=int, default=3, help="CNN filter width")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes no abbreviated flag, its subcommands' parsers
+    alike: with abbreviations, ``sweep --k 3`` would run ``--kernels 3``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="nordlid", description=__doc__)
+    parser = _Parser(prog="nordlid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     corpus = sub.add_parser("corpus", help="dataset preparation")

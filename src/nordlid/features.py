@@ -383,13 +383,16 @@ def char_frequency_profile(pools: dict[str, list[Sentence]]) -> CharProfile:
 GATHER_BYTES = 4 * 2**20
 
 #: ``count_matrix`` returns CSR when nnz/(n*d) is below this density and
-#: a dense array otherwise. Measured on the 4800-sentence synthetic
+#: a dense array otherwise. This rule shapes the designs that are scored
+#: (``PipelineModel.scores``), projected (``reduce``) and fitted by the
+#: mini-experiment; ``train`` fits on the smaller form instead
+#: (:func:`compact_design`). Measured on the 4800-sentence synthetic
 #: training set with one BLAS thread: at char3 (0.3% dense) CSR takes
 #: 7 MB instead of 1 GB and one logistic-regression gradient 20 ms
-#: instead of 400 ms; at char2 (5.5% dense) the dense matrix is 50 MB and
-#: CSR speeds the gradient up by only about 20%. 2% sits between. The SVM
-#: steps through a row's non-zeros on either form, so the choice does not
-#: change its cost.
+#: instead of 400 ms. At char2 (6.5% dense) the dense form is faster where
+#: a design is read once or a few times: PCA of a 300-line sample took
+#: 34 ms dense against 59 ms on CSR, and a 128-wide MLP layer on a
+#: 1024-line block 6 ms against 18 ms. 2% sits between.
 SPARSE_DENSITY = 0.02
 
 
@@ -489,64 +492,106 @@ class CsrMatrix:
     def __getitem__(self, rows) -> np.ndarray:
         """Dense copies of the selected rows (an int or an index array)."""
         picked = np.asarray(np.arange(self.shape[0])[rows])
-        out = np.zeros((picked.size, self.shape[1]))
-        for r, i in enumerate(picked.ravel()):
-            lo, hi = self.indptr[i], self.indptr[i + 1]
-            out[r, self.indices[lo:hi]] = self.data[lo:hi]
-        return out.reshape(*picked.shape, self.shape[1])
+        return self.take(picked.ravel()).toarray().reshape(*picked.shape, self.shape[1])
+
+    @cached_property
+    def _by_column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The matrix column-major: (column pointers, row of each non-zero,
+        its value), rows ascending within a column. Built on the first
+        ``G @ X`` and kept for the next: logistic regression multiplies by
+        the same design every step. The stable sort goes by 16-bit digits,
+        which numpy radix-sorts: on 504k char3 non-zeros (2-vCPU x86
+        machine) 4.4 ms, against 37 ms for a stable sort of the int64
+        columns."""
+        d = self.shape[1]
+        order = np.argsort(self.indices.astype(np.uint16), kind="stable")
+        for shift in range(16, max(d - 1, 1).bit_length(), 16):  # the higher digits, if any
+            digits = (self.indices[order] >> shift).astype(np.uint16)
+            order = order[np.argsort(digits, kind="stable")]
+        indptr = np.zeros(d + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=d), out=indptr[1:])
+        return indptr, self._row_ids()[order], self.data[order]
 
     def __matmul__(self, other) -> np.ndarray:
         """``X @ W`` for a dense W of shape (d,) or (d, k).
 
-        A C-contiguous W is gathered a row per non-zero, for runs of rows
-        whose gathered rows take about ``GATHER_BYTES``. Any other W, such
+        A C-contiguous W is gathered a row per non-zero. Any other W, such
         as a model's narrow ``weights.T``, is transposed and gathered by
-        column, 3x faster for a char3 block against 6-wide weights. The
-        choice rests on W alone, so a row of X gets the same bits in any
-        block of rows."""
+        column, 3x faster for a char3 block against 6-wide weights. Either
+        way the product goes over runs of rows whose gathered values take
+        about ``GATHER_BYTES``, and each row sums its own segment of them,
+        so a row of X gets the same bits in any block of rows."""
         other = np.asarray(other, dtype=np.float64)
         if other.ndim not in (1, 2) or other.shape[0] != self.shape[1]:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
         n = self.shape[0]
-        if other.flags.c_contiguous:
+        by_row = other.flags.c_contiguous
+        if by_row:
             out = np.zeros((n, *other.shape[1:]))
-            run = max(1, GATHER_BYTES * n // max(8 * self.nnz * other[:1].size, 1))
-            for lo in range(0, n, run):
-                block = self.row_block(lo, min(lo + run, n))
+        else:
+            wide = other[:, None] if other.ndim == 1 else other
+            columns = np.ascontiguousarray(wide.T)  # k x d
+            out = np.zeros((columns.shape[0], n))
+        run = max(1, GATHER_BYTES * n // max(8 * self.nnz * other[:1].size, 1))
+        for lo in range(0, n, run):
+            block = self.row_block(lo, min(lo + run, n))
+            filled = np.diff(block.indptr) > 0
+            if not filled.any():
+                continue
+            starts = block.indptr[:-1][filled]  # a filled row's segment ends at the next one's
+            if by_row:
                 products = other[block.indices]  # nnz x k, or nnz
                 products *= block.data if other.ndim == 1 else block.data[:, None]
-                filled = np.diff(block.indptr) > 0
-                if filled.any():  # a filled row's segment ends where the next one starts
-                    out[lo : lo + run][filled] = np.add.reduceat(
-                        products, block.indptr[:-1][filled], axis=0)
-                del products  # freed before the next run's are gathered
-            return out
-        columns = np.ascontiguousarray((other[:, None] if other.ndim == 1 else other).T)  # k x d
-        products = np.take(columns, self.indices, axis=1)  # k x nnz
-        products *= self.data
-        filled = np.diff(self.indptr) > 0
-        out = np.zeros((columns.shape[0], n))
-        if filled.any():
-            out[:, filled] = np.add.reduceat(products, self.indptr[:-1][filled], axis=1)
-        return np.ascontiguousarray(out.T).reshape(n, *other.shape[1:])
+                out[lo : lo + run][filled] = np.add.reduceat(products, starts, axis=0)
+            else:
+                products = np.take(columns, block.indices, axis=1)  # k x nnz
+                products *= block.data
+                out[:, lo : lo + run][:, filled] = np.add.reduceat(products, starts, axis=1)
+            del products  # freed before the next run's are gathered
+        return out if by_row else np.ascontiguousarray(out.T).reshape(n, *other.shape[1:])
 
     def __rmatmul__(self, other) -> np.ndarray:
-        """``G @ X`` for a dense G of shape (n,) or (k, n)."""
+        """``G @ X`` for a dense G of shape (n,) or (k, n).
+
+        Reads the column-major copy: a range of columns, or one column,
+        whose k x nnz gathered values of G take about ``GATHER_BYTES``
+        gathers them at once, and each column sums its own segment."""
         other = np.asarray(other, dtype=np.float64)
         if other.ndim not in (1, 2) or other.shape[-1] != self.shape[0]:
             raise ValueError(f"cannot multiply {other.shape} by {self.shape}")
         lead = np.ascontiguousarray(other.reshape(-1, self.shape[0]))  # k x n
-        products = np.take(lead, self._row_ids(), axis=1)  # k x nnz
-        products *= self.data
-        out = np.empty((lead.shape[0], self.shape[1]))
-        for c, weights in enumerate(products):
-            out[c] = np.bincount(self.indices, weights=weights, minlength=self.shape[1])
-        return out.reshape(*other.shape[:-1], self.shape[1])
+        indptr, rows, data = self._by_column
+        d = self.shape[1]
+        out = np.zeros((lead.shape[0], d))
+        terms = max(1, GATHER_BYTES // (8 * max(lead.shape[0], 1)))  # non-zeros per range
+        lo = 0
+        while lo < d:
+            hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + terms, "right")) - 1)
+            filled = np.diff(indptr[lo : hi + 1]) > 0
+            if filled.any():
+                first, last = indptr[lo], indptr[hi]
+                products = np.take(lead, rows[first:last], axis=1)  # k x nnz
+                products *= data[first:last]
+                out[:, lo:hi][:, filled] = np.add.reduceat(
+                    products, indptr[lo:hi][filled] - first, axis=1)
+                del products  # freed before the next range's are gathered
+            lo = hi
+        return out.reshape(*other.shape[:-1], d)
 
     def __array_function__(self, func, types, args, kwargs):
         if func is np.count_nonzero and len(args) == 1 and args[0] is self and not kwargs:
             return int(np.count_nonzero(self.data))
         return NotImplemented
+
+
+def compact_design(x: np.ndarray | CsrMatrix) -> np.ndarray | CsrMatrix:
+    """A design matrix in the smaller of its two forms, as ``train`` fits
+    it: a CSR matrix stays CSR while its arrays take fewer bytes than the
+    dense array would (16 B per non-zero against 8 B per cell, so below
+    50% density); a dense one stays as it is. At 10k sentences per class
+    the char2 design (4.9% dense) takes 56 MB as CSR against 566 MB
+    dense; char1 (about 68% dense) stays dense."""
+    return x.toarray() if isinstance(x, CsrMatrix) and x.nbytes >= 8 * x.size else x
 
 
 def design_array(x) -> np.ndarray | CsrMatrix:

@@ -230,9 +230,12 @@ class ModelKind:
     design matrix (the CNN's: the sentences), label indices and the
     ``train`` flags, an unset flag taking the kind's default. ``check``
     refuses a loaded model that does not hold together. A ``reads_text``
-    kind has no feature; ``sparse`` keeps the training design CSR, and
-    ``normalize``, unless None, fixes the normalisation: ``train`` refuses
-    ``--raw-counts`` for a kind that reads text or always normalises."""
+    kind has no feature, and ``normalize``, unless None, fixes the
+    normalisation: ``train`` refuses ``--raw-counts`` for a kind that reads
+    text or always normalises. Every other kind trains on its design in
+    the smaller form (``features.compact_design``: CSR below 50% density);
+    ``PipelineModel.scores`` scores by ``features.SPARSE_DENSITY`` instead,
+    and KNN and fastText read either form as CSR."""
 
     cls: type
     features: tuple[str, ...]
@@ -240,7 +243,6 @@ class ModelKind:
     train: Callable[[object, np.ndarray, object], object]
     check: Callable[[object], None] = lambda model: None
     reads_text: bool = False
-    sparse: bool = False
     normalize: bool | None = None
 
 
@@ -249,7 +251,7 @@ MODEL_KINDS = {
     "knn": ModelKind(
         classifiers.KnnModel, VECTOR_FEATURES, lambda m: m.vectors.shape[1],
         lambda x, y, flags: classifiers.train_knn(x, y, k=flags.k),
-        check=_check_knn, sparse=True,  # KNN keeps CSR training vectors
+        check=_check_knn,
     ),
     "logreg": ModelKind(
         classifiers.LogRegModel, VECTOR_FEATURES, lambda m: m.theta.shape[1] - 1,
@@ -285,7 +287,7 @@ MODEL_KINDS = {
         lambda x, y, flags: embeddings.train_fasttext_supervised(x, y, embeddings.SupervisedConfig(
             dim=flags.dim, epochs=_given(flags.epochs, 5), learning_rate=_given(flags.lr, 0.1),
             seed=flags.seed)),
-        check=_check_fasttext, sparse=True, normalize=True,
+        check=_check_fasttext, normalize=True,
     ),
 }
 

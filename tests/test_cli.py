@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nordlid import classifiers
 from nordlid.cli import main
 from nordlid.corpus import ALPHABET, LABELS, Sentence, save_dataset_tsv
 from nordlid.features import CsrMatrix
@@ -355,6 +356,7 @@ class TestTrainEvalPredict:
         ["sweep", "--lam", "0"],
         ["sweep", "--cap", "10"],
         ["sweep", "--dim", "4"],
+        ["sweep", "--k", "3"],  # not taken as an abbreviation of --kernels
     ], ids=lambda v: " ".join(v))
     def test_flag_the_command_does_not_read_exits_2(self, data_dir, tmp_path, capsys, argv):
         paths = {"reduce": ["--input", "train.tsv"],
@@ -366,6 +368,26 @@ class TestTrainEvalPredict:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("features,sparse", [
+        ("char1", False), ("char2", True), ("char3", True), ("bow", True),
+    ])
+    def test_train_fits_the_smaller_design(self, data_dir, tmp_path, monkeypatch, features,
+                                           sparse):
+        """``train`` fits a count design as CSR below 50% density (char2,
+        char3, bow) and dense above it (char1, about two thirds dense), although
+        char2 is scored dense."""
+        designs, train_nb = [], classifiers.train_nb
+
+        def spy(x, y, **kwargs):
+            designs.append(x)
+            return train_nb(x, y, **kwargs)
+
+        monkeypatch.setattr(classifiers, "train_nb", spy)
+        assert main(["train", "--model", "nb", "--features", features, "--train",
+                     str(data_dir / "train.tsv"), "--out", str(tmp_path / "m.ndsl")]) == 0
+        [design] = designs
+        assert isinstance(design, CsrMatrix) == sparse
 
     @pytest.mark.parametrize("model,features,flags,sparse", [
         ("nb", "char2", [], False),

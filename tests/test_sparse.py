@@ -1,13 +1,14 @@
 """CSR design matrices: products, rows, trainers and the density choice."""
 
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nordlid import classifiers, neural
+from nordlid import classifiers, features, neural
 from nordlid.corpus import LABELS
 from nordlid.errors import NegativeCount
 from nordlid.features import (
@@ -15,6 +16,7 @@ from nordlid.features import (
     CsrMatrix,
     build_ngram_vocab,
     build_word_vocab,
+    compact_design,
     count_matrix,
     cross_entropy,
     label_indices,
@@ -48,6 +50,31 @@ def counter_row(hits: list[int], dim: int, normalize: bool) -> np.ndarray:
     return row
 
 
+def loop_rows(x: CsrMatrix, rows) -> np.ndarray:
+    """Dense copies of the selected rows, one row per Python step: the
+    reference for ``CsrMatrix.__getitem__``."""
+    picked = np.asarray(np.arange(x.shape[0])[rows])
+    out = np.zeros((picked.size, x.shape[1]))
+    for r, i in enumerate(picked.ravel()):
+        lo, hi = x.indptr[i], x.indptr[i + 1]
+        out[r, x.indices[lo:hi]] = x.data[lo:hi]
+    return out.reshape(*picked.shape, x.shape[1])
+
+
+def bincount_product(g: np.ndarray, x: CsrMatrix) -> np.ndarray:
+    """``G @ X`` by one ``np.bincount`` pass per row of G: the reference
+    for the column-major product."""
+    lead = g.reshape(-1, x.shape[0])
+    products = lead[:, x._row_ids()] * x.data
+    out = np.stack([np.bincount(x.indices, weights=w, minlength=x.shape[1]) for w in products])
+    return out.reshape(*g.shape[:-1], x.shape[1])
+
+
+#: ``GATHER_BYTES`` values that split a small product into runs of one
+#: row or column, of a few, and into a single run.
+GATHER_SIZES = (8, 256, features.GATHER_BYTES)
+
+
 @pytest.fixture(scope="module")
 def corpus():
     pools = generate_pools(30, "wiki", seed=3)
@@ -71,6 +98,73 @@ class TestCsrMatrix:
         assert np.allclose(g.T @ x, g.T @ dense, rtol=0, atol=1e-12)
         assert np.allclose(x @ w[:, 0], dense @ w[:, 0], rtol=0, atol=1e-12)
         assert np.allclose(g[:, 0] @ x, g[:, 0] @ dense, rtol=0, atol=1e-12)
+
+    @given(count_matrices(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_row_bits_do_not_depend_on_the_block(self, dense, seed):
+        """``X @ W`` gives a row the same bits in any block of rows and in
+        runs of any ``GATHER_BYTES``, for a gathered-by-row W, a transposed
+        W and a vector, on values that round."""
+        rng = np.random.default_rng(seed)
+        dense = dense * rng.normal(size=dense.shape)
+        x = CsrMatrix.from_dense(dense)
+        n, d = dense.shape
+        weights = [rng.normal(size=(d, 6)), rng.normal(size=(8, d)).T, rng.normal(size=d)]
+        whole = [x @ w for w in weights]
+        lo, hi = sorted(rng.integers(0, n + 1, size=2))
+        for gather in GATHER_SIZES:
+            with mock.patch.object(features, "GATHER_BYTES", gather):
+                for w, want in zip(weights, whole):
+                    assert (x @ w).tobytes() == want.tobytes()
+                    assert (x.row_block(lo, hi) @ w).tobytes() == want[lo:hi].tobytes()
+
+    @given(count_matrices(), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_column_major_product_equals_bincount_exactly(self, dense, seed):
+        """On integer counts and integer G every sum is exact, so the
+        column-major ``G @ X`` equals the bincount reference bit for bit,
+        in runs of any ``GATHER_BYTES``; a one-hot G is NB's product."""
+        rng = np.random.default_rng(seed)
+        n = dense.shape[0]
+        leads = [rng.integers(-3, 4, size=(6, n)).astype(np.float64),
+                 features.one_hot(rng.integers(0, 6, size=n)).T,
+                 rng.integers(-3, 4, size=n).astype(np.float64)]
+        for gather in GATHER_SIZES:
+            with mock.patch.object(features, "GATHER_BYTES", gather):
+                x = CsrMatrix.from_dense(dense)  # a new column-major copy each time
+                for g in leads:  # the first builds the copy, the others read it
+                    assert np.array_equal(g @ x, bincount_product(g, x))
+
+    def test_column_major_copy_sorts_columns_past_16_bits(self):
+        """Columns of 17 and more bits take the radix sort's second digit."""
+        rng = np.random.default_rng(8)
+        d = 2**17 + 5
+        rows = []
+        for _ in range(40):
+            columns = np.unique(rng.choice([0, 7, 2**16 - 1, 2**16, 2**16 + 3, 2**17, d - 1], 3))
+            rows.append(columns)
+        indptr = np.r_[0, np.cumsum([len(r) for r in rows])]
+        x = CsrMatrix((len(rows), d), indptr, np.concatenate(rows),
+                      rng.integers(1, 5, size=indptr[-1]).astype(np.float64))
+        column_ptr, row_ids, _ = x._by_column
+        assert np.array_equal(column_ptr, np.r_[0, np.cumsum(np.bincount(x.indices, minlength=d))])
+        for j in np.unique(x.indices):  # rows ascend within each column
+            assert np.all(np.diff(row_ids[column_ptr[j] : column_ptr[j + 1]]) > 0)
+        g = rng.integers(-3, 4, size=(6, len(rows))).astype(np.float64)
+        assert np.array_equal(g @ x, g @ x.toarray())
+
+    @given(count_matrices(), st.integers(0, 2**32 - 1), st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_the_row_loop(self, dense, seed, k):
+        """Row indexing densifies what the row-by-row loop did: an int, a
+        negative int, index arrays with repeats, a 2-D one and, with k = 0,
+        an empty selection."""
+        x = CsrMatrix.from_dense(dense)
+        n = dense.shape[0]
+        rows = np.random.default_rng(seed).integers(0, n, size=k)
+        for selection in (0, n - 1, -1, rows, np.r_[rows, rows], np.r_[rows, rows].reshape(2, -1)):
+            got, want = x[selection], loop_rows(x, selection)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @given(count_matrices(), st.integers(0, 2**32 - 1), st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
@@ -151,12 +245,13 @@ class TestCountMatrix:
 
 
 class TestTrainersOnCsr:
-    @pytest.fixture(scope="class")
-    def design(self, corpus):
-        vocab = build_ngram_vocab(corpus, (3, 3))
-        raw = count_matrix(corpus, vocab)
-        normalized = count_matrix(corpus, vocab, normalize=True)
-        assert isinstance(raw, CsrMatrix) and isinstance(normalized, CsrMatrix)
+    @pytest.fixture(scope="class", params=[(2, 2), (3, 3)], ids=["char2", "char3"])
+    def design(self, corpus, request):
+        """CSR designs as ``train`` fits them: char2, scored dense, and char3."""
+        vocab = build_ngram_vocab(corpus, request.param)
+        raw = count_matrix(corpus, vocab, sparse=True)
+        normalized = count_matrix(corpus, vocab, normalize=True, sparse=True)
+        assert compact_design(raw) is raw and compact_design(normalized) is normalized
         return raw, normalized, label_indices(corpus)
 
     def test_nb_bit_identical(self, design):
@@ -188,6 +283,9 @@ class TestTrainersOnCsr:
         sparse = classifiers.train_logreg(x, y, epochs=20)
         dense = classifiers.train_logreg(to_dense(x), y, epochs=20)
         assert np.allclose(sparse.theta, dense.theta, rtol=0, atol=1e-12)
+        assert np.abs(sparse.theta - dense.theta).max() <= 1e-12 * np.abs(dense.theta).max()
+        assert np.array_equal(sparse.scores(x).argmax(axis=1),
+                              dense.scores(to_dense(x)).argmax(axis=1))
 
     def test_knn_stores_csr_vectors(self, design):
         _, x, y = design
